@@ -67,9 +67,9 @@ class FSet:
     elements: tuple[Monomial, ...]
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if type(self.dim) is not int or self.dim < 1:
             raise InvalidFSet(f"dimension must be a positive integer, got {self.dim!r}")
-        if not isinstance(self.side, int) or self.side < 0:
+        if type(self.side) is not int or self.side < 0:
             raise InvalidFSet(f"side must be a nonnegative integer, got {self.side!r}")
         try:
             elements = tuple(sorted({tuple(m) for m in self.elements}))
@@ -80,7 +80,7 @@ class FSet:
         for mono in elements:
             if len(mono) != self.dim:
                 raise InvalidFSet(f"element {mono} has length {len(mono)}, expected {self.dim}")
-            if any(not isinstance(v, int) or v < 0 for v in mono):
+            if any(type(v) is not int or v < 0 for v in mono):
                 raise InvalidFSet(f"element {mono} must contain nonnegative integers")
             if not _is_weakly_increasing(mono):
                 raise InvalidFSet(f"element {mono} is not weakly increasing")
@@ -105,7 +105,7 @@ class FSet:
             elements = data["elements"]
         except (KeyError, TypeError):
             raise InputError("FSet JSON needs 'dim', 'side' and 'elements'") from None
-        if not isinstance(dim, int) or not isinstance(side, int) \
+        if type(dim) is not int or type(side) is not int \
                 or not isinstance(elements, list):
             raise InputError("'dim' and 'side' must be integers and 'elements' a list")
         return cls(dim, side, tuple(elements))

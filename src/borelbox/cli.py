@@ -20,7 +20,8 @@ from .bijection import (
     ts_to_ss_partition,
 )
 from .correspondence import ideal_to_partition, partition_to_ideal
-from .enumeration import count_table, enumerate_partitions, qtspp, orbit_gf_ts, cell_gf_ss
+from .enumeration import (cell_gf_ss, cumulative_counts, enumerate_partitions,
+                          hawkes_counts, orbit_gf_ts, qtspp)
 from .errors import BorelboxError, InputError, UnsupportedDimension
 from .ideals import MonomialIdeal, borel_closure, monomial_str
 from .partitions import Partition
@@ -59,6 +60,8 @@ def _read_payload(args):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError("invalid JSON: nested too deeply") from None
 
 
 def render_partition(partition: Partition, style: str) -> str:
@@ -220,12 +223,11 @@ def _cmd_count(args) -> None:
                                               budget=args.budget):
             _emit_json(partition.to_json_dict())
         return
-    table = count_table(args.d, args.n, budget=args.budget, threads=args.threads)
     payload: dict = {"d": args.d, "n": args.n}
-    if args.predicate in (None, "all", "ss"):
-        payload["B"] = list(table.stable)
-    if args.predicate in (None, "all", "ts"):
-        payload["T"] = list(table.symmetric)
+    for key, name in (("B", "ss"), ("T", "ts")):
+        if args.predicate in (None, "all", name):
+            payload[key] = list(cumulative_counts(args.d, args.n, _PREDICATE_NAMES[name],
+                                                  budget=args.budget))
     if args.format == "pretty":
         for key in ("B", "T"):
             if key in payload:
@@ -245,10 +247,10 @@ def _cmd_gf(args) -> None:
         if args.d is None:
             raise InputError("--d is required unless --formula is given")
         if args.predicate == "ss":
-            poly = cell_gf_ss(args.d, args.n, budget=args.budget, threads=args.threads)
+            poly = cell_gf_ss(args.d, args.n, budget=args.budget)
             kind = "cell"
         else:
-            poly = orbit_gf_ts(args.d, args.n, budget=args.budget, threads=args.threads)
+            poly = orbit_gf_ts(args.d, args.n, budget=args.budget)
             kind = "orbit"
         payload = {"d": args.d, "n": args.n, "kind": kind,
                    "coefficients": list(poly.coeffs)}
@@ -259,13 +261,7 @@ def _cmd_gf(args) -> None:
 
 
 def _cmd_hawkes(args) -> None:
-    if args.n < 2:
-        raise InputError("the identity needs --n >= 2")
-    table_left = count_table(args.d, args.n, budget=args.budget, threads=args.threads)
-    table_right = count_table(args.n - 1, args.d + 1, budget=args.budget,
-                              threads=args.threads)
-    left = table_left.stable[-1]
-    right = table_right.stable[-1]
+    left, right = hawkes_counts(args.d, args.n, budget=args.budget)
     _emit_json({"d": args.d, "n": args.n, "left": left, "right": right,
                 "equal": left == right})
 
@@ -287,8 +283,6 @@ def _add_box_arguments(parser, *, d_required: bool = True) -> None:
     parser.add_argument("--d", type=int, required=d_required,
                         help="ambient dimension")
     parser.add_argument("--n", type=int, required=True, help="box side")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="deterministic parallel workers for enumeration")
     parser.add_argument("--budget", type=int, default=None,
                         help="search node budget; exceeding it exits with code 3")
 

@@ -14,9 +14,11 @@ constrained streams small:
   with sorted coordinates), adding a whole orbit at a time.
 
 Completed candidates are still re-validated with the definitional hook
-and symmetry predicates before being yielded.  The stable and symmetric
-counters share nothing with the bijection machinery, so equal counts are
-a genuine cross-check of the side-preserving bijection.
+and symmetry predicates before being yielded; since the pruning
+guarantees that every candidate passes, one that fails raises.  The
+stable and symmetric counters share nothing with the bijection
+machinery, so equal counts are a genuine cross-check of the
+side-preserving bijection.
 
 Counting, the triple product formula for totally symmetric plane
 partitions, and the q-analogue evaluated by exact polynomial division
@@ -27,13 +29,12 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from typing import Callable, Iterator
 
-from .errors import NonIntegerProduct, ResourceLimit
+from .errors import ArithmeticSelfCheck, NonIntegerProduct, ResourceLimit
 from .partitions import Cell, Partition
 from .qpoly import QPolynomial
 
@@ -120,24 +121,32 @@ def _walk(requires, chosen: list[int], chosen_set: set[int], start: int,
         chosen_set.remove(i)
 
 
+def _rejected(part: Partition, predicate: str) -> ArithmeticSelfCheck:
+    return ArithmeticSelfCheck(
+        f"enumerated candidate {[list(c) for c in part.cells]} is not "
+        f"{predicate.replace('_', ' ')}")
+
+
 def _mode(dim: int, side: int, predicate: str):
     if predicate == "totally_symmetric":
         order, requires = _orbit_requirements(dim, side)
 
-        def finalize(idxs: tuple[int, ...]) -> Partition | None:
+        def finalize(idxs: tuple[int, ...]) -> Partition:
             cells = set()
             for i in idxs:
                 cells.update(permutations(order[i]))
             part = Partition._trusted(dim, tuple(sorted(cells)))
-            return part if part.is_totally_symmetric() else None
+            if not part.is_totally_symmetric():
+                raise _rejected(part, predicate)
+            return part
     else:
         stable = predicate == "strongly_stable"
         order, requires = _cell_requirements(dim, side, stable)
 
-        def finalize(idxs: tuple[int, ...]) -> Partition | None:
+        def finalize(idxs: tuple[int, ...]) -> Partition:
             part = Partition._trusted(dim, tuple(sorted(order[i] for i in idxs)))
             if stable and not part.is_strongly_stable():
-                return None
+                raise _rejected(part, predicate)
             return part
     return order, requires, finalize
 
@@ -158,85 +167,35 @@ def enumerate_partitions(dim: int, side: int, predicate: str = "all", *,
     order starting from the empty partition.
 
     `budget` caps the number of search nodes; exceeding it raises
-    :class:`ResourceLimit`.
+    :class:`ResourceLimit`.  Every candidate is re-validated against the
+    predicate's definition; one that fails raises
+    :class:`ArithmeticSelfCheck`, since the pruned walk cannot produce it.
     """
     _check_box_args(dim, side, predicate)
     _, requires, finalize = _mode(dim, side, predicate)
     limiter = _Budget(budget)
     for idxs in _walk(requires, [], set(), 0, limiter.tick):
-        part = finalize(idxs)
-        if part is not None:
-            yield part
+        yield finalize(idxs)
 
 
 def _tally(dim: int, side: int, predicate: str, stat: Callable[[Partition], int],
-           *, budget: int | None = None, threads: int = 1) -> Counter:
-    """Tally stat(partition) over the enumerated stream.
-
-    With threads > 1 the walk is partitioned at depth two (the sets of
-    size below two are handled inline), and the per-subtree tallies are
-    merged; merging counters is order-independent, so the result does not
-    depend on the worker count.
-    """
-    _check_box_args(dim, side, predicate)
-    if not isinstance(threads, int) or threads < 1:
-        raise ValueError(f"threads must be a positive integer, got {threads!r}")
-    _, requires, finalize = _mode(dim, side, predicate)
-    limiter = _Budget(budget)
-    counter: Counter = Counter()
-
-    def absorb(idxs: tuple[int, ...]) -> None:
-        part = finalize(idxs)
-        if part is not None:
-            counter[stat(part)] += 1
-
-    if threads == 1 or not requires:
-        for idxs in _walk(requires, [], set(), 0, limiter.tick):
-            absorb(idxs)
-        return counter
-
-    roots = [i for i in range(len(requires)) if requires[i] == ()]
-    limiter.tick()
-    absorb(())
-    tasks = []
-    for i in roots:
-        limiter.tick()
-        absorb((i,))
-        for j in range(i + 1, len(requires)):
-            need = requires[j]
-            if need is not None and set(need) <= {i}:
-                tasks.append((i, j))
-
-    def run(task: tuple[int, int]) -> Counter:
-        i, j = task
-        local: Counter = Counter()
-        for idxs in _walk(requires, [i, j], {i, j}, j + 1, limiter.tick):
-            part = finalize(idxs)
-            if part is not None:
-                local[stat(part)] += 1
-        return local
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for local in pool.map(run, tasks):
-            counter.update(local)
-    return counter
+           *, budget: int | None = None) -> Counter:
+    """Tally stat(partition) over the enumerated stream."""
+    return Counter(stat(p) for p in enumerate_partitions(dim, side, predicate,
+                                                         budget=budget))
 
 
-def count_ss(dim: int, side: int, *, budget: int | None = None,
-             threads: int = 1) -> int:
+def count_ss(dim: int, side: int, *, budget: int | None = None) -> int:
     """Number of strongly stable partitions fitting in a box of the given
     side, the empty partition included."""
-    tallies = _tally(dim, side, "strongly_stable", lambda p: 0,
-                     budget=budget, threads=threads)
+    tallies = _tally(dim, side, "strongly_stable", lambda p: 0, budget=budget)
     return sum(tallies.values())
 
 
-def count_ts(dim: int, side: int, *, budget: int | None = None,
-             threads: int = 1) -> int:
+def count_ts(dim: int, side: int, *, budget: int | None = None) -> int:
     """Number of totally symmetric partitions fitting in a box of the
     given side, the empty partition included."""
-    tallies = _tally(dim, side, "totally_symmetric", lambda p: 0,
-                     budget=budget, threads=threads)
+    tallies = _tally(dim, side, "totally_symmetric", lambda p: 0, budget=budget)
     return sum(tallies.values())
 
 
@@ -255,21 +214,21 @@ class CountTable:
                 "B": list(self.stable), "T": list(self.symmetric)}
 
 
-def count_table(dim: int, side: int, *, budget: int | None = None,
-                threads: int = 1) -> CountTable:
+def cumulative_counts(dim: int, side: int, predicate: str, *,
+                      budget: int | None = None) -> tuple[int, ...]:
+    """Counts of the partitions satisfying the predicate that fit in boxes
+    of side 0, 1, ..., `side`, from one enumeration bucketed by bounding
+    side."""
+    by_side = _tally(dim, side, predicate, Partition.bounding_side, budget=budget)
+    return tuple(itertools.accumulate(by_side.get(k, 0) for k in range(side + 1)))
+
+
+def count_table(dim: int, side: int, *, budget: int | None = None) -> CountTable:
     """Cumulative count table built from one enumeration per class,
     bucketed by bounding side."""
-    def cumulative(predicate: str) -> tuple[int, ...]:
-        by_side = _tally(dim, side, predicate, Partition.bounding_side,
-                         budget=budget, threads=threads)
-        running, out = 0, []
-        for k in range(side + 1):
-            running += by_side.get(k, 0)
-            out.append(running)
-        return tuple(out)
-
-    return CountTable(dim, side, cumulative("strongly_stable"),
-                      cumulative("totally_symmetric"))
+    return CountTable(dim, side,
+                      cumulative_counts(dim, side, "strongly_stable", budget=budget),
+                      cumulative_counts(dim, side, "totally_symmetric", budget=budget))
 
 
 def _counter_poly(tallies: Counter) -> QPolynomial:
@@ -279,21 +238,17 @@ def _counter_poly(tallies: Counter) -> QPolynomial:
     return QPolynomial(coeffs)
 
 
-def orbit_gf_ts(dim: int, side: int, *, budget: int | None = None,
-                threads: int = 1) -> QPolynomial:
+def orbit_gf_ts(dim: int, side: int, *, budget: int | None = None) -> QPolynomial:
     """Generating function summing q^(orbit count) over the totally
     symmetric partitions in the box."""
     return _counter_poly(_tally(dim, side, "totally_symmetric",
-                                Partition.orbit_count,
-                                budget=budget, threads=threads))
+                                Partition.orbit_count, budget=budget))
 
 
-def cell_gf_ss(dim: int, side: int, *, budget: int | None = None,
-               threads: int = 1) -> QPolynomial:
+def cell_gf_ss(dim: int, side: int, *, budget: int | None = None) -> QPolynomial:
     """Generating function summing q^(cell count) over the strongly
     stable partitions in the box."""
-    return _counter_poly(_tally(dim, side, "strongly_stable", len,
-            budget=budget, threads=threads))
+    return _counter_poly(_tally(dim, side, "strongly_stable", len, budget=budget))
 
 
 def stembridge_t3(n: int) -> int:
@@ -336,13 +291,19 @@ def qtspp(n: int) -> QPolynomial:
     return poly
 
 
-def hawkes_check(dim: int, side: int, *, budget: int | None = None,
-                 threads: int = 1) -> bool:
-    """Check the box-transposition identity: the count for dimension d and
-    side n equals the count for dimension n-1 and side d+1.  Both sides
-    are enumerated independently."""
+def hawkes_counts(dim: int, side: int, *,
+                  budget: int | None = None) -> tuple[int, int]:
+    """Both sides of the box-transposition identity: the strongly stable
+    counts for dimension d and side n, and for dimension n-1 and side d+1,
+    each enumerated independently."""
     if side < 2:
         raise ValueError("the identity needs side >= 2")
-    left = count_ss(dim, side, budget=budget, threads=threads)
-    right = count_ss(side - 1, dim + 1, budget=budget, threads=threads)
+    return (count_ss(dim, side, budget=budget),
+            count_ss(side - 1, dim + 1, budget=budget))
+
+
+def hawkes_check(dim: int, side: int, *, budget: int | None = None) -> bool:
+    """Check the box-transposition identity: the count for dimension d and
+    side n equals the count for dimension n-1 and side d+1."""
+    left, right = hawkes_counts(dim, side, budget=budget)
     return left == right

@@ -90,8 +90,8 @@ class UnsupportedDimension(PreconditionError):
 
 
 class ArithmeticSelfCheck(BorelboxError):
-    """Exact arithmetic produced a result the theory forbids; a bug, not
-    a property of the input."""
+    """Exact arithmetic or enumeration produced a result the theory
+    forbids; a bug, not a property of the input."""
 
     exit_code = 2
 

@@ -37,7 +37,7 @@ def _as_monomial(dim: int, raw) -> Monomial:
         raise DimensionMismatch(
             f"monomial {mono} has length {len(mono)}, expected {dim}")
     for value in mono:
-        if not isinstance(value, int) or value < 0:
+        if type(value) is not int or value < 0:
             raise InvalidCell(f"monomial {mono} must contain nonnegative integers")
     return mono
 
@@ -118,7 +118,7 @@ class MonomialIdeal:
     __slots__ = ("dim", "gens")
 
     def __init__(self, dim: int, gens: Iterable[Iterable[int]] = ()):
-        if not isinstance(dim, int) or dim < 1:
+        if type(dim) is not int or dim < 1:
             raise InvalidCell(f"dimension must be a positive integer, got {dim!r}")
         self.dim = dim
         self.gens = minimalize(_as_monomial(dim, g) for g in gens)
@@ -245,7 +245,7 @@ class MonomialIdeal:
             gens = data["gens"]
         except (KeyError, TypeError):
             raise InputError("ideal JSON needs 'dim' and 'gens'") from None
-        if not isinstance(dim, int) or not isinstance(gens, list):
+        if type(dim) is not int or not isinstance(gens, list):
             raise InputError("'dim' must be an integer and 'gens' a list")
         return cls(dim, gens)
 

@@ -36,7 +36,7 @@ def _as_cell(dim: int, raw) -> Cell:
         raise DimensionMismatch(
             f"cell {cell} has length {len(cell)}, expected {dim}")
     for value in cell:
-        if not isinstance(value, int) or value < 0:
+        if type(value) is not int or value < 0:
             raise InvalidCell(f"cell {cell} must contain nonnegative integers")
     return cell
 
@@ -56,7 +56,7 @@ class Partition:
     __slots__ = ("dim", "cells", "_members")
 
     def __init__(self, dim: int, cells: Iterable[Iterable[int]] = ()):
-        if not isinstance(dim, int) or dim < 1:
+        if type(dim) is not int or dim < 1:
             raise InvalidCell(f"dimension must be a positive integer, got {dim!r}")
         canon = tuple(sorted({_as_cell(dim, c) for c in cells}))
         members = frozenset(canon)
@@ -115,6 +115,10 @@ class Partition:
         cell = _as_cell(self.dim, cell)
         if cell not in self._members:
             raise CellNotInPartition(f"cell {cell} is not in the partition")
+        return self._arms(cell)
+
+    def _arms(self, cell: Cell) -> tuple[int, ...]:
+        # Trusted path: `cell` is one of this partition's own cells.
         arms = []
         for axis in range(self.dim):
             h = 1
@@ -126,7 +130,7 @@ class Partition:
     def is_strongly_stable(self) -> bool:
         """True iff every cell's hook vector is weakly increasing."""
         for cell in self.cells:
-            arms = self.hook_vector(cell)
+            arms = self._arms(cell)
             if any(arms[j] > arms[j + 1] for j in range(self.dim - 1)):
                 return False
         return True
@@ -162,6 +166,6 @@ class Partition:
             cells = data["cells"]
         except (KeyError, TypeError):
             raise InputError("partition JSON needs 'dim' and 'cells'") from None
-        if not isinstance(dim, int) or not isinstance(cells, list):
+        if type(dim) is not int or not isinstance(cells, list):
             raise InputError("'dim' must be an integer and 'cells' a list")
         return cls(dim, cells)

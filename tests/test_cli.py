@@ -1,11 +1,14 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from borelbox import Partition, UnsupportedDimension
+import borelbox.enumeration
+from borelbox import Partition, UnsupportedDimension, count_ss
 from borelbox.cli import render_partition, run, _jsonify
 
 from cases import (
@@ -43,6 +46,17 @@ def test_count_predicate_selects_columns(monkeypatch, capsys):
                           None, monkeypatch, capsys)
     assert code == 0
     assert json.loads(out) == {"d": 2, "n": 2, "B": [1, 2, 4]}
+
+
+def test_count_predicate_enumerates_only_that_class(monkeypatch, capsys):
+    def no_orbit_table(*args):
+        raise AssertionError("count --predicate ss built the orbit table")
+
+    monkeypatch.setattr(borelbox.enumeration, "_orbit_requirements", no_orbit_table)
+    code, out, _ = invoke(["count", "--d", "3", "--n", "3", "--predicate", "ss"],
+                          None, monkeypatch, capsys)
+    assert code == 0
+    assert json.loads(out) == {"d": 3, "n": 3, "B": [1, 2, 5, 16]}
 
 
 def test_count_list_streams_partitions(monkeypatch, capsys):
@@ -162,6 +176,20 @@ def test_hawkes_subcommand(monkeypatch, capsys):
     assert json.loads(out) == {"d": 3, "n": 3, "left": 16, "right": 16, "equal": True}
 
 
+def test_hawkes_prints_library_counts(monkeypatch, capsys):
+    code, out, _ = invoke(["hawkes", "--d", "3", "--n", "4"], None, monkeypatch, capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert (report["left"], report["right"]) == (count_ss(3, 4), count_ss(3, 4)) == (66, 66)
+
+
+def test_hawkes_needs_side_two(monkeypatch, capsys):
+    code, out, err = invoke(["hawkes", "--d", "3", "--n", "1"], None, monkeypatch, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_budget_exit_code(monkeypatch, capsys):
     code, _, err = invoke(["count", "--d", "2", "--n", "4", "--budget", "3"],
                           None, monkeypatch, capsys)
@@ -213,6 +241,31 @@ def test_malformed_json_exit_code(monkeypatch, capsys):
     assert "invalid JSON" in err
 
 
+BOOLEAN_AND_DEEP_INPUTS = [
+    (["check-ideal"], '{"dim": true, "gens": [[1]]}'),
+    (["check-partition"], '{"dim": 2, "cells": [[false, false], [true, false]]}'),
+    (["partition2ideal"], '{"dim": 2, "cells": [[false, false], [true, false]]}'),
+    (["render", "--style", "ferrers"], '{"dim": 2, "cells": [[false, false], [true, false]]}'),
+    (["ideal2partition"], '{"dim": 2, "gens": [[true, 0], [0, true]]}'),
+    (["check-partition"], '{"dim": true, "cells": [[0]]}'),
+    (["check-partition"], "[" * 100000),
+    (["check-ideal"], '{"dim": 2, "gens": ' + "[" * 100000),
+    (["closure"], '{"gens": ' + "[" * 50000 + "]" * 50000 + "}"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, text", BOOLEAN_AND_DEEP_INPUTS,
+    ids=[f"{argv[0]}-{i}" for i, (argv, _) in enumerate(BOOLEAN_AND_DEEP_INPUTS)])
+def test_booleans_and_deep_nesting_are_malformed_input(monkeypatch, capsys, argv, text):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_pretty_format(monkeypatch, capsys):
     payload = {"dim": 2, "gens": [[4, 0], [3, 1], [2, 3], [1, 4], [0, 7]]}
     code, out, _ = invoke(["bgens", "--format", "pretty"], payload,
@@ -254,3 +307,13 @@ def test_module_entry_point_runs():
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"d": 1, "n": 2, "B": [1, 2, 3],
                                        "T": [1, 2, 3]}
+
+
+def test_import_does_not_load_thread_pools():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import borelbox, sys; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"

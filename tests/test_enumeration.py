@@ -1,6 +1,7 @@
 import pytest
 
 from borelbox import (
+    ArithmeticSelfCheck,
     Partition,
     QPolynomial,
     ResourceLimit,
@@ -140,14 +141,14 @@ def test_hawkes_identity():
         hawkes_check(2, 1)
 
 
-def test_threaded_tallies_match_sequential():
-    for threads in (2, 3):
-        assert count_ss(3, 3, threads=threads) == count_ss(3, 3)
-        assert count_ts(3, 3, threads=threads) == count_ts(3, 3)
-        assert orbit_gf_ts(3, 3, threads=threads) == orbit_gf_ts(3, 3)
-        assert cell_gf_ss(3, 3, threads=threads) == cell_gf_ss(3, 3)
-        table = count_table(2, 4, threads=threads)
-        assert table.stable == (1, 2, 4, 8, 16)
+@pytest.mark.parametrize("predicate, counter", [
+    ("is_strongly_stable", count_ss),
+    ("is_totally_symmetric", count_ts),
+])
+def test_failed_revalidation_raises(monkeypatch, predicate, counter):
+    monkeypatch.setattr(Partition, predicate, lambda self: False)
+    with pytest.raises(ArithmeticSelfCheck, match="enumerated candidate"):
+        counter(2, 2)
 
 
 def test_non_plane_generating_functions_also_enumerable():
