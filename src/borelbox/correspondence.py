@@ -10,8 +10,6 @@ partitions.
 
 from __future__ import annotations
 
-from itertools import product
-
 from .ideals import MonomialIdeal
 from .partitions import Partition
 
@@ -19,33 +17,40 @@ from .partitions import Partition
 def ideal_to_partition(ideal: MonomialIdeal) -> Partition:
     """Partition of all exponent vectors outside the ideal.
 
-    Requires an Artinian ideal so the complement is finite; every cell
-    coordinate is strictly below the largest pure power degree n, so the
-    scan box {0..n-1}^d is exact.
+    Requires an Artinian ideal so the complement is finite.  The
+    complement is downward closed, so it is reached from the origin by
+    unit steps that stay outside the ideal; the search visits each cell
+    and its outer neighbours once.
     """
-    n = ideal.artinian_side()
-    cells = [cell for cell in product(range(n), repeat=ideal.dim)
-             if not ideal.contains(cell)]
-    return Partition(ideal.dim, cells)
+    ideal.artinian_side()
+    dim = ideal.dim
+    todo = [] if ideal.contains((0,) * dim) else [(0,) * dim]
+    cells = set(todo)
+    while todo:
+        cell = todo.pop()
+        for j in range(dim):
+            up = cell[:j] + (cell[j] + 1,) + cell[j + 1:]
+            if up not in cells and not ideal.contains(up):
+                cells.add(up)
+                todo.append(up)
+    return Partition(dim, cells)
 
 
 def partition_to_ideal(partition: Partition) -> MonomialIdeal:
     """Minimal generators of the ideal of monomials outside the partition.
 
     A vector outside the partition is a minimal generator exactly when
-    decrementing any positive coordinate lands inside the partition.  No
-    minimal generator has a coordinate above the bounding side n, so the
-    scan box {0..n}^d is exact.  The empty partition maps to the unit
-    ideal.
+    decrementing any positive coordinate lands inside the partition.  So
+    it is the origin, when the partition is empty, or c + e_j for some
+    cell c, and only those candidates are tested.  The empty partition
+    maps to the unit ideal.
     """
-    n = partition.bounding_side()
     dim = partition.dim
-    gens = []
-    for alpha in product(range(n + 1), repeat=dim):
-        if alpha in partition:
-            continue
-        if all(alpha[j] == 0
-               or alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:] in partition
-               for j in range(dim)):
-            gens.append(alpha)
+    candidates = {cell[:j] + (cell[j] + 1,) + cell[j + 1:]
+                  for cell in partition.cells for j in range(dim)} or {(0,) * dim}
+    gens = [alpha for alpha in candidates
+            if alpha not in partition
+            and all(alpha[j] == 0
+                    or alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:] in partition
+                    for j in range(dim))]
     return MonomialIdeal(dim, gens)

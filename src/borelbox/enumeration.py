@@ -32,6 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
+from math import comb
 from typing import Callable, Iterator
 
 from .errors import ArithmeticSelfCheck, NonIntegerProduct, ResourceLimit
@@ -104,21 +105,40 @@ def _orbit_requirements(dim: int, side: int):
     return order, requires
 
 
-def _walk(requires, chosen: list[int], chosen_set: set[int], start: int,
-          tick: Callable[[], None]) -> Iterator[tuple[int, ...]]:
-    """Depth-first over admissible index sets; yields every extension of
-    `chosen` (itself included) exactly once."""
+def _walk(requires, tick: Callable[[], None]) -> Iterator[tuple[int, ...]]:
+    """Depth-first over admissible index sets, each yielded once, children
+    in increasing order of the added index.  Each index counts its missing
+    requirements, so a node extends only through its frontier (indices
+    above its last with none missing, kept in decreasing order): the rest
+    of its parent's frontier plus the indices its own index unlocked."""
+    # -1 never reaches 0: an index that can never occur is nobody's dependent.
+    missing = [-1 if need is None else len(need) for need in requires]
+    dependents: list[list[int]] = [[] for _ in requires]
+    for i, need in enumerate(requires):
+        for k in need or ():
+            dependents[k].append(i)
+    chosen: list[int] = []
     tick()
-    yield tuple(chosen)
-    for i in range(start, len(requires)):
-        need = requires[i]
-        if need is None or not chosen_set.issuperset(need):
+    yield ()
+    stack = [[i for i in reversed(range(len(missing))) if missing[i] == 0]]
+    while stack:
+        frontier = stack[-1]
+        if not frontier:
+            stack.pop()
+            if chosen:
+                for j in dependents[chosen.pop()]:
+                    missing[j] += 1
             continue
+        i = frontier.pop()
         chosen.append(i)
-        chosen_set.add(i)
-        yield from _walk(requires, chosen, chosen_set, i + 1, tick)
-        chosen.pop()
-        chosen_set.remove(i)
+        unlocked = []
+        for j in dependents[i]:
+            missing[j] -= 1
+            if missing[j] == 0:
+                unlocked.append(j)
+        tick()
+        yield tuple(chosen)
+        stack.append(sorted(frontier + unlocked, reverse=True))
 
 
 def _rejected(part: Partition, predicate: str) -> ArithmeticSelfCheck:
@@ -130,11 +150,10 @@ def _rejected(part: Partition, predicate: str) -> ArithmeticSelfCheck:
 def _mode(dim: int, side: int, predicate: str):
     if predicate == "totally_symmetric":
         order, requires = _orbit_requirements(dim, side)
+        orbits = [tuple(set(permutations(rep))) for rep in order]
 
         def finalize(idxs: tuple[int, ...]) -> Partition:
-            cells = set()
-            for i in idxs:
-                cells.update(permutations(order[i]))
+            cells = [cell for i in idxs for cell in orbits[i]]
             part = Partition._trusted(dim, tuple(sorted(cells)))
             if not part.is_totally_symmetric():
                 raise _rejected(part, predicate)
@@ -166,15 +185,20 @@ def enumerate_partitions(dim: int, side: int, predicate: str = "all", *,
     the predicate, each exactly once, in a deterministic depth-first
     order starting from the empty partition.
 
-    `budget` caps the number of search nodes; exceeding it raises
-    :class:`ResourceLimit`.  Every candidate is re-validated against the
-    predicate's definition; one that fails raises
+    `budget` caps the number of search nodes and of requirement table
+    entries; exceeding it raises :class:`ResourceLimit`, before the table
+    is built when the table is the larger.  Every candidate is
+    re-validated against the predicate's definition; one that fails raises
     :class:`ArithmeticSelfCheck`, since the pruned walk cannot produce it.
     """
     _check_box_args(dim, side, predicate)
-    _, requires, finalize = _mode(dim, side, predicate)
     limiter = _Budget(budget)
-    for idxs in _walk(requires, [], set(), 0, limiter.tick):
+    entries = comb(side + dim - 1, dim) if predicate == "totally_symmetric" else side ** dim
+    if budget is not None and entries > budget:
+        raise ResourceLimit(budget, f"a requirement table of {entries} entries "
+                                    f"exceeds the node budget of {budget}")
+    _, requires, finalize = _mode(dim, side, predicate)
+    for idxs in _walk(requires, limiter.tick):
         yield finalize(idxs)
 
 

@@ -109,6 +109,6 @@ class ResourceLimit(BorelboxError):
 
     exit_code = 3
 
-    def __init__(self, budget):
+    def __init__(self, budget, message=None):
         self.budget = budget
-        super().__init__(f"enumeration exceeded the node budget of {budget}")
+        super().__init__(message or f"enumeration exceeded the node budget of {budget}")

@@ -14,6 +14,7 @@ is fixed by every permutation of the coordinates.
 
 from __future__ import annotations
 
+from operator import itemgetter, mul
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -128,11 +129,24 @@ class Partition:
         return tuple(arms)
 
     def is_strongly_stable(self) -> bool:
-        """True iff every cell's hook vector is weakly increasing."""
-        for cell in self.cells:
-            arms = self._arms(cell)
-            if any(arms[j] > arms[j + 1] for j in range(self.dim - 1)):
-                return False
+        """True iff every cell's hook vector is weakly increasing.
+
+        Arms follow arm_j(c) = arm_j(c + e_j) + 1 (0 when c + e_j is not a
+        cell), over the cells in reverse lexicographic order, which meets
+        c + e_j first.  Keys read cells as digits in a base above every
+        coordinate, so c + e_j is one addition away.
+        """
+        base = max(map(max, self.cells), default=0) + 2
+        steps = [base ** j for j in reversed(range(self.dim))]
+        axes = [(step, {}) for step in steps]
+        for cell in reversed(self.cells):
+            key = sum(map(mul, cell, steps))
+            low = 0
+            for step, arms in axes:
+                arm = arms.get(key + step, -1) + 1
+                if arm < low:
+                    return False
+                arms[key] = low = arm
         return True
 
     def is_totally_symmetric(self) -> bool:
@@ -142,11 +156,10 @@ class Partition:
         symmetric group, and a set closed under generators is closed under
         the group.
         """
-        for cell in self.cells:
-            for j in range(self.dim - 1):
-                swapped = cell[:j] + (cell[j + 1], cell[j]) + cell[j + 2:]
-                if swapped not in self._members:
-                    return False
+        for j in range(self.dim - 1):
+            swap = itemgetter(*range(j), j + 1, j, *range(j + 2, self.dim))
+            if not self._members.issuperset(map(swap, self.cells)):
+                return False
         return True
 
     def orbit_count(self) -> int:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add, mul
 from typing import Iterable
 
 from .errors import InexactDivision
@@ -77,12 +79,12 @@ class QPolynomial:
     def __mul__(self, other: "QPolynomial") -> "QPolynomial":
         if self.is_zero or other.is_zero:
             return QPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+        a = self.coeffs
+        out = [0] * (len(a) + len(other.coeffs) - 1)
+        for j, b in enumerate(other.coeffs):
+            if b:
+                end = j + len(a)
+                out[j:end] = map(add, out[j:end], map(mul, a, repeat(b)))
         return QPolynomial(out)
 
     def evaluate(self, value):
@@ -109,6 +111,7 @@ class QPolynomial:
         rem = list(self.coeffs)
         lead = divisor.coeffs[-1]
         shift = len(divisor.coeffs) - 1
+        terms = [(i, dc) for i, dc in enumerate(divisor.coeffs) if dc]
         quot = [0] * (len(rem) - shift)
         for k in range(len(rem) - 1, shift - 1, -1):
             c = rem[k]
@@ -119,7 +122,7 @@ class QPolynomial:
                 raise InexactDivision(
                     f"coefficient {c} of q^{k} is not divisible by {lead}")
             quot[k - shift] = q
-            for i, dc in enumerate(divisor.coeffs):
+            for i, dc in terms:
                 rem[k - shift + i] -= q * dc
         if any(rem):
             raise InexactDivision("nonzero remainder")

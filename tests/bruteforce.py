@@ -46,6 +46,27 @@ def powerset_partitions(dim, side):
                 yield frozenset(subset)
 
 
+def grown_partitions(dim, side):
+    """Every downward-closed subset of the box, grown from the empty set
+    by adding any cell whose predecessors are present, deduplicated.
+    Reaches boxes the power set cannot, such as (3, 3)."""
+    box = box_cells(dim, side)
+    seen = {frozenset()}
+    todo = [frozenset()]
+    while todo:
+        cells = todo.pop()
+        for c in box:
+            if c in cells or not all(
+                    not v or c[:j] + (v - 1,) + c[j + 1:] in cells
+                    for j, v in enumerate(c)):
+                continue
+            grown = cells | {c}
+            if grown not in seen:
+                seen.add(grown)
+                todo.append(grown)
+    return seen
+
+
 def arm_length(cells, cell, axis):
     s = set(cells)
     h = 0
@@ -96,3 +117,23 @@ def box_antichains(dim, side):
     for ideal_cells in powerset_partitions(dim, side):
         upper = box - ideal_cells
         yield frozenset(naive_minimalize(upper))
+
+
+def box_complement(gens, dim):
+    """Exponent vectors outside an Artinian ideal, by scanning the box
+    below its largest pure power degree."""
+    side = max(sum(g) for g in gens if sum(1 for e in g if e) <= 1)
+    return {m for m in product(range(side), repeat=dim)
+            if not any(all(x <= y for x, y in zip(g, m)) for g in gens)}
+
+
+def box_minimal_generators(cells, dim):
+    """Minimal generators of the ideal of vectors outside a partition, by
+    scanning the box {0..n}^d, n its bounding side: the vectors outside
+    whose every unit decrement lands inside."""
+    s = {tuple(c) for c in cells}
+    side = 1 + max(max(c) for c in s) if s else 0
+    return {a for a in product(range(side + 1), repeat=dim)
+            if a not in s
+            and all(not v or a[:j] + (v - 1,) + a[j + 1:] in s
+                    for j, v in enumerate(a))}

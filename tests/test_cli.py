@@ -197,6 +197,23 @@ def test_budget_exit_code(monkeypatch, capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("predicate, table", [
+    ("ss", "_cell_requirements"),
+    ("ts", "_orbit_requirements"),
+])
+def test_budget_refuses_a_larger_table_before_building_it(monkeypatch, capsys,
+                                                          predicate, table):
+    def unbuilt(*args):
+        raise AssertionError("the requirement table was built")
+
+    monkeypatch.setattr(borelbox.enumeration, table, unbuilt)
+    code, out, err = invoke(["count", "--d", "3", "--n", "60", "--predicate",
+                             predicate, "--budget", "1"], None, monkeypatch, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "budget" in err
+
+
 def test_render_matrix(monkeypatch, capsys):
     payload = {"dim": 3, "cells": [list(c) for c in PLANE_PARTITION_10_CELLS]}
     code, out, _ = invoke(["render", "--style", "matrix"], payload, monkeypatch, capsys)

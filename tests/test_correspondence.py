@@ -103,3 +103,19 @@ def test_cell_count_is_quotient_dimension():
         outside = [m for m in product(range(n + 1), repeat=2)
                    if not ideal.contains(m)]
         assert len(ideal_to_partition(ideal)) == len(outside)
+
+
+@pytest.mark.parametrize("dim, side", [(2, 5), (3, 3)])
+def test_maps_match_box_scan_oracles(dim, side):
+    for p in enumerate_partitions(dim, side, "all"):
+        ideal = partition_to_ideal(p)
+        assert set(ideal.gens) == bruteforce.box_minimal_generators(p.cells, dim)
+        assert set(ideal_to_partition(ideal).cells) == bruteforce.box_complement(
+            ideal.gens, dim)
+
+
+def test_long_arm_maps_in_closed_form():
+    arm = Partition(3, [(0, 0, k) for k in range(200)])
+    ideal = MonomialIdeal(3, [(1, 0, 0), (0, 1, 0), (0, 0, 200)])
+    assert partition_to_ideal(arm) == ideal
+    assert ideal_to_partition(ideal) == arm

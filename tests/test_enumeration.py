@@ -1,3 +1,7 @@
+import hashlib
+import json
+from math import comb
+
 import pytest
 
 from borelbox import (
@@ -43,6 +47,55 @@ def test_symmetric_stream_matches_filtered_oracle():
         got = {frozenset(p.cells)
                for p in enumerate_partitions(dim, side, "totally_symmetric")}
         assert got == expected
+
+
+# sha256 of json.dumps([p.cells for p in stream]): the listing order of the
+# scan-the-table walk that the frontier walk replaced.
+RECORDED_LISTINGS = {
+    (3, 3, "all"): "6c02b63af6338b8c705c0c4a731c6db0bd1d18da0ea0d22349a5d82df8e73c02",
+    (3, 3, "strongly_stable"): "2563c3cd1c25144492edf85f88d5b46576b30f5f2cdf968b7fd57d0e8cde609e",
+    (3, 3, "totally_symmetric"): "62aa8e55a871caf23c63d2b96f2d4f3f495af4bf2d9e3b71e1a759ea3b94537f",
+    (2, 4, "all"): "e10f438f556095caa03c6fe2c982faead40737f886f680bd4278b2124be99f3b",
+    (2, 4, "strongly_stable"): "9ab7b30e4c2e5c114073cc6fe689ae7a0c41fac23df6da531b66789905426b7f",
+    (2, 4, "totally_symmetric"): "9294249e5c13d91d7ca4428bbc0ca7b4f0e57d673d1cbfe6e20e9bd542bff618",
+}
+
+ORACLE_FILTERS = {
+    "all": lambda cells: True,
+    "strongly_stable": bruteforce.naive_strongly_stable,
+    "totally_symmetric": bruteforce.naive_totally_symmetric,
+}
+
+
+@pytest.mark.parametrize("dim, side", [(3, 3), (2, 4)])
+@pytest.mark.parametrize("predicate", sorted(ORACLE_FILTERS))
+def test_streams_list_oracle_sets_once_in_recorded_order(dim, side, predicate):
+    listing = [p.cells for p in enumerate_partitions(dim, side, predicate)]
+    expected = {cells for cells in bruteforce.grown_partitions(dim, side)
+                if ORACLE_FILTERS[predicate](cells)}
+    assert len(listing) == len(expected)
+    assert {frozenset(cells) for cells in listing} == expected
+    digest = hashlib.sha256(json.dumps(listing).encode()).hexdigest()
+    assert digest == RECORDED_LISTINGS[dim, side, predicate]
+
+
+def test_grown_oracle_matches_powerset_oracle():
+    for dim, side in ((2, 4), (3, 2)):
+        assert bruteforce.grown_partitions(dim, side) == set(
+            bruteforce.powerset_partitions(dim, side))
+
+
+@pytest.mark.parametrize("dim, side", [(3, 3), (2, 4)])
+@pytest.mark.parametrize("predicate", sorted(ORACLE_FILTERS))
+def test_budget_raises_exactly_below_nodes_or_table_entries(dim, side, predicate):
+    nodes = sum(1 for _ in enumerate_partitions(dim, side, predicate))
+    entries = (comb(side + dim - 1, dim) if predicate == "totally_symmetric"
+               else side ** dim)
+    need = max(nodes, entries)
+    assert sum(1 for _ in enumerate_partitions(dim, side, predicate,
+                                               budget=need)) == nodes
+    with pytest.raises(ResourceLimit):
+        list(enumerate_partitions(dim, side, predicate, budget=need - 1))
 
 
 def test_stream_yields_each_partition_once_deterministically():

@@ -124,6 +124,14 @@ def test_predicates_match_naive_oracles_in_3_box():
         assert p.is_totally_symmetric() == bruteforce.naive_totally_symmetric(p.cells)
 
 
+@pytest.mark.parametrize("dim, side", [(2, 4), (3, 2), (4, 2)])
+def test_predicates_match_naive_oracles_on_power_set(dim, side):
+    for cells in bruteforce.powerset_partitions(dim, side):
+        p = Partition(dim, cells)
+        assert p.is_strongly_stable() == bruteforce.naive_strongly_stable(cells)
+        assert p.is_totally_symmetric() == bruteforce.naive_totally_symmetric(cells)
+
+
 def test_orbit_count_at_most_cell_count():
     for p in enumerate_partitions(3, 2, "all"):
         assert p.orbit_count() <= len(p)

@@ -46,9 +46,26 @@ def test_exact_div():
         QPolynomial([1]).exact_div(QPolynomial())
 
 
+def test_division_by_a_binomial_raises_on_a_non_multiple():
+    binomial = QPolynomial.one_minus_q_power(3)
+    assert (QPolynomial([2, 0, 5]) * binomial).exact_div(binomial) == QPolynomial([2, 0, 5])
+    with pytest.raises(InexactDivision):
+        QPolynomial([1, 0, 0, 0, 1]).exact_div(binomial)
+    with pytest.raises(InexactDivision):
+        QPolynomial([1, 0, 0, 1]).exact_div(binomial)
+
+
 small_polys = st.builds(QPolynomial, st.lists(st.integers(-9, 9), max_size=8))
 
 
 @given(small_polys, small_polys.filter(lambda p: not p.is_zero))
 def test_multiply_then_divide_round_trips(a, b):
     assert (a * b).exact_div(b) == a
+
+
+@given(small_polys, small_polys)
+def test_multiply_matches_convolution(a, b):
+    expected = [sum(a.coeffs[i] * b.coeffs[k - i] for i in range(len(a.coeffs))
+                    if 0 <= k - i < len(b.coeffs))
+                for k in range(len(a.coeffs) + len(b.coeffs) - 1)]
+    assert a * b == QPolynomial(expected)
