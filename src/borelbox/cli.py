@@ -240,7 +240,7 @@ def _cmd_gf(args) -> None:
     if args.formula:
         if args.d not in (None, 3):
             raise InputError("the boxed product formula is defined for d=3")
-        poly = qtspp(args.n)
+        poly = qtspp(args.n, budget=args.budget)
         payload = {"d": 3, "n": args.n, "kind": "product",
                    "coefficients": list(poly.coeffs)}
     else:
@@ -284,7 +284,8 @@ def _add_box_arguments(parser, *, d_required: bool = True) -> None:
                         help="ambient dimension")
     parser.add_argument("--n", type=int, required=True, help="box side")
     parser.add_argument("--budget", type=int, default=None,
-                        help="search node budget; exceeding it exits with code 3")
+                        help="search node budget (the product degree for gf --formula); "
+                             "exceeding it exits with code 3")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -31,7 +31,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, product
 from math import comb
 from typing import Callable, Iterator
 
@@ -42,15 +42,19 @@ from .qpoly import QPolynomial
 PREDICATES = ("all", "strongly_stable", "totally_symmetric")
 
 
+def _checked_budget(limit: int | None) -> int | None:
+    if limit is not None and limit < 1:
+        raise ValueError("budget must be a positive integer or None")
+    return limit
+
+
 class _Budget:
     """Node budget shared by every branch of one enumeration."""
 
     __slots__ = ("limit", "_ticks")
 
     def __init__(self, limit: int | None):
-        if limit is not None and limit < 1:
-            raise ValueError("budget must be a positive integer or None")
-        self.limit = limit
+        self.limit = _checked_budget(limit)
         self._ticks = itertools.count(1)
 
     def tick(self) -> None:
@@ -105,6 +109,25 @@ def _orbit_requirements(dim: int, side: int):
     return order, requires
 
 
+def _distinct_permutations(rep: Cell) -> Iterator[Cell]:
+    """The distinct rearrangements of a weakly increasing tuple, in
+    lexicographic order by next-permutation steps, so an orbit costs its
+    own size rather than d!."""
+    perm = list(rep)
+    while True:
+        yield tuple(perm)
+        i = len(perm) - 2
+        while i >= 0 and perm[i] >= perm[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(perm) - 1
+        while perm[j] <= perm[i]:
+            j -= 1
+        perm[i], perm[j] = perm[j], perm[i]
+        perm[i + 1:] = reversed(perm[i + 1:])
+
+
 def _walk(requires, tick: Callable[[], None]) -> Iterator[tuple[int, ...]]:
     """Depth-first over admissible index sets, each yielded once, children
     in increasing order of the added index.  Each index counts its missing
@@ -150,7 +173,7 @@ def _rejected(part: Partition, predicate: str) -> ArithmeticSelfCheck:
 def _mode(dim: int, side: int, predicate: str):
     if predicate == "totally_symmetric":
         order, requires = _orbit_requirements(dim, side)
-        orbits = [tuple(set(permutations(rep))) for rep in order]
+        orbits = [tuple(_distinct_permutations(rep)) for rep in order]
 
         def finalize(idxs: tuple[int, ...]) -> Partition:
             cells = [cell for i in idxs for cell in orbits[i]]
@@ -275,44 +298,86 @@ def cell_gf_ss(dim: int, side: int, *, budget: int | None = None) -> QPolynomial
     return _counter_poly(_tally(dim, side, "strongly_stable", len, budget=budget))
 
 
+def _triple_exponents(n: int) -> dict[int, int]:
+    """The cancelled factor table of the boxed triple product: t -> e_t
+    with prod over 1 <= i <= j <= k <= n of F(i+j+k-1)/F(i+j+k-2) equal
+    to prod F(t)^e_t, for any F.  With m_s the number of triples summing
+    to s, e_t = m_(t+1) - m_(t+2); zero exponents are left out."""
+    sums = Counter(map(sum, combinations_with_replacement(range(1, n + 1), 3)))
+    exponents = {t: sums[t + 1] - sums[t + 2] for t in range(1, 3 * n)}
+    return {t: e for t, e in exponents.items() if e}
+
+
+def _integer_product(exponents: dict[int, int]) -> int:
+    """prod t^e_t over the table; a fractional value raises
+    :class:`NonIntegerProduct`."""
+    numerator = denominator = 1
+    for t, e in exponents.items():
+        if e > 0:
+            numerator *= t ** e
+        else:
+            denominator *= t ** -e
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise NonIntegerProduct(
+            f"the product is the fraction {Fraction(numerator, denominator)}")
+    return quotient
+
+
+def _q_product(exponents: dict[int, int]) -> QPolynomial:
+    """prod (1 - q^t)^e_t over the table: the factors with e_t > 0 are
+    multiplied out, then each factor with e_t < 0 is divided off exactly,
+    and a non-polynomial value raises :class:`InexactDivision`."""
+    poly = QPolynomial.one()
+    for t, e in exponents.items():
+        for _ in range(e):
+            poly = poly * QPolynomial.one_minus_q_power(t)
+    for t, e in exponents.items():
+        for _ in range(-e):
+            poly = poly.exact_div(QPolynomial.one_minus_q_power(t))
+    return poly
+
+
 def stembridge_t3(n: int) -> int:
     """Totally symmetric plane partitions in an n-box, by the triple
     product over 1 <= i <= j <= k <= n of (i+j+k-1)/(i+j+k-2), evaluated
-    in exact rational arithmetic.
+    exactly from its cancelled factor table (see :func:`qtspp`).
 
     The result is guaranteed to be an integer; a fractional outcome
     signals an arithmetic bug and raises :class:`NonIntegerProduct`.
+    Cancelling common factors first does not weaken that check: a
+    fraction is an integer exactly when its reduced form is.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    total = Fraction(1)
-    for i, j, k in combinations_with_replacement(range(1, n + 1), 3):
-        total *= Fraction(i + j + k - 1, i + j + k - 2)
-    if total.denominator != 1:
-        raise NonIntegerProduct(f"product for n={n} is the fraction {total}")
-    return int(total)
+    return _integer_product(_triple_exponents(n))
 
 
-def qtspp(n: int) -> QPolynomial:
+def qtspp(n: int, *, budget: int | None = None) -> QPolynomial:
     """Orbit-counting q-analogue for totally symmetric plane partitions in
     an n-box: the product over 1 <= i <= j <= k <= n of
     (1 - q^(i+j+k-1)) / (1 - q^(i+j+k-2)).
 
-    The numerators are multiplied out first and each denominator is then
-    divided off exactly; any nonzero remainder raises
-    :class:`InexactDivision`, since polynomiality is guaranteed.
+    Numerator and denominator factors are cancelled in a table of
+    exponents e_t of 1 - q^t first (for n = 12 the numerator degree drops
+    from 6,734 to 560).  The factors with e_t > 0 are multiplied out and
+    each remaining denominator is divided off exactly; any nonzero
+    remainder raises :class:`InexactDivision`, since polynomiality is
+    guaranteed.  Cancelling keeps that check whole: a rational function
+    is a polynomial exactly when its reduced form is, so the divisions
+    left succeed exactly when dividing off every denominator would.
     Evaluating the result at q=1 equals :func:`stembridge_t3`.
+
+    The result has degree C(n+2, 3); `budget` caps that degree, and a
+    larger one raises :class:`ResourceLimit` before any arithmetic.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    poly = QPolynomial.one()
-    denominators = []
-    for i, j, k in combinations_with_replacement(range(1, n + 1), 3):
-        poly = poly * QPolynomial.one_minus_q_power(i + j + k - 1)
-        denominators.append(i + j + k - 2)
-    for b in denominators:
-        poly = poly.exact_div(QPolynomial.one_minus_q_power(b))
-    return poly
+    degree = comb(n + 2, 3)
+    if _checked_budget(budget) is not None and degree > budget:
+        raise ResourceLimit(budget, f"a product of degree {degree} "
+                                    f"exceeds the budget of {budget}")
+    return _q_product(_triple_exponents(n))
 
 
 def hawkes_counts(dim: int, side: int, *,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add, mul
 from typing import Iterable
 
@@ -99,7 +99,8 @@ class QPolynomial:
 
         Raises :class:`InexactDivision` when a coefficient step does not
         divide or a nonzero remainder survives; dividing by zero raises
-        ZeroDivisionError.
+        ZeroDivisionError.  A divisor 1 - q^b is divided off as running
+        sums over each residue class mod b.
         """
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
@@ -108,6 +109,9 @@ class QPolynomial:
         if len(self.coeffs) < len(divisor.coeffs):
             raise InexactDivision(
                 f"degree {self.degree} is below the divisor degree {divisor.degree}")
+        d = divisor.coeffs
+        if len(d) > 1 and d[0] == 1 and d[-1] == -1 and d.count(0) == len(d) - 2:
+            return self._div_one_minus_q_power(len(d) - 1)
         rem = list(self.coeffs)
         lead = divisor.coeffs[-1]
         shift = len(divisor.coeffs) - 1
@@ -127,3 +131,16 @@ class QPolynomial:
         if any(rem):
             raise InexactDivision("nonzero remainder")
         return QPolynomial(quot)
+
+    def _div_one_minus_q_power(self, b: int) -> "QPolynomial":
+        """Divide by 1 - q^b.  The quotient c satisfies c_k = a_k + c_(k-b),
+        so on each residue class mod b it is the running sum of the
+        dividend's coefficients.  Those sums run b places past the
+        quotient's degree; the division is exact iff those last b are 0."""
+        a = self.coeffs
+        sums = [0] * len(a)
+        for r in range(b):
+            sums[r::b] = accumulate(a[r::b])
+        if any(sums[-b:]):
+            raise InexactDivision(f"nonzero remainder on division by 1 - q^{b}")
+        return QPolynomial(sums[:-b])

@@ -5,7 +5,8 @@ check: hooks are recomputed with while loops, symmetry with the full
 permutation group, enumeration by filtering the power set of the box.
 """
 
-from itertools import combinations, permutations, product
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 
 def box_cells(dim, side):
@@ -137,3 +138,43 @@ def box_minimal_generators(cells, dim):
             if a not in s
             and all(not v or a[:j] + (v - 1,) + a[j + 1:] in s
                     for j, v in enumerate(a))}
+
+
+def _triples(n):
+    return combinations_with_replacement(range(1, n + 1), 3)
+
+
+def fraction_t3(n):
+    """The triple product over 1 <= i <= j <= k <= n of
+    (i+j+k-1)/(i+j+k-2), one Fraction factor at a time."""
+    total = Fraction(1)
+    for i, j, k in _triples(n):
+        total *= Fraction(i + j + k - 1, i + j + k - 2)
+    return total
+
+
+def multiply_all_then_divide_qtspp(n):
+    """Coefficients of the product over 1 <= i <= j <= k <= n of
+    (1 - q^(i+j+k-1)) / (1 - q^(i+j+k-2)): every numerator multiplied out
+    on a raw list, then every denominator divided off by long division
+    from the top, asserting a zero remainder."""
+    poly = [1]
+    denominators = []
+    for i, j, k in _triples(n):
+        b = i + j + k - 1
+        poly = [c - (poly[m - b] if m >= b else 0)
+                for m, c in enumerate(poly + [0] * b)]
+        denominators.append(b - 1)
+    for b in denominators:
+        quotient = [0] * (len(poly) - b)
+        for m in range(len(poly) - 1, b - 1, -1):
+            # 1 - q^b has leading coefficient -1.
+            c = -poly[m]
+            quotient[m - b] = c
+            poly[m] += c
+            poly[m - b] -= c
+        assert not any(poly), "inexact division"
+        poly = quotient
+    while poly and poly[-1] == 0:
+        poly.pop()
+    return tuple(poly)

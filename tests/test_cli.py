@@ -214,6 +214,14 @@ def test_budget_refuses_a_larger_table_before_building_it(monkeypatch, capsys,
     assert err.startswith("error:") and "budget" in err
 
 
+def test_budget_caps_the_product_formula(monkeypatch, capsys):
+    code, out, err = invoke(["gf", "--formula", "--n", "2000", "--budget", "100"],
+                            None, monkeypatch, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_render_matrix(monkeypatch, capsys):
     payload = {"dim": 3, "cells": [list(c) for c in PLANE_PARTITION_10_CELLS]}
     code, out, _ = invoke(["render", "--style", "matrix"], payload, monkeypatch, capsys)

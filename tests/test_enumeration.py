@@ -4,8 +4,11 @@ from math import comb
 
 import pytest
 
+import borelbox.enumeration
 from borelbox import (
     ArithmeticSelfCheck,
+    InexactDivision,
+    NonIntegerProduct,
     Partition,
     QPolynomial,
     ResourceLimit,
@@ -158,6 +161,37 @@ def test_qtspp_small_values():
         assert qtspp(n).evaluate(1) == stembridge_t3(n)
 
 
+def test_products_match_the_uncancelled_oracles():
+    for n in range(10):
+        assert qtspp(n).coeffs == bruteforce.multiply_all_then_divide_qtspp(n)
+    for n in range(41):
+        assert stembridge_t3(n) == bruteforce.fraction_t3(n)
+    for n in range(13):
+        assert qtspp(n).evaluate(1) == stembridge_t3(n)
+
+
+def test_a_factor_table_that_is_no_polynomial_raises():
+    # (1 - q) / (1 - q^2) = 1 / (1 + q), which evaluates to 1/2 at q = 1.
+    table = {1: 1, 2: -1}
+    with pytest.raises(InexactDivision):
+        borelbox.enumeration._q_product(table)
+    with pytest.raises(NonIntegerProduct):
+        borelbox.enumeration._integer_product(table)
+
+
+def test_qtspp_budget_caps_the_degree_before_any_arithmetic(monkeypatch):
+    assert qtspp(3, budget=10) == qtspp(3)
+
+    def untouched(n):
+        raise AssertionError("the factor table was built")
+
+    monkeypatch.setattr(borelbox.enumeration, "_triple_exponents", untouched)
+    with pytest.raises(ResourceLimit, match="degree 1335334000"):
+        qtspp(2000, budget=100)
+    with pytest.raises(ValueError):
+        qtspp(3, budget=0)
+
+
 def test_generating_functions():
     assert orbit_gf_ts(3, 1) == QPolynomial([1, 1])
     assert cell_gf_ss(3, 2) == QPolynomial([1, 1, 1, 1, 1])
@@ -166,6 +200,11 @@ def test_generating_functions():
     for n in range(4):
         assert orbit_gf_ts(3, n) == qtspp(n)
         assert cell_gf_ss(3, n) == qtspp(n)
+
+
+def test_wide_orbits_cost_their_size():
+    # 2^12 cells in 13 orbits; listing every permutation would take 13 x 12!.
+    assert count_ts(12, 2) == count_ss(12, 2) == 14
 
 
 def test_count_table():

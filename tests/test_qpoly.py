@@ -69,3 +69,11 @@ def test_multiply_matches_convolution(a, b):
                     if 0 <= k - i < len(b.coeffs))
                 for k in range(len(a.coeffs) + len(b.coeffs) - 1)]
     assert a * b == QPolynomial(expected)
+
+
+@given(small_polys, st.integers(1, 12), st.integers(0, 30))
+def test_division_by_one_minus_q_power_round_trips_and_is_loud(a, b, k):
+    binomial = QPolynomial.one_minus_q_power(b)
+    assert (a * binomial).exact_div(binomial) == a
+    with pytest.raises(InexactDivision):
+        (a * binomial + QPolynomial([0] * k + [1])).exact_div(binomial)
