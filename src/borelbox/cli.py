@@ -1,6 +1,7 @@
 """Command line front end: JSON in, JSON or pretty text out.
 
-Exit codes: 0 success, 1 malformed input, 2 violated precondition,
+Exit codes: 0 success, 1 malformed input, 2 violated precondition
+(standard output closed before the output was written included),
 3 resource budget exceeded.
 """
 
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -355,4 +357,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (`borelbox gf ... | head`).  Point stdout at
+        # the null device so the flush at exit cannot fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        print("error: standard output was closed before the output was written",
+              file=sys.stderr)
+        code = 2
+    sys.exit(code)

@@ -20,6 +20,12 @@ stable and symmetric counters share nothing with the bijection
 machinery, so equal counts are a genuine cross-check of the
 side-preserving bijection.
 
+Totally symmetric partitions are counted without listing them: a
+transfer over slices by the largest coordinate (see
+:func:`_slice_transfer`) whose states are the (d-1)-dimensional
+partitions the symmetric walk lists.  The strongly stable side keeps
+enumerating, so equal counts still compare two independent methods.
+
 Counting, the triple product formula for totally symmetric plane
 partitions, and the q-analogue evaluated by exact polynomial division
 round out the module.
@@ -27,12 +33,14 @@ round out the module.
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from functools import reduce
+from itertools import accumulate, combinations_with_replacement, product
 from math import comb
+from operator import add
 from typing import Callable, Iterator
 
 from .errors import ArithmeticSelfCheck, NonIntegerProduct, ResourceLimit
@@ -49,17 +57,43 @@ def _checked_budget(limit: int | None) -> int | None:
 
 
 class _Budget:
-    """Node budget shared by every branch of one enumeration."""
+    """Node budget shared by every phase of one enumeration or transfer;
+    `phase` names the one running, for the error message."""
 
-    __slots__ = ("limit", "_ticks")
+    __slots__ = ("limit", "used", "phase")
 
     def __init__(self, limit: int | None):
         self.limit = _checked_budget(limit)
-        self._ticks = itertools.count(1)
+        self.used = 0
+        self.phase = "walk"
+
+    def charge(self, steps: int) -> None:
+        if self.limit is not None:
+            self.used += steps
+            if self.used > self.limit:
+                raise ResourceLimit(self.limit, f"the {self.phase} exceeded "
+                                                f"the node budget of {self.limit}")
 
     def tick(self) -> None:
-        if self.limit is not None and next(self._ticks) > self.limit:
-            raise ResourceLimit(self.limit)
+        """Charge one walk node.  Other steps go through `charge`, so the
+        nodes can be counted apart."""
+        if self.limit is not None:
+            self.charge(1)
+
+    def refuse_table(self, dim: int, side: int, predicate: str) -> None:
+        """Raise before a requirement table larger than the budget is
+        built: side^d cells, or C(side+d-1, d) orbit representatives (one,
+        the empty tuple, in dimension 0)."""
+        if self.limit is None:
+            return
+        if predicate == "totally_symmetric":
+            entries = comb(max(side + dim - 1, 0), dim)
+        else:
+            entries = side ** dim
+        if entries > self.limit:
+            raise ResourceLimit(self.limit, f"the requirement table of {entries} "
+                                            f"entries exceeds the node budget "
+                                            f"of {self.limit}")
 
 
 def _graded(cells) -> list[Cell]:
@@ -216,10 +250,7 @@ def enumerate_partitions(dim: int, side: int, predicate: str = "all", *,
     """
     _check_box_args(dim, side, predicate)
     limiter = _Budget(budget)
-    entries = comb(side + dim - 1, dim) if predicate == "totally_symmetric" else side ** dim
-    if budget is not None and entries > budget:
-        raise ResourceLimit(budget, f"a requirement table of {entries} entries "
-                                    f"exceeds the node budget of {budget}")
+    limiter.refuse_table(dim, side, predicate)
     _, requires, finalize = _mode(dim, side, predicate)
     for idxs in _walk(requires, limiter.tick):
         yield finalize(idxs)
@@ -239,11 +270,101 @@ def count_ss(dim: int, side: int, *, budget: int | None = None) -> int:
     return sum(tallies.values())
 
 
+def _slice_transfer(dim: int, side: int, weight: Callable[[int], object], *,
+                    budget: int | None = None) -> list:
+    """Weighted counts of the totally symmetric partitions that fit in
+    boxes of side 0, 1, ..., `side`, each weighted by weight(orbit count),
+    by a transfer over slices instead of a listing.
+
+    Slice such a partition L by its largest coordinate: for c < side,
+    P_c = {x in [0, c]^(d-1) : (x, c) in L}.  Each P_c is a (d-1)-
+    dimensional totally symmetric partition of side at most c + 1, the
+    orbits of L are those of its slices (sorted cells (x, c) with x
+    sorted), and L -> (P_0, ..., P_(side-1)) is a bijection onto the
+    chains with P_c & [0, c)^(d-1) <= P_(c-1) for every c.  L fits in the
+    box of side c + 1 exactly when its later slices are empty, so entry
+    c + 1 is the total over the chains that end at slice c.
+
+    The states are the (d-1)-dimensional partitions of side at most
+    `side`, listed by one run of the symmetric walk and re-validated
+    there, each keyed by an int bitmask over orbit representatives.  Bits
+    follow the representatives by (largest value, graded order), a linear
+    extension of the orbit poset in which those inside [0, c)^(d-1) come
+    first, so the states inside it are the masks below 2^(their number).
+    Summing the previous slice over the supersets of each state is one
+    pass per representative in reverse order (a zeta transform on the
+    lattice of order ideals): O(states x representatives) per slice.
+
+    The budget is charged one per walk node, one per state of each slice
+    and one per (representative, state) step tried.
+    """
+    _check_box_args(dim, side, "totally_symmetric")
+    limiter = _Budget(budget)
+    limiter.refuse_table(dim - 1, side, "totally_symmetric")
+    order, requires, finalize = _mode(dim - 1, side, "totally_symmetric")
+    top = [max(rep, default=0) for rep in order]
+    ranked = sorted(range(len(order)), key=lambda i: (top[i], sum(order[i]), order[i]))
+    bit = [0] * len(order)
+    for k, i in enumerate(ranked):
+        bit[i] = 1 << k
+    need = [sum(bit[j] for j in requires[i]) for i in ranked]
+    masks = []
+    for idxs in _walk(requires, limiter.tick):
+        finalize(idxs)
+        masks.append(sum(bit[i] for i in idxs))
+    masks.sort()
+    index = {mask: s for s, mask in enumerate(masks)}
+    weights = [weight(mask.bit_count()) for mask in masks]
+    # Representatives inside [0, c)^(d-1), and the states made of them.
+    tops = sorted(top)
+    reps_below = [bisect_left(tops, c) for c in range(side + 1)]
+    states_below = [bisect_left(masks, 1 << r) for r in reps_below]
+
+    limiter.phase = "transfer"
+    chains = [weight(0)]  # the empty chain, at the empty state
+    totals = [weight(0)]
+    for c in range(side):
+        domain = masks[:states_below[c]]
+        for k in reversed(range(reps_below[c])):
+            limiter.charge(len(domain))
+            b, below = 1 << k, need[k]
+            for s, mask in enumerate(domain):
+                if mask & below == below and not mask & b:
+                    chains[s] += chains[index[mask | b]]
+        low = (1 << reps_below[c]) - 1
+        limiter.charge(states_below[c + 1])
+        chains = [chains[index[mask & low]] * weights[s]
+                  for s, mask in enumerate(masks[:states_below[c + 1]])]
+        totals.append(reduce(add, chains))
+    return totals
+
+
+def _one(orbits: int) -> int:
+    return 1
+
+
+def _q_power(orbits: int) -> QPolynomial:
+    return QPolynomial((0,) * orbits + (1,))
+
+
 def count_ts(dim: int, side: int, *, budget: int | None = None) -> int:
     """Number of totally symmetric partitions fitting in a box of the
-    given side, the empty partition included."""
-    tallies = _tally(dim, side, "totally_symmetric", lambda p: 0, budget=budget)
-    return sum(tallies.values())
+    given side, the empty partition included, counted without listing
+    them.
+
+    Slicing by the largest coordinate is a bijection: a partition L is
+    the chain of its slices P_c = {x in [0, c]^(d-1) : (x, c) in L},
+    c < side, each a (d-1)-dimensional totally symmetric partition of
+    side at most c + 1, with P_c & [0, c)^(d-1) <= P_(c-1).  The chains
+    are counted by a transfer from slice to slice
+    (:func:`_slice_transfer`).
+
+    `budget` caps the slice-state walk and the transfer steps together;
+    exceeding it raises :class:`ResourceLimit` naming the phase (table,
+    walk or transfer).  A slice state that fails re-validation raises
+    :class:`ArithmeticSelfCheck`.
+    """
+    return _slice_transfer(dim, side, _one, budget=budget)[-1]
 
 
 @dataclass(frozen=True)
@@ -264,15 +385,21 @@ class CountTable:
 def cumulative_counts(dim: int, side: int, predicate: str, *,
                       budget: int | None = None) -> tuple[int, ...]:
     """Counts of the partitions satisfying the predicate that fit in boxes
-    of side 0, 1, ..., `side`, from one enumeration bucketed by bounding
-    side."""
+    of side 0, 1, ..., `side`.  Totally symmetric ones come from one slice
+    transfer (:func:`_slice_transfer`): 1, then the total after each
+    slice, since a partition fits in the box of side c + 1 exactly when
+    its slices past c are empty.  The other classes come from one
+    enumeration bucketed by bounding side."""
+    if predicate == "totally_symmetric":
+        return tuple(_slice_transfer(dim, side, _one, budget=budget))
     by_side = _tally(dim, side, predicate, Partition.bounding_side, budget=budget)
-    return tuple(itertools.accumulate(by_side.get(k, 0) for k in range(side + 1)))
+    return tuple(accumulate(by_side.get(k, 0) for k in range(side + 1)))
 
 
 def count_table(dim: int, side: int, *, budget: int | None = None) -> CountTable:
-    """Cumulative count table built from one enumeration per class,
-    bucketed by bounding side."""
+    """Cumulative count table: the strongly stable column from one
+    enumeration bucketed by bounding side, the totally symmetric column
+    from one slice transfer (see :func:`cumulative_counts`)."""
     return CountTable(dim, side,
                       cumulative_counts(dim, side, "strongly_stable", budget=budget),
                       cumulative_counts(dim, side, "totally_symmetric", budget=budget))
@@ -287,9 +414,10 @@ def _counter_poly(tallies: Counter) -> QPolynomial:
 
 def orbit_gf_ts(dim: int, side: int, *, budget: int | None = None) -> QPolynomial:
     """Generating function summing q^(orbit count) over the totally
-    symmetric partitions in the box."""
-    return _counter_poly(_tally(dim, side, "totally_symmetric",
-                                Partition.orbit_count, budget=budget))
+    symmetric partitions in the box, from the slice transfer of
+    :func:`count_ts` with each slice state weighted by q^(its orbit
+    count): the orbits of a partition are those of its slices."""
+    return _slice_transfer(dim, side, _q_power, budget=budget)[-1]
 
 
 def cell_gf_ss(dim: int, side: int, *, budget: int | None = None) -> QPolynomial:
@@ -302,8 +430,16 @@ def _triple_exponents(n: int) -> dict[int, int]:
     """The cancelled factor table of the boxed triple product: t -> e_t
     with prod over 1 <= i <= j <= k <= n of F(i+j+k-1)/F(i+j+k-2) equal
     to prod F(t)^e_t, for any F.  With m_s the number of triples summing
-    to s, e_t = m_(t+1) - m_(t+2); zero exponents are left out."""
-    sums = Counter(map(sum, combinations_with_replacement(range(1, n + 1), 3)))
+    to s, e_t = m_(t+1) - m_(t+2); zero exponents are left out.  For each
+    pair i <= j the sums i+j+k over j <= k <= n fill [i+2j, i+j+n], so m
+    is the running sum of a difference array with +1 at i+2j and -1 at
+    i+j+n+1, in O(n^2)."""
+    steps = [0] * (3 * n + 3)
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            steps[i + 2 * j] += 1
+            steps[i + j + n + 1] -= 1
+    sums = list(accumulate(steps))
     exponents = {t: sums[t + 1] - sums[t + 2] for t in range(1, 3 * n)}
     return {t: e for t, e in exponents.items() if e}
 

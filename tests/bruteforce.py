@@ -5,6 +5,7 @@ check: hooks are recomputed with while loops, symmetry with the full
 permutation group, enumeration by filtering the power set of the box.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
@@ -178,3 +179,25 @@ def multiply_all_then_divide_qtspp(n):
     while poly and poly[-1] == 0:
         poly.pop()
     return tuple(poly)
+
+
+def triple_sum_counts(n):
+    """m_s, the number of triples 1 <= i <= j <= k <= n summing to s, by
+    listing every triple."""
+    return Counter(i + j + k for i, j, k in _triples(n))
+
+
+def bucket_by_side(cell_sets, side):
+    """Cumulative counts of a listing by bounding side (entry k counts the
+    sets that fit in the box of side k), and the tally of their orbit
+    counts as a coefficient list, from raw tuples."""
+    sides = Counter(1 + max(max(c) for c in cells) if cells else 0
+                    for cells in cell_sets)
+    cumulative = []
+    total = 0
+    for k in range(side + 1):
+        total += sides[k]
+        cumulative.append(total)
+    orbits = Counter(len({tuple(sorted(c)) for c in cells}) for cells in cell_sets)
+    coeffs = [orbits[k] for k in range(max(orbits) + 1)]
+    return tuple(cumulative), tuple(coeffs)
