@@ -1,4 +1,5 @@
-"""Exhaustive enumeration of boxed partitions, with exact cross-checks.
+"""Boxed partitions: listings, counts by transfers over slices, and exact
+cross-checks.
 
 The enumerators extend cell sets depth-first in graded lexicographic
 order: every downward-closed set, listed in that order, has downward
@@ -15,20 +16,29 @@ constrained streams small:
 
 Completed candidates are still re-validated with the definitional hook
 and symmetry predicates before being yielded; since the pruning
-guarantees that every candidate passes, one that fails raises.  The
-stable and symmetric counters share nothing with the bijection
-machinery, so equal counts are a genuine cross-check of the
-side-preserving bijection.
+guarantees that every candidate passes, one that fails raises.
 
-Totally symmetric partitions are counted without listing them: a
-transfer over slices by the largest coordinate (see
-:func:`_slice_transfer`) whose states are the (d-1)-dimensional
-partitions the symmetric walk lists.  The strongly stable side keeps
-enumerating, so equal counts still compare two independent methods.
+Strongly stable and totally symmetric counts and generating functions
+do not list the partitions (only the cumulative counts of all partitions
+do).  Each of the two classes is counted by its own transfer over
+slices, whose states are the (d-1)-dimensional partitions of that class
+listed by the walk above and re-validated there:
 
-Counting, the triple product formula for totally symmetric plane
-partitions, and the q-analogue evaluated by exact polynomial division
-round out the module.
+* strongly stable partitions are sliced by their first coordinate, and
+  each slice lies inside a shrunken copy of the one before it; the
+  transfer sums over subsets (see :func:`_stable_transfer`);
+* totally symmetric partitions are sliced by their largest coordinate,
+  and each slice, cut down to the box below it, lies inside the one
+  before it; the transfer sums over supersets (see
+  :func:`_slice_transfer`).
+
+The two transfers share only the walk and the re-validation, and
+neither touches the bijection machinery, so equal stable and symmetric
+counts are a genuine cross-check of the side-preserving bijection.
+
+The triple product formula for totally symmetric plane partitions, and
+the q-analogue evaluated by exact polynomial division, round out the
+module.
 """
 
 from __future__ import annotations
@@ -36,11 +46,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, combinations_with_replacement, product
-from math import comb
-from operator import add
+from math import comb, gcd
+from operator import add, mul
 from typing import Callable, Iterator
 
 from .errors import ArithmeticSelfCheck, NonIntegerProduct, ResourceLimit
@@ -258,16 +267,125 @@ def enumerate_partitions(dim: int, side: int, predicate: str = "all", *,
 
 def _tally(dim: int, side: int, predicate: str, stat: Callable[[Partition], int],
            *, budget: int | None = None) -> Counter:
-    """Tally stat(partition) over the enumerated stream."""
+    """Tally stat(partition) over the enumerated stream, for the counts of
+    all partitions in :func:`cumulative_counts`."""
     return Counter(stat(p) for p in enumerate_partitions(dim, side, predicate,
                                                          budget=budget))
 
 
+def _one(size: int) -> int:
+    return 1
+
+
+def _q_power(size: int) -> QPolynomial:
+    return QPolynomial((0,) * size + (1,))
+
+
+def _stable_transfer(dim: int, side: int, weight: Callable[[int], object], *,
+                     budget: int | None = None) -> list:
+    """Weighted counts of the strongly stable partitions that fit in boxes
+    of side 0, 1, ..., `side`, each weighted by weight(cell count), by a
+    transfer over slices instead of a listing.
+
+    Slice such a partition P by its first coordinate: for a < side,
+    S_a = {y in [0, side)^(d-1) : (a, y) in P}.  Each S_a is a (d-1)-
+    dimensional strongly stable partition, the cells of P are those of
+    its slices, and P -> (S_0, ..., S_(side-1)) is a bijection onto the
+    chains with S_a <= g(S_(a-1)) for every a >= 1, where
+    g(S) = {y in S : y + e_1 in S} is again such a partition (g is the
+    identity when d = 1): moving a unit from x_1 to x_2 must stay in P,
+    which also gives the down-closure in x_1 and the moves from x_1 to
+    later coordinates.  With F_a(S) the weighted count of the chains
+    S = S_a, ..., S_(side-1) and Z_a(T) the sum of F_a over the states
+    inside T,
+
+        F_a(S) = w(S) * Z_(a+1)(g(S)),   Z_side = 1.
+
+    The last m slices form a chain of the box of side m exactly when
+    S_(side-m) lies in [0, m)^(d-1), that is in the largest state T_m
+    there, the cells with coordinate sum below m; so entry m is
+    Z_(side-m)(T_m), and F_(side-m) is needed on the states inside T_m
+    only.
+
+    The states are the (d-1)-dimensional strongly stable partitions of
+    side at most `side`, listed by one run of the stable walk and
+    re-validated there.  A cell y is bit number sum(y_j side^(d-2-j)),
+    its base-side digits with y_1 most significant, so
+    g(mask) = mask & (mask >> side^(d-2)).  States are sorted by the
+    smallest m with S inside T_m, so the states inside T_m come first.
+    Summing F_a over the states inside each state is one pass per cell
+    in lexicographic (increasing bit) order, a linear extension of the
+    cell order: Z[mask] += Z[mask ^ b] whenever mask ^ b is a state (a
+    zeta transform on the lattice of order ideals).  These pairs of
+    states are listed once; the slice a = side - m uses those inside T_m.
+
+    The budget is charged one per walk node, one per state of each slice
+    and one per zeta step.
+    """
+    _check_box_args(dim, side, "strongly_stable")
+    limiter = _Budget(budget)
+    limiter.refuse_table(dim - 1, side, "strongly_stable")
+    order, requires, finalize = _mode(dim - 1, side, "strongly_stable")
+    digits = [side ** j for j in reversed(range(dim - 1))]
+    bit = [1 << sum(map(mul, cell, digits)) for cell in order]
+    shift = digits[0] if digits else 0
+    rank = [sum(cell) + 1 for cell in order]
+    found = []
+    for idxs in _walk(requires, limiter.tick):
+        finalize(idxs)
+        found.append((max((rank[i] for i in idxs), default=0),
+                      sum(bit[i] for i in idxs), idxs))
+    found.sort()
+    masks = [mask for _, mask, _ in found]
+    index = {mask: s for s, mask in enumerate(masks)}
+    weights = [weight(len(idxs)) for _, _, idxs in found]
+    inner = [index[mask & (mask >> shift)] for mask in masks]
+    ranks = [r for r, _, _ in found]
+    inside = [bisect_left(ranks, m + 1) for m in range(side + 1)]
+    top = [index[sum(b for b, r in zip(bit, rank) if r <= m)]
+           for m in range(side + 1)]
+    removals: list[list[tuple[int, int]]] = [[] for _ in order]
+    for s, (_, mask, idxs) in enumerate(found):
+        for i in idxs:
+            t = index.get(mask ^ bit[i])
+            if t is not None:
+                removals[i].append((s, t))
+    passes = [removals[i] for i in sorted(range(len(order)), key=order.__getitem__)]
+
+    limiter.phase = "transfer"
+    sums = [weight(0)] * len(masks)  # Z_side: the empty chain
+    totals = [sums[top[0]]]
+    for m in range(1, side + 1):
+        size = inside[m]
+        limiter.charge(size)
+        sums = [sums[inner[s]] * weights[s] for s in range(size)]
+        for pairs in passes:
+            steps = bisect_left(pairs, (size,))
+            limiter.charge(steps)
+            for s, t in pairs[:steps]:
+                sums[s] += sums[t]
+        totals.append(sums[top[m]])
+    return totals
+
+
 def count_ss(dim: int, side: int, *, budget: int | None = None) -> int:
     """Number of strongly stable partitions fitting in a box of the given
-    side, the empty partition included."""
-    tallies = _tally(dim, side, "strongly_stable", lambda p: 0, budget=budget)
-    return sum(tallies.values())
+    side, the empty partition included, counted without listing them.
+
+    Slicing by the first coordinate is a bijection: a partition P is the
+    chain of its slices S_a = {y : (a, y) in P}, a < side, each a
+    (d-1)-dimensional strongly stable partition, with S_a inside
+    g(S_(a-1)) = {y in S_(a-1) : y + e_1 in S_(a-1)}.  The chains are
+    counted by a transfer from slice to slice (:func:`_stable_transfer`),
+    separate from the symmetric one, so equal counts still compare two
+    independent methods.
+
+    `budget` caps the slice-state walk and the transfer steps together;
+    exceeding it raises :class:`ResourceLimit` naming the phase (table,
+    walk or transfer).  A slice state that fails re-validation raises
+    :class:`ArithmeticSelfCheck`.
+    """
+    return _stable_transfer(dim, side, _one, budget=budget)[-1]
 
 
 def _slice_transfer(dim: int, side: int, weight: Callable[[int], object], *,
@@ -339,14 +457,6 @@ def _slice_transfer(dim: int, side: int, weight: Callable[[int], object], *,
     return totals
 
 
-def _one(orbits: int) -> int:
-    return 1
-
-
-def _q_power(orbits: int) -> QPolynomial:
-    return QPolynomial((0,) * orbits + (1,))
-
-
 def count_ts(dim: int, side: int, *, budget: int | None = None) -> int:
     """Number of totally symmetric partitions fitting in a box of the
     given side, the empty partition included, counted without listing
@@ -388,28 +498,25 @@ def cumulative_counts(dim: int, side: int, predicate: str, *,
     of side 0, 1, ..., `side`.  Totally symmetric ones come from one slice
     transfer (:func:`_slice_transfer`): 1, then the total after each
     slice, since a partition fits in the box of side c + 1 exactly when
-    its slices past c are empty.  The other classes come from one
-    enumeration bucketed by bounding side."""
+    its slices past c are empty.  Strongly stable ones come from the
+    other slice transfer (:func:`_stable_transfer`): entry m sums the
+    chains of the last m slices whose first slice lies in [0, m)^(d-1).
+    All partitions come from one enumeration bucketed by bounding side."""
     if predicate == "totally_symmetric":
         return tuple(_slice_transfer(dim, side, _one, budget=budget))
+    if predicate == "strongly_stable":
+        return tuple(_stable_transfer(dim, side, _one, budget=budget))
     by_side = _tally(dim, side, predicate, Partition.bounding_side, budget=budget)
     return tuple(accumulate(by_side.get(k, 0) for k in range(side + 1)))
 
 
 def count_table(dim: int, side: int, *, budget: int | None = None) -> CountTable:
-    """Cumulative count table: the strongly stable column from one
-    enumeration bucketed by bounding side, the totally symmetric column
-    from one slice transfer (see :func:`cumulative_counts`)."""
+    """Cumulative count table: each column from its own transfer over
+    slices, the strongly stable one by the first coordinate and the
+    totally symmetric one by the largest (see :func:`cumulative_counts`)."""
     return CountTable(dim, side,
                       cumulative_counts(dim, side, "strongly_stable", budget=budget),
                       cumulative_counts(dim, side, "totally_symmetric", budget=budget))
-
-
-def _counter_poly(tallies: Counter) -> QPolynomial:
-    coeffs = [0] * (max(tallies, default=0) + 1)
-    for power, count in tallies.items():
-        coeffs[power] = count
-    return QPolynomial(coeffs)
 
 
 def orbit_gf_ts(dim: int, side: int, *, budget: int | None = None) -> QPolynomial:
@@ -422,8 +529,10 @@ def orbit_gf_ts(dim: int, side: int, *, budget: int | None = None) -> QPolynomia
 
 def cell_gf_ss(dim: int, side: int, *, budget: int | None = None) -> QPolynomial:
     """Generating function summing q^(cell count) over the strongly
-    stable partitions in the box."""
-    return _counter_poly(_tally(dim, side, "strongly_stable", len, budget=budget))
+    stable partitions in the box, from the slice transfer of
+    :func:`count_ss` with each slice state weighted by q^(its cell
+    count): the cells of a partition are those of its slices."""
+    return _stable_transfer(dim, side, _q_power, budget=budget)[-1]
 
 
 def _triple_exponents(n: int) -> dict[int, int]:
@@ -455,8 +564,9 @@ def _integer_product(exponents: dict[int, int]) -> int:
             denominator *= t ** -e
     quotient, remainder = divmod(numerator, denominator)
     if remainder:
-        raise NonIntegerProduct(
-            f"the product is the fraction {Fraction(numerator, denominator)}")
+        common = gcd(numerator, denominator)
+        raise NonIntegerProduct(f"the product is the fraction "
+                                f"{numerator // common}/{denominator // common}")
     return quotient
 
 
@@ -520,7 +630,8 @@ def hawkes_counts(dim: int, side: int, *,
                   budget: int | None = None) -> tuple[int, int]:
     """Both sides of the box-transposition identity: the strongly stable
     counts for dimension d and side n, and for dimension n-1 and side d+1,
-    each enumerated independently."""
+    each from its own slice transfer (:func:`count_ss`), under its own
+    budget."""
     if side < 2:
         raise ValueError("the identity needs side >= 2")
     return (count_ss(dim, side, budget=budget),

@@ -14,6 +14,7 @@ is fixed by every permutation of the coordinates.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import itemgetter, mul
 from typing import Iterable, Iterator
 
@@ -136,7 +137,7 @@ class Partition:
         c + e_j first.  Keys read cells as digits in a base above every
         coordinate, so c + e_j is one addition away.
         """
-        base = max(map(max, self.cells), default=0) + 2
+        base = max(chain.from_iterable(self.cells), default=0) + 2
         steps = [base ** j for j in reversed(range(self.dim))]
         axes = [(step, {}) for step in steps]
         for cell in reversed(self.cells):
