@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 malformed input, 2 violated precondition
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -195,7 +196,7 @@ def _cmd_closure(args) -> None:
     gens = data["gens"]
     if not isinstance(gens, list):
         raise InputError("'gens' must be a list")
-    _emit_ideal(args, borel_closure(tuple(m) for m in gens))
+    _emit_ideal(args, borel_closure((tuple(m) for m in gens), budget=args.budget))
 
 
 def _cmd_ss2ts(args) -> None:
@@ -304,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("ideal2partition", _cmd_ideal2partition, "complement partition of an Artinian ideal"),
         ("partition2ideal", _cmd_partition2ideal, "complement ideal of a partition"),
         ("bgens", _cmd_bgens, "minimal Borel generators of a strongly stable ideal"),
-        ("closure", _cmd_closure, "Borel closure of a monomial set"),
         ("ss2ts", _cmd_ss2ts, "totally symmetric partner of a strongly stable partition"),
         ("ts2ss", _cmd_ts2ss, "strongly stable partner of a totally symmetric partition"),
         ("lambda", _cmd_lambda, "prefix-sum image of the Borel generators"),
@@ -314,6 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _add_io_arguments(p)
         p.set_defaults(handler=handler)
+
+    p = sub.add_parser("closure", help="Borel closure of a monomial set")
+    _add_io_arguments(p)
+    p.add_argument("--budget", type=int, default=None,
+                   help="most monomials the closure may reach; exceeding it "
+                        "exits with code 3")
+    p.set_defaults(handler=_cmd_closure)
 
     p = sub.add_parser("count", help="cumulative counts by box side")
     _add_box_arguments(p)
@@ -343,8 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `run` and shared by the later ones
+    in the process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.handler(args)
     except BorelboxError as exc:

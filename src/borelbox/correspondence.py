@@ -10,6 +10,8 @@ partitions.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .ideals import MonomialIdeal
 from .partitions import Partition
 
@@ -18,22 +20,11 @@ def ideal_to_partition(ideal: MonomialIdeal) -> Partition:
     """Partition of all exponent vectors outside the ideal.
 
     Requires an Artinian ideal so the complement is finite.  The
-    complement is downward closed, so it is reached from the origin by
-    unit steps that stay outside the ideal; the search visits each cell
-    and its outer neighbours once.
+    complement is grown one degree at a time from a hash set of the
+    generators, in O(cells * d^2), and kept on the ideal for its later
+    membership queries; the cells are still validated as a partition.
     """
-    ideal.artinian_side()
-    dim = ideal.dim
-    todo = [] if ideal.contains((0,) * dim) else [(0,) * dim]
-    cells = set(todo)
-    while todo:
-        cell = todo.pop()
-        for j in range(dim):
-            up = cell[:j] + (cell[j] + 1,) + cell[j + 1:]
-            if up not in cells and not ideal.contains(up):
-                cells.add(up)
-                todo.append(up)
-    return Partition(dim, cells)
+    return Partition(ideal.dim, ideal._complement())
 
 
 def partition_to_ideal(partition: Partition) -> MonomialIdeal:
@@ -42,15 +33,17 @@ def partition_to_ideal(partition: Partition) -> MonomialIdeal:
     A vector outside the partition is a minimal generator exactly when
     decrementing any positive coordinate lands inside the partition.  So
     it is the origin, when the partition is empty, or c + e_j for some
-    cell c, and only those candidates are tested.  The empty partition
-    maps to the unit ideal.
+    cell c, reached from the cells as often as it has positive
+    coordinates.  The empty partition maps to the unit ideal.  The
+    partition is the ideal's complement, so the ideal keeps its cells for
+    membership queries.
     """
     dim = partition.dim
-    candidates = {cell[:j] + (cell[j] + 1,) + cell[j + 1:]
-                  for cell in partition.cells for j in range(dim)} or {(0,) * dim}
-    gens = [alpha for alpha in candidates
-            if alpha not in partition
-            and all(alpha[j] == 0
-                    or alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:] in partition
-                    for j in range(dim))]
-    return MonomialIdeal(dim, gens)
+    members = partition._members
+    reached = Counter(cell[:j] + (cell[j] + 1,) + cell[j + 1:]
+                      for cell in partition.cells for j in range(dim))
+    gens = [alpha for alpha, times in reached.items()
+            if times == dim - alpha.count(0) and alpha not in members] or [(0,) * dim]
+    ideal = MonomialIdeal(dim, gens)
+    ideal._outside = members
+    return ideal

@@ -10,9 +10,13 @@ minimal Borel generators of a strongly stable ideal live here too.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import permutations
+from math import prod
+from operator import le
 from typing import Iterable, Iterator
 
+from .enumeration import _Budget
 from .errors import (
     DimensionMismatch,
     EmptyInput,
@@ -53,17 +57,47 @@ def divides(a: Monomial, b: Monomial) -> bool:
 def minimalize(monomials: Iterable[Monomial]) -> tuple[Monomial, ...]:
     """Divisibility-minimal subset, ordered lexicographically.
 
-    Generates the same ideal as the input.  Scanning by increasing degree
-    suffices: a proper divisor always has strictly smaller degree.
+    Generates the same ideal as the input.  A proper divisor has strictly
+    smaller degree, so monomials of equal degree never divide each other:
+    scanning by increasing degree, each monomial is compared only with the
+    kept monomials of lower degree.
     """
-    items = sorted({tuple(m) for m in monomials}, key=lambda m: (sum(m), m))
-    if items and any(len(m) != len(items[0]) for m in items):
+    items = sorted((sum(m), m) for m in {tuple(m) for m in monomials})
+    if items and any(len(m) != len(items[0][1]) for _, m in items):
         raise DimensionMismatch("monomials of mixed lengths")
     kept: list[Monomial] = []
-    for mono in items:
-        if not any(all(x <= y for x, y in zip(g, mono)) for g in kept):
+    lower: list[Monomial] = []   # the kept monomials of lower degree
+    degree = None
+    for deg, mono in items:
+        if deg != degree:
+            degree = deg
+            lower = list(kept)
+        if not any(all(map(le, g, mono)) for g in lower):
             kept.append(mono)
     return tuple(sorted(kept))
+
+
+def _graded_complement(dim: int, gens: Iterable[Monomial]) -> set[Monomial]:
+    """Exponent vectors outside the ideal generated by `gens`, grown one
+    degree at a time; the ideal must be Artinian, or the growth never ends.
+
+    The ideal contains c exactly when c is a generator or some c - e_j
+    lies in it, so c lies outside exactly when it is not a generator and
+    every c - e_j with c_j > 0 lies outside.  Those are the cells of the
+    degree below, and each of them outside reaches c by one unit step, so
+    c lies outside when it is reached as often as it has positive
+    coordinates.  That needs only a set of the generators: O(cells * d^2).
+    """
+    gens = set(gens)
+    origin = (0,) * dim
+    level = set() if origin in gens else {origin}
+    outside = set(level)
+    while level:
+        reached = Counter(c[:j] + (c[j] + 1,) + c[j + 1:] for c in level for j in range(dim))
+        level = {u for u, times in reached.items()
+                 if times == dim - u.count(0) and u not in gens}
+        outside |= level
+    return outside
 
 
 def symmetrize(monomials: Iterable[Monomial]) -> tuple[Monomial, ...]:
@@ -113,15 +147,21 @@ class MonomialIdeal:
     minimal generating set, sorted lexicographically; equality is
     structural.  The zero ideal (no generators) and the unit ideal (the
     all-zero exponent vector) are both representable.
+
+    An Artinian ideal keeps the set of exponent vectors outside it in the
+    private slot `_outside` once it is computed, and answers membership
+    from it.  `None` there means not decided yet, `False` that membership
+    scans the generators.
     """
 
-    __slots__ = ("dim", "gens")
+    __slots__ = ("dim", "gens", "_outside")
 
     def __init__(self, dim: int, gens: Iterable[Iterable[int]] = ()):
         if type(dim) is not int or dim < 1:
             raise InvalidCell(f"dimension must be a positive integer, got {dim!r}")
         self.dim = dim
         self.gens = minimalize(_as_monomial(dim, g) for g in gens)
+        self._outside = None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonomialIdeal):
@@ -138,11 +178,42 @@ class MonomialIdeal:
         return iter(self.gens)
 
     def contains(self, monomial) -> bool:
-        """Membership: some generator divides the monomial."""
-        mono = _as_monomial(self.dim, monomial)
-        return any(all(x <= y for x, y in zip(g, mono)) for g in self.gens)
+        """Membership: some generator divides the monomial.
+
+        The argument is validated.  An Artinian ideal answers by a lookup
+        in its complement, computed on the first query (see `_has`); any
+        other ideal scans its generators.
+        """
+        return self._has(_as_monomial(self.dim, monomial))
 
     __contains__ = contains
+
+    def _has(self, mono: Monomial) -> bool:
+        # Trusted lookup: `mono` is an exponent tuple of this dimension.
+        if self._outside is None:
+            self._outside = self._complement_pays() and self._complement()
+        if self._outside is False:
+            return any(all(map(le, g, mono)) for g in self.gens)
+        return mono not in self._outside
+
+    def _complement_pays(self) -> bool:
+        """True iff the ideal is Artinian and growing its complement costs
+        no more than scanning would.  The complement lies in the box below
+        the pure powers and costs about d^2 steps a cell; a scan costs d a
+        generator, and a strong-stability check makes up to |gens| * d^2
+        queries.  So (x^1000, y^1000, z^1000) keeps the scan instead of
+        growing 10^9 cells."""
+        degrees = self.pure_power_degrees()
+        return None not in degrees and prod(degrees) <= len(self.gens) ** 2 * self.dim
+
+    def _complement(self) -> frozenset[Monomial]:
+        """Exponent vectors outside the ideal, grown once by degree (see
+        `_graded_complement`) and kept.  Raises :class:`NotArtinian` when
+        they are infinitely many."""
+        if not isinstance(self._outside, frozenset):
+            self.artinian_side()
+            self._outside = frozenset(_graded_complement(self.dim, self.gens))
+        return self._outside
 
     def pure_power_degrees(self) -> tuple[int | None, ...]:
         """Per variable, the degree of its pure power among the generators,
@@ -182,7 +253,7 @@ class MonomialIdeal:
                     moved = list(g)
                     moved[j] -= 1
                     moved[i] += 1
-                    if not self.contains(tuple(moved)):
+                    if not self._has(tuple(moved)):
                         return False
         return True
 
@@ -216,12 +287,12 @@ class MonomialIdeal:
                 if g[q] == 0:
                     continue
                 lowered = g[:q] + (g[q] - 1,) + g[q + 1:]
-                if self.contains(lowered):
+                if self._has(lowered):
                     keep = False
                     break
                 if q + 1 < self.dim:
                     exchanged = g[:q] + (g[q] - 1, g[q + 1] + 1) + g[q + 2:]
-                    if self.contains(exchanged):
+                    if self._has(exchanged):
                         keep = False
                         break
             if keep:
@@ -250,14 +321,19 @@ class MonomialIdeal:
         return cls(dim, gens)
 
 
-def borel_closure(monomials: Iterable[Iterable[int]]) -> MonomialIdeal:
+def borel_closure(monomials: Iterable[Iterable[int]], *,
+                  budget: int | None = None) -> MonomialIdeal:
     """Smallest strongly stable ideal containing the given monomials.
 
     Saturates the set under single adjacent exchanges (one unit moved from
     x_j to x_{j-1}); adjacent exchanges compose to every exchange with
     i < j, and the ideal generated by the saturated set is closed under
     all Borel moves.  The result is returned in minimal canonical form.
+    `budget` bounds the monomials reached, the input's included; one more
+    raises :class:`ResourceLimit`.
     """
+    limiter = _Budget(budget)
+    limiter.phase = "Borel closure"
     try:
         seed = [tuple(m) for m in monomials]
     except TypeError:
@@ -266,6 +342,7 @@ def borel_closure(monomials: Iterable[Iterable[int]]) -> MonomialIdeal:
         raise EmptyInput("Borel closure needs at least one monomial")
     dim = len(seed[0])
     reachable = {_as_monomial(dim, m) for m in seed}
+    limiter.charge(len(reachable))
     stack = list(reachable)
     while stack:
         mono = stack.pop()
@@ -273,6 +350,7 @@ def borel_closure(monomials: Iterable[Iterable[int]]) -> MonomialIdeal:
             if mono[j] > 0:
                 moved = mono[:j - 1] + (mono[j - 1] + 1, mono[j] - 1) + mono[j + 1:]
                 if moved not in reachable:
+                    limiter.charge(1)
                     reachable.add(moved)
                     stack.append(moved)
     return MonomialIdeal(dim, reachable)

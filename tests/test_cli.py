@@ -342,3 +342,33 @@ def test_import_does_not_load_thread_pools():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0
     assert proc.stdout.strip() == "False"
+
+
+def test_back_to_back_runs_share_no_parser_state(monkeypatch, capsys):
+    """The parser is built once per process; a listing, a parse error and
+    a failed call leave nothing behind for the next call."""
+    code, out, _ = invoke(["count", "--d", "2", "--n", "2", "--list"], None,
+                          monkeypatch, capsys)
+    assert code == 0 and len(out.splitlines()) == 6
+    code, out, _ = invoke(["count", "--d", "2", "--n", "2"], None, monkeypatch, capsys)
+    assert code == 0
+    assert json.loads(out) == {"d": 2, "n": 2, "B": [1, 2, 4], "T": [1, 2, 4]}
+    with pytest.raises(SystemExit):
+        run(["count", "--d", "2"])
+    capsys.readouterr()
+    code, out, err = invoke(["count", "--d", "2", "--n", "2", "--predicate", "ts"],
+                            None, monkeypatch, capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"d": 2, "n": 2, "T": [1, 2, 4]}
+
+
+def test_closure_budget_exit_code(monkeypatch, capsys):
+    payload = {"gens": [[0, 0, 0, 1000000]]}
+    code, out, err = invoke(["closure", "--budget", "500"], payload, monkeypatch, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and "budget" in err
+    code, out, _ = invoke(["closure", "--budget", "500"], {"gens": [[0, 3]]},
+                          monkeypatch, capsys)
+    assert code == 0
+    assert json.loads(out) == {"dim": 2, "gens": [[0, 3], [1, 2], [2, 1], [3, 0]]}

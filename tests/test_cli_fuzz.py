@@ -107,3 +107,15 @@ def test_box_subcommands_never_crash_under_a_budget(command, dim, side):
     code, _, err = invoke([name, f"--d={dim}", f"--n={side}", "--budget", "500",
                            *extra])
     assert_clean_exit(code, err)
+
+
+large_gens = st.lists(st.lists(st.integers(0, 10**6) | small, min_size=1, max_size=5),
+                      min_size=1, max_size=4)
+
+
+@fuzz
+@given(gens=large_gens | anything, form=st.sampled_from(("json", "pretty")))
+def test_closure_with_large_exponents_stays_within_a_budget(gens, form):
+    code, _, err = invoke(["closure", "--budget", "500", "--format", form],
+                          json.dumps({"gens": gens}))
+    assert_clean_exit(code, err)
