@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 malformed input, 2 violated precondition
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -350,11 +349,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
+_built: tuple = (None, None)   # (the builder that built it, the parser)
+
+
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on the first `run` and shared by the later ones
-    in the process: parsing leaves it unchanged."""
-    return build_parser()
+    in the process: parsing leaves it unchanged.  It is built again when
+    the module's `build_parser` has been replaced, so a wrapped builder,
+    and the handlers bound while it was in place, take effect (the
+    per-layer tracer in perfbench/tracer.py wraps both)."""
+    global _built
+    if _built[0] is not build_parser:
+        _built = (build_parser, build_parser())
+    return _built[1]
 
 
 def run(argv=None) -> int:

@@ -10,9 +10,7 @@ partitions.
 
 from __future__ import annotations
 
-from collections import Counter
-
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, _fully_reached
 from .partitions import Partition
 
 
@@ -32,18 +30,16 @@ def partition_to_ideal(partition: Partition) -> MonomialIdeal:
 
     A vector outside the partition is a minimal generator exactly when
     decrementing any positive coordinate lands inside the partition.  So
-    it is the origin, when the partition is empty, or c + e_j for some
-    cell c, reached from the cells as often as it has positive
-    coordinates.  The empty partition maps to the unit ideal.  The
-    partition is the ideal's complement, so the ideal keeps its cells for
-    membership queries.
+    it is the origin, when the partition is empty, or a vector outside it
+    whose lower neighbours are all cells (see `ideals._fully_reached`).
+    The empty partition maps to the unit ideal.  The partition is the
+    ideal's complement, so the ideal keeps its cells for membership
+    queries.
     """
     dim = partition.dim
     members = partition._members
-    reached = Counter(cell[:j] + (cell[j] + 1,) + cell[j + 1:]
-                      for cell in partition.cells for j in range(dim))
-    gens = [alpha for alpha, times in reached.items()
-            if times == dim - alpha.count(0) and alpha not in members] or [(0,) * dim]
+    gens = [alpha for alpha in _fully_reached(dim, partition.cells)
+            if alpha not in members] or [(0,) * dim]
     ideal = MonomialIdeal(dim, gens)
     ideal._outside = members
     return ideal

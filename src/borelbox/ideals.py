@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import permutations
-from math import prod
 from operator import le
 from typing import Iterable, Iterator
 
@@ -77,25 +76,31 @@ def minimalize(monomials: Iterable[Monomial]) -> tuple[Monomial, ...]:
     return tuple(sorted(kept))
 
 
+def _fully_reached(dim: int, cells: Iterable[Monomial]) -> list[Monomial]:
+    """The vectors u = c + e_j, c among the distinct `cells`, whose every
+    lower neighbour u - e_j with u_j > 0 is among them: each such
+    neighbour reaches u once, so u is reached as often as it has positive
+    coordinates."""
+    reached = Counter(c[:j] + (c[j] + 1,) + c[j + 1:] for c in cells for j in range(dim))
+    return [u for u, times in reached.items() if times == dim - u.count(0)]
+
+
 def _graded_complement(dim: int, gens: Iterable[Monomial]) -> set[Monomial]:
     """Exponent vectors outside the ideal generated by `gens`, grown one
     degree at a time; the ideal must be Artinian, or the growth never ends.
 
     The ideal contains c exactly when c is a generator or some c - e_j
     lies in it, so c lies outside exactly when it is not a generator and
-    every c - e_j with c_j > 0 lies outside.  Those are the cells of the
-    degree below, and each of them outside reaches c by one unit step, so
-    c lies outside when it is reached as often as it has positive
-    coordinates.  That needs only a set of the generators: O(cells * d^2).
+    every c - e_j with c_j > 0 lies outside.  Those are cells of the
+    degree below (see `_fully_reached`).  That needs only a set of the
+    generators: O(cells * d^2).
     """
     gens = set(gens)
     origin = (0,) * dim
     level = set() if origin in gens else {origin}
     outside = set(level)
     while level:
-        reached = Counter(c[:j] + (c[j] + 1,) + c[j + 1:] for c in level for j in range(dim))
-        level = {u for u, times in reached.items()
-                 if times == dim - u.count(0) and u not in gens}
+        level = {u for u in _fully_reached(dim, level) if u not in gens}
         outside |= level
     return outside
 
@@ -149,9 +154,9 @@ class MonomialIdeal:
     all-zero exponent vector) are both representable.
 
     An Artinian ideal keeps the set of exponent vectors outside it in the
-    private slot `_outside` once it is computed, and answers membership
-    from it.  `None` there means not decided yet, `False` that membership
-    scans the generators.
+    private slot `_outside` once `ideal_to_partition` has grown it or
+    `partition_to_ideal` has seeded it, and answers membership from it;
+    while the slot is `None`, membership scans the generators.
     """
 
     __slots__ = ("dim", "gens", "_outside")
@@ -180,9 +185,8 @@ class MonomialIdeal:
     def contains(self, monomial) -> bool:
         """Membership: some generator divides the monomial.
 
-        The argument is validated.  An Artinian ideal answers by a lookup
-        in its complement, computed on the first query (see `_has`); any
-        other ideal scans its generators.
+        The argument is validated.  An ideal whose complement is known
+        answers by a lookup in it; any other scans its generators.
         """
         return self._has(_as_monomial(self.dim, monomial))
 
@@ -191,26 +195,14 @@ class MonomialIdeal:
     def _has(self, mono: Monomial) -> bool:
         # Trusted lookup: `mono` is an exponent tuple of this dimension.
         if self._outside is None:
-            self._outside = self._complement_pays() and self._complement()
-        if self._outside is False:
             return any(all(map(le, g, mono)) for g in self.gens)
         return mono not in self._outside
-
-    def _complement_pays(self) -> bool:
-        """True iff the ideal is Artinian and growing its complement costs
-        no more than scanning would.  The complement lies in the box below
-        the pure powers and costs about d^2 steps a cell; a scan costs d a
-        generator, and a strong-stability check makes up to |gens| * d^2
-        queries.  So (x^1000, y^1000, z^1000) keeps the scan instead of
-        growing 10^9 cells."""
-        degrees = self.pure_power_degrees()
-        return None not in degrees and prod(degrees) <= len(self.gens) ** 2 * self.dim
 
     def _complement(self) -> frozenset[Monomial]:
         """Exponent vectors outside the ideal, grown once by degree (see
         `_graded_complement`) and kept.  Raises :class:`NotArtinian` when
         they are infinitely many."""
-        if not isinstance(self._outside, frozenset):
+        if self._outside is None:
             self.artinian_side()
             self._outside = frozenset(_graded_complement(self.dim, self.gens))
         return self._outside

@@ -372,3 +372,26 @@ def test_closure_budget_exit_code(monkeypatch, capsys):
                           monkeypatch, capsys)
     assert code == 0
     assert json.loads(out) == {"dim": 2, "gens": [[0, 3], [1, 2], [2, 1], [3, 0]]}
+
+
+def test_a_replaced_build_parser_is_used_once_and_then_dropped(monkeypatch, capsys):
+    """The shared parser comes from the module's current `build_parser`,
+    so the handlers a wrapped builder binds are the ones that run."""
+    import borelbox.cli as cli
+    original = cli.build_parser
+    built = []
+
+    def counting_builder():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting_builder)
+    for _ in range(2):
+        code, out, _ = invoke(["count", "--d", "2", "--n", "2"], None, monkeypatch, capsys)
+        assert code == 0 and json.loads(out)["B"] == [1, 2, 4]
+    assert len(built) == 1
+    wrapped = cli._parser()
+    monkeypatch.undo()
+    code, _, _ = invoke(["count", "--d", "2", "--n", "2"], None, monkeypatch, capsys)
+    assert code == 0 and len(built) == 1
+    assert cli._parser() is cli._parser() is not wrapped

@@ -93,15 +93,6 @@ def test_seeded_ideal_answers_like_a_fresh_one(partition):
         assert seeded.bgens() == fresh.bgens()
 
 
-def test_a_large_box_keeps_the_generator_scan():
-    """Three generators whose complement has 125,000 cells: the strong
-    stability check scans them instead of growing the complement."""
-    ideal = MonomialIdeal(3, [(50, 0, 0), (0, 50, 0), (0, 0, 50)])
-    assert not ideal.is_strongly_stable()
-    assert not isinstance(ideal._outside, frozenset)
-    assert (49, 49, 49) not in ideal and (0, 0, 50) in ideal
-
-
 def test_closure_of_a_high_pure_power_is_every_monomial_of_its_degree():
     """All C(43, 3) monomials of degree 40 in four variables, minimalized
     without comparing any two of them."""
