@@ -135,10 +135,10 @@ def _artinian_top(ideal: MonomialIdeal) -> int:
 
 
 def lambda_map(ideal: MonomialIdeal) -> FSet:
-    """Prefix-sum image of the Borel generators, tagged with the box side."""
+    """Prefix-sum image of the Borel generators, tagged with the box side.
+    An ideal that is not strongly stable raises
+    :class:`NotStronglyStable` from :meth:`MonomialIdeal.bgens`."""
     n = _artinian_top(ideal)
-    if not ideal.is_strongly_stable():
-        raise NotStronglyStable("the ideal is not strongly stable")
     return FSet(ideal.dim, n, tuple(psi(m) for m in ideal.bgens()))
 
 
@@ -151,8 +151,14 @@ def lambda_inv(fset: FSet) -> MonomialIdeal:
 def omega(fset: FSet) -> MonomialIdeal:
     """Ideal generated by the symmetrization of the antichain; the result
     is symmetric and Artinian with every pure power degree equal to the
-    box side."""
-    return MonomialIdeal(fset.dim, symmetrize(fset.elements))
+    box side.
+
+    The symmetrization is already the minimal generating set: sorting
+    both sides keeps a coordinatewise inequality, so a rearrangement of f
+    below one of g puts f below g, and the antichain forces f = g and
+    then equality.  So the ideal is built without minimalizing again.
+    """
+    return MonomialIdeal._trusted(fset.dim, symmetrize(fset.elements))
 
 
 def omega_inv(ideal: MonomialIdeal) -> FSet:

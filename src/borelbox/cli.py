@@ -171,7 +171,7 @@ def _cmd_check_ideal(args) -> None:
 
 def _cmd_ideal2partition(args) -> None:
     ideal = MonomialIdeal.from_json_dict(_read_payload(args))
-    _emit_partition(args, ideal_to_partition(ideal))
+    _emit_partition(args, ideal_to_partition(ideal, budget=args.budget))
 
 
 def _cmd_partition2ideal(args) -> None:
@@ -301,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     simple = (
         ("check-partition", _cmd_check_partition, "validate a partition and report its invariants"),
         ("check-ideal", _cmd_check_ideal, "canonicalize an ideal and report its properties"),
-        ("ideal2partition", _cmd_ideal2partition, "complement partition of an Artinian ideal"),
         ("partition2ideal", _cmd_partition2ideal, "complement ideal of a partition"),
         ("bgens", _cmd_bgens, "minimal Borel generators of a strongly stable ideal"),
         ("ss2ts", _cmd_ss2ts, "totally symmetric partner of a strongly stable partition"),
@@ -313,6 +312,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _add_io_arguments(p)
         p.set_defaults(handler=handler)
+
+    p = sub.add_parser("ideal2partition", help="complement partition of an Artinian ideal")
+    _add_io_arguments(p)
+    p.add_argument("--budget", type=int, default=None,
+                   help="most complement cells to grow; exceeding it exits "
+                        "with code 3")
+    p.set_defaults(handler=_cmd_ideal2partition)
 
     p = sub.add_parser("closure", help="Borel closure of a monomial set")
     _add_io_arguments(p)

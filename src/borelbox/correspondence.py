@@ -14,15 +14,20 @@ from .ideals import MonomialIdeal, _fully_reached
 from .partitions import Partition
 
 
-def ideal_to_partition(ideal: MonomialIdeal) -> Partition:
+def ideal_to_partition(ideal: MonomialIdeal, *, budget: int | None = None) -> Partition:
     """Partition of all exponent vectors outside the ideal.
 
     Requires an Artinian ideal so the complement is finite.  The
     complement is grown one degree at a time from a hash set of the
     generators, in O(cells * d^2), and kept on the ideal for its later
-    membership queries; the cells are still validated as a partition.
+    membership queries.  It is downward closed by construction (a cell
+    joins only once every lower neighbour has), so the partition is built
+    from it without validating the cells again, and shares its hash set.
+    `budget` bounds the cells grown; one more raises
+    :class:`ResourceLimit`.
     """
-    return Partition(ideal.dim, ideal._complement())
+    outside = ideal._complement(budget)
+    return Partition._trusted(ideal.dim, tuple(sorted(outside)), outside)
 
 
 def partition_to_ideal(partition: Partition) -> MonomialIdeal:
@@ -32,14 +37,14 @@ def partition_to_ideal(partition: Partition) -> MonomialIdeal:
     decrementing any positive coordinate lands inside the partition.  So
     it is the origin, when the partition is empty, or a vector outside it
     whose lower neighbours are all cells (see `ideals._fully_reached`).
-    The empty partition maps to the unit ideal.  The partition is the
-    ideal's complement, so the ideal keeps its cells for membership
+    The empty partition maps to the unit ideal.  No generator divides
+    another, since everything strictly below a generator is a cell, so
+    the ideal is built without minimalizing them again.  The partition is
+    the ideal's complement, so the ideal keeps its cells for membership
     queries.
     """
     dim = partition.dim
     members = partition._members
     gens = [alpha for alpha in _fully_reached(dim, partition.cells)
             if alpha not in members] or [(0,) * dim]
-    ideal = MonomialIdeal(dim, gens)
-    ideal._outside = members
-    return ideal
+    return MonomialIdeal._trusted(dim, tuple(sorted(gens)), members)

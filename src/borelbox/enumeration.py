@@ -171,6 +171,17 @@ def _distinct_permutations(rep: Cell) -> Iterator[Cell]:
         perm[i + 1:] = reversed(perm[i + 1:])
 
 
+def _orbit_size(rep: Cell) -> int:
+    """Number of distinct rearrangements of a weakly increasing tuple: the
+    multinomial d! / prod(m!) over the multiplicities m of its values,
+    built one position at a time (each prefix's count is an integer)."""
+    size = run = 1
+    for k in range(1, len(rep)):
+        run = run + 1 if rep[k] == rep[k - 1] else 1
+        size = size * (k + 1) // run
+    return size
+
+
 def _walk(requires, tick: Callable[[], None]) -> Iterator[tuple[int, ...]]:
     """Depth-first over admissible index sets, each yielded once, children
     in increasing order of the added index.  Each index counts its missing
@@ -216,9 +227,14 @@ def _rejected(part: Partition, predicate: str) -> ArithmeticSelfCheck:
 def _mode(dim: int, side: int, predicate: str):
     if predicate == "totally_symmetric":
         order, requires = _orbit_requirements(dim, side)
-        orbits = [tuple(_distinct_permutations(rep)) for rep in order]
+        # Orbits are expanded on first use.  The walk yields each state
+        # after its parent, which lacks only its last index, so that index
+        # is the only one that can be new.
+        orbits: list[tuple[Cell, ...] | None] = [None] * len(order)
 
         def finalize(idxs: tuple[int, ...]) -> Partition:
+            if idxs and orbits[idxs[-1]] is None:
+                orbits[idxs[-1]] = tuple(_distinct_permutations(order[idxs[-1]]))
             cells = [cell for i in idxs for cell in orbits[i]]
             part = Partition._trusted(dim, tuple(sorted(cells)))
             if not part.is_totally_symmetric():
@@ -413,8 +429,10 @@ def _slice_transfer(dim: int, side: int, weight: Callable[[int], object], *,
     pass per representative in reverse order (a zeta transform on the
     lattice of order ideals): O(states x representatives) per slice.
 
-    The budget is charged one per walk node, one per state of each slice
-    and one per (representative, state) step tried.
+    The budget is charged one per walk node, one per cell of each state
+    before it is expanded and re-validated (from the orbit sizes, so a
+    state too large for the budget is never expanded), one per state of
+    each slice and one per (representative, state) step tried.
     """
     _check_box_args(dim, side, "totally_symmetric")
     limiter = _Budget(budget)
@@ -426,8 +444,12 @@ def _slice_transfer(dim: int, side: int, weight: Callable[[int], object], *,
     for k, i in enumerate(ranked):
         bit[i] = 1 << k
     need = [sum(bit[j] for j in requires[i]) for i in ranked]
+    budgeted = limiter.limit is not None
+    sizes = [_orbit_size(rep) for rep in order] if budgeted else []
     masks = []
     for idxs in _walk(requires, limiter.tick):
+        if budgeted:
+            limiter.charge(sum(map(sizes.__getitem__, idxs)))
         finalize(idxs)
         masks.append(sum(bit[i] for i in idxs))
     masks.sort()

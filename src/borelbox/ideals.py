@@ -85,7 +85,8 @@ def _fully_reached(dim: int, cells: Iterable[Monomial]) -> list[Monomial]:
     return [u for u, times in reached.items() if times == dim - u.count(0)]
 
 
-def _graded_complement(dim: int, gens: Iterable[Monomial]) -> set[Monomial]:
+def _graded_complement(dim: int, gens: Iterable[Monomial],
+                       limiter: _Budget) -> set[Monomial]:
     """Exponent vectors outside the ideal generated by `gens`, grown one
     degree at a time; the ideal must be Artinian, or the growth never ends.
 
@@ -93,14 +94,17 @@ def _graded_complement(dim: int, gens: Iterable[Monomial]) -> set[Monomial]:
     lies in it, so c lies outside exactly when it is not a generator and
     every c - e_j with c_j > 0 lies outside.  Those are cells of the
     degree below (see `_fully_reached`).  That needs only a set of the
-    generators: O(cells * d^2).
+    generators: O(cells * d^2).  Each degree's cells are charged to
+    `limiter` as they are grown.
     """
     gens = set(gens)
     origin = (0,) * dim
     level = set() if origin in gens else {origin}
+    limiter.charge(len(level))
     outside = set(level)
     while level:
         level = {u for u in _fully_reached(dim, level) if u not in gens}
+        limiter.charge(len(level))
         outside |= level
     return outside
 
@@ -148,10 +152,14 @@ def monomial_str(monomial: Monomial) -> str:
 class MonomialIdeal:
     """A monomial ideal in canonical minimal form.
 
-    The constructor minimalizes eagerly, so `gens` is always the unique
-    minimal generating set, sorted lexicographically; equality is
-    structural.  The zero ideal (no generators) and the unit ideal (the
-    all-zero exponent vector) are both representable.
+    The public constructor validates every monomial and minimalizes
+    eagerly, so `gens` is always the unique minimal generating set,
+    sorted lexicographically; equality is structural.  The zero ideal (no
+    generators) and the unit ideal (the all-zero exponent vector) are both
+    representable.  Ideals built inside the library from generators that
+    are already valid, minimal and sorted (a Borel closure, the complement
+    ideal of a partition, a symmetrized antichain) go through the private
+    `_trusted` instead, which skips both steps.
 
     An Artinian ideal keeps the set of exponent vectors outside it in the
     private slot `_outside` once `ideal_to_partition` has grown it or
@@ -167,6 +175,18 @@ class MonomialIdeal:
         self.dim = dim
         self.gens = minimalize(_as_monomial(dim, g) for g in gens)
         self._outside = None
+
+    @classmethod
+    def _trusted(cls, dim: int, gens: tuple[Monomial, ...],
+                 outside: frozenset[Monomial] | None = None) -> "MonomialIdeal":
+        # Internal fast path: caller guarantees `gens` are valid exponent
+        # tuples of length `dim`, an antichain, sorted lexicographically,
+        # and that `outside`, when given, is the ideal's complement.
+        ideal = object.__new__(cls)
+        ideal.dim = dim
+        ideal.gens = gens
+        ideal._outside = outside
+        return ideal
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonomialIdeal):
@@ -198,13 +218,16 @@ class MonomialIdeal:
             return any(all(map(le, g, mono)) for g in self.gens)
         return mono not in self._outside
 
-    def _complement(self) -> frozenset[Monomial]:
+    def _complement(self, budget: int | None = None) -> frozenset[Monomial]:
         """Exponent vectors outside the ideal, grown once by degree (see
         `_graded_complement`) and kept.  Raises :class:`NotArtinian` when
-        they are infinitely many."""
+        they are infinitely many, and :class:`ResourceLimit` when growing
+        them would take more than `budget` cells."""
         if self._outside is None:
             self.artinian_side()
-            self._outside = frozenset(_graded_complement(self.dim, self.gens))
+            limiter = _Budget(budget)
+            limiter.phase = "complement"
+            self._outside = frozenset(_graded_complement(self.dim, self.gens, limiter))
         return self._outside
 
     def pure_power_degrees(self) -> tuple[int | None, ...]:
@@ -320,9 +343,11 @@ def borel_closure(monomials: Iterable[Iterable[int]], *,
     Saturates the set under single adjacent exchanges (one unit moved from
     x_j to x_{j-1}); adjacent exchanges compose to every exchange with
     i < j, and the ideal generated by the saturated set is closed under
-    all Borel moves.  The result is returned in minimal canonical form.
-    `budget` bounds the monomials reached, the input's included; one more
-    raises :class:`ResourceLimit`.
+    all Borel moves.  The result is returned in minimal canonical form;
+    the seeds are validated, and exchanges keep exponents nonnegative, so
+    it is built without validating them again.  `budget` bounds the
+    monomials reached, the input's included; one more raises
+    :class:`ResourceLimit`.
     """
     limiter = _Budget(budget)
     limiter.phase = "Borel closure"
@@ -333,6 +358,8 @@ def borel_closure(monomials: Iterable[Iterable[int]], *,
     if not seed:
         raise EmptyInput("Borel closure needs at least one monomial")
     dim = len(seed[0])
+    if dim < 1:
+        raise InvalidCell(f"dimension must be a positive integer, got {dim!r}")
     reachable = {_as_monomial(dim, m) for m in seed}
     limiter.charge(len(reachable))
     stack = list(reachable)
@@ -345,4 +372,4 @@ def borel_closure(monomials: Iterable[Iterable[int]], *,
                     limiter.charge(1)
                     reachable.add(moved)
                     stack.append(moved)
-    return MonomialIdeal(dim, reachable)
+    return MonomialIdeal._trusted(dim, minimalize(reachable))

@@ -73,12 +73,14 @@ class Partition:
         self._members = members
 
     @classmethod
-    def _trusted(cls, dim: int, sorted_cells: tuple[Cell, ...]) -> "Partition":
-        # Internal fast path: caller guarantees canonical order and closure.
+    def _trusted(cls, dim: int, sorted_cells: tuple[Cell, ...],
+                 members: frozenset[Cell] | None = None) -> "Partition":
+        # Internal fast path: caller guarantees canonical order and closure,
+        # and that `members`, when given, is the frozenset of the cells.
         part = object.__new__(cls)
         part.dim = dim
         part.cells = sorted_cells
-        part._members = frozenset(sorted_cells)
+        part._members = frozenset(sorted_cells) if members is None else members
         return part
 
     def __contains__(self, cell) -> bool:

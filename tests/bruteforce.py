@@ -112,6 +112,25 @@ def naive_minimalize(monomials):
             if not any(g != m and all(x <= y for x, y in zip(g, m)) for g in mono)}
 
 
+def naive_borel_closure(monomials):
+    """Every monomial reached from the input by Borel moves x_i/x_j with
+    any i < j (not only adjacent ones), by saturating a set."""
+    reached = {tuple(m) for m in monomials}
+    todo = list(reached)
+    while todo:
+        m = todo.pop()
+        for i, j in combinations(range(len(m)), 2):
+            if m[j]:
+                moved = list(m)
+                moved[i] += 1
+                moved[j] -= 1
+                moved = tuple(moved)
+                if moved not in reached:
+                    reached.add(moved)
+                    todo.append(moved)
+    return reached
+
+
 def box_antichains(dim, side):
     """Every divisibility antichain inside the box, via the maximal cells
     of box complements of downward-closed sets."""

@@ -374,6 +374,22 @@ def test_closure_budget_exit_code(monkeypatch, capsys):
     assert json.loads(out) == {"dim": 2, "gens": [[0, 3], [1, 2], [2, 1], [3, 0]]}
 
 
+def test_ideal2partition_budget_exit_code(monkeypatch, capsys):
+    payload = {"dim": 2, "gens": [[3, 0], [0, 2]]}
+    code, out, err = invoke(["ideal2partition", "--budget", "6"], payload,
+                            monkeypatch, capsys)
+    assert code == 0 and err == ""
+    assert out == invoke(["ideal2partition"], payload, monkeypatch, capsys)[1]
+    code, out, err = invoke(["ideal2partition", "--budget", "5"], payload,
+                            monkeypatch, capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and "budget" in err
+    code, out, err = invoke(["ideal2partition", "--budget", "1000"],
+                            {"dim": 1, "gens": [[100000000]]}, monkeypatch, capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_a_replaced_build_parser_is_used_once_and_then_dropped(monkeypatch, capsys):
     """The shared parser comes from the module's current `build_parser`,
     so the handlers a wrapped builder binds are the ones that run."""

@@ -1,5 +1,7 @@
 """Hashed ideal membership, graded complements and degree-split
-minimalization against the scanning oracles in bruteforce.py."""
+minimalization against the scanning oracles in bruteforce.py, and the
+ideals and partitions the bijection chain builds without validating or
+minimalizing them again against the validating constructors."""
 
 from itertools import product
 
@@ -7,13 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from borelbox import (
+    InvalidCell,
     MonomialIdeal,
     Partition,
     ResourceLimit,
     borel_closure,
     ideal_to_partition,
+    lambda_map,
     minimalize,
+    omega,
     partition_to_ideal,
+    symmetrize,
 )
 
 import bruteforce
@@ -42,6 +48,14 @@ def closed_cell_sets(draw):
     return Partition(dim, bruteforce.close_down(cells))
 
 
+@st.composite
+def closure_seeds(draw):
+    """Small monomials plus a pure power of the last variable, so that the
+    closure is Artinian with its top degree on that variable."""
+    dim, seeds = draw(monomial_sets())
+    return dim, seeds + [(0,) * (dim - 1) + (draw(st.integers(1, 4)),)]
+
+
 def members_in_box(ideal, side):
     return {m for m in product(range(side), repeat=ideal.dim) if ideal.contains(m)}
 
@@ -68,8 +82,44 @@ def test_any_ideal_contains_matches_the_generator_scan(data):
 @settings(max_examples=150, deadline=None)
 @given(artinian_ideals())
 def test_ideal_to_partition_matches_the_box_complement(ideal):
-    assert set(ideal_to_partition(ideal).cells) == bruteforce.box_complement(
-        ideal.gens, ideal.dim)
+    complement = bruteforce.box_complement(ideal.gens, ideal.dim)
+    partition = ideal_to_partition(ideal)
+    assert partition == Partition(ideal.dim, complement)
+    assert partition._members == frozenset(partition.cells) == complement
+    # The partition and the ideal share one hash set of the complement.
+    assert partition._members is ideal._outside
+
+
+@settings(max_examples=150, deadline=None)
+@given(closed_cell_sets())
+def test_partition_to_ideal_matches_the_outer_corners(partition):
+    corners = bruteforce.box_minimal_generators(partition.cells, partition.dim)
+    assert partition_to_ideal(partition) == MonomialIdeal(partition.dim, corners)
+
+
+@settings(max_examples=150, deadline=None)
+@given(closure_seeds())
+def test_closure_matches_the_naive_closure(data):
+    dim, seeds = data
+    naive = bruteforce.naive_borel_closure(seeds)
+    assert borel_closure(seeds) == MonomialIdeal(dim, naive)
+    assert set(borel_closure(seeds).gens) == bruteforce.naive_minimalize(naive)
+
+
+@settings(max_examples=150, deadline=None)
+@given(closure_seeds())
+def test_omega_generators_are_the_minimal_symmetrization(data):
+    dim, seeds = data
+    fset = lambda_map(borel_closure(seeds))
+    symmetrized = symmetrize(fset.elements)
+    assert omega(fset).gens == minimalize(symmetrized)
+    assert omega(fset) == MonomialIdeal(dim, symmetrized)
+    assert set(omega(fset).gens) == bruteforce.naive_minimalize(symmetrized)
+
+
+def test_closure_of_the_empty_monomial_is_still_refused():
+    with pytest.raises(InvalidCell):
+        borel_closure([()])
 
 
 @settings(max_examples=200, deadline=None)
@@ -110,3 +160,24 @@ def test_closure_budget_counts_the_monomials_reached():
         borel_closure([(2, 0), (0, 2)], budget=1)
     with pytest.raises(ValueError):
         borel_closure([(1, 0)], budget=0)
+
+
+@pytest.mark.parametrize("dim, gens", [
+    (1, [(7,)]),
+    (2, [(4, 0), (2, 1), (0, 3)]),
+    (3, [(2, 0, 0), (0, 3, 0), (0, 0, 2), (1, 1, 1)]),
+])
+def test_complement_budget_counts_the_cells_grown(dim, gens):
+    cells = len(bruteforce.box_complement(gens, dim))
+    assert len(ideal_to_partition(MonomialIdeal(dim, gens), budget=cells)) == cells
+    with pytest.raises(ResourceLimit, match="complement"):
+        ideal_to_partition(MonomialIdeal(dim, gens), budget=cells - 1)
+
+
+def test_complement_budget_stops_a_huge_power_early():
+    ideal = MonomialIdeal(1, [(100_000_000,)])
+    with pytest.raises(ResourceLimit, match="budget of 1000"):
+        ideal_to_partition(ideal, budget=1000)
+    assert ideal._outside is None
+    with pytest.raises(ValueError):
+        ideal_to_partition(ideal, budget=0)

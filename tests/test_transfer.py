@@ -5,6 +5,7 @@ formulas, box transposition, and its budget."""
 import os
 import subprocess
 import sys
+from itertools import combinations_with_replacement, permutations
 from pathlib import Path
 
 import pytest
@@ -60,12 +61,13 @@ def test_symmetric_box_transposition():
 
 def test_budget_covers_walk_and_transfer():
     with pytest.raises(ResourceLimit, match="transfer"):
-        orbit_gf_ts(3, 4, budget=50)
-    # 16 slice states walked, 30 (slice, state) pairs and 62 zeta steps.
-    assert count_ts(3, 4, budget=108) == 66
-    assert orbit_gf_ts(3, 4, budget=108) == qtspp(4)
+        orbit_gf_ts(3, 4, budget=200)
+    # 16 slice states walked and their 128 cells re-validated, then 30
+    # (slice, state) pairs and 62 zeta steps.
+    assert count_ts(3, 4, budget=236) == 66
+    assert orbit_gf_ts(3, 4, budget=236) == qtspp(4)
     with pytest.raises(ResourceLimit):
-        count_ts(3, 4, budget=107)
+        count_ts(3, 4, budget=235)
     with pytest.raises(ValueError):
         count_ts(3, 4, budget=0)
 
@@ -79,12 +81,36 @@ def test_budget_message_names_the_phase(monkeypatch):
     with pytest.raises(ResourceLimit, match="walk"):
         list(enumerate_partitions(2, 3, "all", budget=9))
     with pytest.raises(ResourceLimit, match="transfer"):
-        count_ts(3, 4, budget=50)
+        count_ts(3, 4, budget=200)
     monkeypatch.setattr(borelbox.enumeration, "_orbit_requirements", unbuilt)
     with pytest.raises(ResourceLimit, match="table"):
         count_ts(3, 60, budget=1)
     with pytest.raises(ResourceLimit, match="table"):
         list(enumerate_partitions(3, 60, "totally_symmetric", budget=1))
+
+
+@pytest.mark.parametrize("dim", [10, 16, 17])
+def test_budget_charges_state_cells_before_expanding_them(monkeypatch, dim):
+    """A slice state's cells are charged from its orbit sizes before it is
+    expanded and re-validated, so no orbit past the budget is expanded."""
+    expanded = []
+    permutations = borelbox.enumeration._distinct_permutations
+
+    def counted(rep):
+        cells = list(permutations(rep))
+        expanded.append(len(cells))
+        return iter(cells)
+
+    monkeypatch.setattr(borelbox.enumeration, "_distinct_permutations", counted)
+    with pytest.raises(ResourceLimit, match="walk"):
+        count_ts(dim, 3, budget=500)
+    assert sum(expanded) <= 500
+
+
+def test_orbit_sizes_are_the_distinct_rearrangements():
+    for dim in range(6):
+        for rep in combinations_with_replacement(range(4), dim):
+            assert borelbox.enumeration._orbit_size(rep) == len(set(permutations(rep)))
 
 
 def test_cli_gf_budget_exits_three(capsys):
