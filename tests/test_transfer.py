@@ -94,10 +94,10 @@ def test_budget_charges_state_cells_before_expanding_them(monkeypatch, dim):
     """A slice state's cells are charged from its orbit sizes before it is
     expanded and re-validated, so no orbit past the budget is expanded."""
     expanded = []
-    permutations = borelbox.enumeration._distinct_permutations
+    expand = borelbox.enumeration._distinct_permutations
 
     def counted(rep):
-        cells = list(permutations(rep))
+        cells = list(expand(rep))
         expanded.append(len(cells))
         return iter(cells)
 
