@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 malformed input, 2 violated precondition
 (standard output closed before the output was written included),
 3 resource budget exceeded.
+
+A subcommand imports only what it uses: `check-partition` and `render`
+need no more than this module's own imports, and every other handler
+imports the library functions it calls when it runs.
 """
 
 from __future__ import annotations
@@ -14,18 +18,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .bijection import (
-    FSet,
-    lambda_map,
-    omega,
-    ss_to_ts_partition,
-    ts_to_ss_partition,
-)
-from .correspondence import ideal_to_partition, partition_to_ideal
-from .enumeration import (cell_gf_ss, cumulative_counts, enumerate_partitions,
-                          hawkes_counts, orbit_gf_ts, qtspp)
 from .errors import BorelboxError, InputError, UnsupportedDimension
-from .ideals import MonomialIdeal, borel_closure, monomial_str
 from .partitions import Partition
 
 _MAX_JSON_INT = 2**53 - 1
@@ -107,6 +100,7 @@ def _pretty_partition(partition: Partition) -> str:
 
 
 def _pretty_monomials(monomials) -> str:
+    from .ideals import monomial_str
     return "{" + ", ".join(monomial_str(m) for m in monomials) + "}"
 
 
@@ -151,6 +145,7 @@ def _cmd_check_partition(args) -> None:
 
 
 def _cmd_check_ideal(args) -> None:
+    from .ideals import MonomialIdeal
     ideal = MonomialIdeal.from_json_dict(_read_payload(args))
     degrees = ideal.pure_power_degrees()
     report = {
@@ -170,16 +165,20 @@ def _cmd_check_ideal(args) -> None:
 
 
 def _cmd_ideal2partition(args) -> None:
+    from .correspondence import ideal_to_partition
+    from .ideals import MonomialIdeal
     ideal = MonomialIdeal.from_json_dict(_read_payload(args))
     _emit_partition(args, ideal_to_partition(ideal, budget=args.budget))
 
 
 def _cmd_partition2ideal(args) -> None:
+    from .correspondence import partition_to_ideal
     partition = Partition.from_json_dict(_read_payload(args))
     _emit_ideal(args, partition_to_ideal(partition))
 
 
 def _cmd_bgens(args) -> None:
+    from .ideals import MonomialIdeal
     ideal = MonomialIdeal.from_json_dict(_read_payload(args))
     bgens = ideal.bgens()
     if args.format == "pretty":
@@ -189,6 +188,7 @@ def _cmd_bgens(args) -> None:
 
 
 def _cmd_closure(args) -> None:
+    from .ideals import borel_closure
     data = _read_payload(args)
     if not isinstance(data, dict) or "gens" not in data:
         raise InputError("closure input JSON needs 'gens'")
@@ -199,26 +199,32 @@ def _cmd_closure(args) -> None:
 
 
 def _cmd_ss2ts(args) -> None:
+    from .bijection import ss_to_ts_partition
     partition = Partition.from_json_dict(_read_payload(args))
     _emit_partition(args, ss_to_ts_partition(partition))
 
 
 def _cmd_ts2ss(args) -> None:
+    from .bijection import ts_to_ss_partition
     partition = Partition.from_json_dict(_read_payload(args))
     _emit_partition(args, ts_to_ss_partition(partition))
 
 
 def _cmd_lambda(args) -> None:
+    from .bijection import lambda_map
+    from .ideals import MonomialIdeal
     ideal = MonomialIdeal.from_json_dict(_read_payload(args))
     _emit_fset(args, lambda_map(ideal))
 
 
 def _cmd_omega(args) -> None:
+    from .bijection import FSet, omega
     fset = FSet.from_json_dict(_read_payload(args))
     _emit_ideal(args, omega(fset))
 
 
 def _cmd_count(args) -> None:
+    from .enumeration import cumulative_counts, enumerate_partitions
     if args.list:
         predicate = _PREDICATE_NAMES[args.predicate or "all"]
         for partition in enumerate_partitions(args.d, args.n, predicate,
@@ -239,6 +245,7 @@ def _cmd_count(args) -> None:
 
 
 def _cmd_gf(args) -> None:
+    from .enumeration import cell_gf_ss, orbit_gf_ts, qtspp
     if args.formula:
         if args.d not in (None, 3):
             raise InputError("the boxed product formula is defined for d=3")
@@ -263,6 +270,7 @@ def _cmd_gf(args) -> None:
 
 
 def _cmd_hawkes(args) -> None:
+    from .enumeration import hawkes_counts
     left, right = hawkes_counts(args.d, args.n, budget=args.budget)
     _emit_json({"d": args.d, "n": args.n, "left": left, "right": right,
                 "equal": left == right})

@@ -52,57 +52,12 @@ from math import comb, gcd
 from operator import add, mul
 from typing import Callable, Iterator
 
-from .errors import ArithmeticSelfCheck, NonIntegerProduct, ResourceLimit
+from .errors import (ArithmeticSelfCheck, NonIntegerProduct, ResourceLimit, _Budget,
+                     _checked_budget)
 from .partitions import Cell, Partition
 from .qpoly import QPolynomial
 
 PREDICATES = ("all", "strongly_stable", "totally_symmetric")
-
-
-def _checked_budget(limit: int | None) -> int | None:
-    if limit is not None and limit < 1:
-        raise ValueError("budget must be a positive integer or None")
-    return limit
-
-
-class _Budget:
-    """Node budget shared by every phase of one enumeration or transfer;
-    `phase` names the one running, for the error message."""
-
-    __slots__ = ("limit", "used", "phase")
-
-    def __init__(self, limit: int | None):
-        self.limit = _checked_budget(limit)
-        self.used = 0
-        self.phase = "walk"
-
-    def charge(self, steps: int) -> None:
-        if self.limit is not None:
-            self.used += steps
-            if self.used > self.limit:
-                raise ResourceLimit(self.limit, f"the {self.phase} exceeded "
-                                                f"the node budget of {self.limit}")
-
-    def tick(self) -> None:
-        """Charge one walk node.  Other steps go through `charge`, so the
-        nodes can be counted apart."""
-        if self.limit is not None:
-            self.charge(1)
-
-    def refuse_table(self, dim: int, side: int, predicate: str) -> None:
-        """Raise before a requirement table larger than the budget is
-        built: side^d cells, or C(side+d-1, d) orbit representatives (one,
-        the empty tuple, in dimension 0)."""
-        if self.limit is None:
-            return
-        if predicate == "totally_symmetric":
-            entries = comb(max(side + dim - 1, 0), dim)
-        else:
-            entries = side ** dim
-        if entries > self.limit:
-            raise ResourceLimit(self.limit, f"the requirement table of {entries} "
-                                            f"entries exceeds the node budget "
-                                            f"of {self.limit}")
 
 
 def _graded(cells) -> list[Cell]:

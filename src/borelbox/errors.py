@@ -3,7 +3,12 @@
 Every error class carries the exit code used by the command line front
 end: 1 for malformed input, 2 for a violated semantic precondition (or a
 failed exact-arithmetic self check), 3 for a blown resource budget.
+The budget itself, `_Budget`, lives here too, next to the only error it
+raises, so that a module that charges work to a budget need not import
+the enumeration.
 """
+
+from math import comb
 
 
 class BorelboxError(Exception):
@@ -112,3 +117,50 @@ class ResourceLimit(BorelboxError):
     def __init__(self, budget, message=None):
         self.budget = budget
         super().__init__(message or f"enumeration exceeded the node budget of {budget}")
+
+
+def _checked_budget(limit: int | None) -> int | None:
+    if limit is not None and limit < 1:
+        raise ValueError("budget must be a positive integer or None")
+    return limit
+
+
+class _Budget:
+    """Node budget shared by every phase of one enumeration, transfer,
+    complement or closure; `phase` names the one running, for the error
+    message."""
+
+    __slots__ = ("limit", "used", "phase")
+
+    def __init__(self, limit: int | None):
+        self.limit = _checked_budget(limit)
+        self.used = 0
+        self.phase = "walk"
+
+    def charge(self, steps: int) -> None:
+        if self.limit is not None:
+            self.used += steps
+            if self.used > self.limit:
+                raise ResourceLimit(self.limit, f"the {self.phase} exceeded "
+                                                f"the node budget of {self.limit}")
+
+    def tick(self) -> None:
+        """Charge one walk node.  Other steps go through `charge`, so the
+        nodes can be counted apart."""
+        if self.limit is not None:
+            self.charge(1)
+
+    def refuse_table(self, dim: int, side: int, predicate: str) -> None:
+        """Raise before a requirement table larger than the budget is
+        built: side^d cells, or C(side+d-1, d) orbit representatives (one,
+        the empty tuple, in dimension 0)."""
+        if self.limit is None:
+            return
+        if predicate == "totally_symmetric":
+            entries = comb(max(side + dim - 1, 0), dim)
+        else:
+            entries = side ** dim
+        if entries > self.limit:
+            raise ResourceLimit(self.limit, f"the requirement table of {entries} "
+                                            f"entries exceeds the node budget "
+                                            f"of {self.limit}")

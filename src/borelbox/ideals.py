@@ -15,7 +15,6 @@ from itertools import permutations
 from operator import le
 from typing import Iterable, Iterator
 
-from .enumeration import _Budget
 from .errors import (
     DimensionMismatch,
     EmptyInput,
@@ -24,6 +23,7 @@ from .errors import (
     InvalidMove,
     NotArtinian,
     NotStronglyStable,
+    _Budget,
 )
 
 Monomial = tuple[int, ...]

@@ -334,14 +334,43 @@ def test_module_entry_point_runs():
                                        "T": [1, 2, 3]}
 
 
-def test_import_does_not_load_thread_pools():
+def _imported(args, stdin=""):
+    """The modules a fresh `python -X importtime *args` imports."""
     src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import borelbox, sys; print('concurrent.futures' in sys.modules)"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "False"
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], input=stdin,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, (args, proc.stderr)
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_each_subcommand_imports_only_the_modules_it_uses():
+    one_cell = json.dumps({"dim": 3, "cells": [[0, 0, 0]]})
+
+    def library(argv):
+        loaded = _imported(["-m", "borelbox", *argv], one_cell)
+        return loaded, {m.removeprefix("borelbox.") for m in loaded
+                        if m.startswith("borelbox.")}
+
+    for argv in (["check-partition"], ["render", "--style", "matrix"]):
+        loaded, modules = library(argv)
+        assert modules == {"cli", "errors", "partitions"}, argv
+        assert "dataclasses" not in loaded, argv
+    _, modules = library(["ss2ts"])
+    assert "bijection" in modules and not modules & {"enumeration", "qpoly"}
+    for argv in (["count", "--d", "2", "--n", "2"], ["gf", "--d", "2", "--n", "2"],
+                 ["hawkes", "--d", "3", "--n", "2"]):
+        _, modules = library(argv)
+        assert "enumeration" in modules, argv
+        assert not modules & {"ideals", "correspondence", "bijection"}, argv
+    # No submodule pulls in the thread pools or `fractions`.
+    package = Path(borelbox.enumeration.__file__).parent
+    every = sorted(f"borelbox.{p.stem}" for p in package.glob("*.py")
+                   if not p.stem.startswith("__"))
+    loaded = _imported(["-c", "import " + ", ".join(every)])
+    assert set(every) <= loaded
+    assert not loaded & {"concurrent.futures", "fractions"}
 
 
 def test_back_to_back_runs_share_no_parser_state(monkeypatch, capsys):
