@@ -334,6 +334,16 @@ def test_module_entry_point_runs():
                                        "T": [1, 2, 3]}
 
 
+def test_import_does_not_load_thread_pools():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import borelbox, sys; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
+
+
 def _imported(args, stdin=""):
     """The modules a fresh `python -X importtime *args` imports."""
     src = Path(__file__).resolve().parents[1] / "src"

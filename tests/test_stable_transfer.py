@@ -2,7 +2,11 @@
 column of cumulative_counts, checked against the enumerator, the product
 formulas, the symmetric transfer, box transposition, and its budget."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +94,16 @@ def test_stable_budget_message_names_the_phase(monkeypatch):
         count_ss(3, 60, budget=1)
     with pytest.raises(ResourceLimit, match="table"):
         cumulative_counts(3, 60, "strongly_stable", budget=1)
+
+
+def test_import_does_not_load_fractions():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import borelbox.cli, sys; print('fractions' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
 
 
 def test_non_integer_product_names_the_reduced_fraction():
