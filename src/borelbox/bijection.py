@@ -26,8 +26,9 @@ from .errors import (
     NotTotallySymmetric,
     NotWeaklyIncreasing,
 )
-from .ideals import Monomial, MonomialIdeal, borel_closure, minimalize, symmetrize
-from .partitions import Partition
+from .ideals import (Monomial, MonomialIdeal, borel_closure, minimalize, monomial_str,
+                     symmetrize)
+from .partitions import Partition, _as_vector, _json_fields
 
 
 def psi(monomial) -> Monomial:
@@ -40,17 +41,17 @@ def psi(monomial) -> Monomial:
     return tuple(out)
 
 
+def _is_weakly_increasing(mono: Monomial) -> bool:
+    return all(mono[i] <= mono[i + 1] for i in range(len(mono) - 1))
+
+
 def psi_inv(monomial) -> Monomial:
     """Consecutive differences; inverse of :func:`psi` on weakly increasing
     vectors."""
     mono = tuple(monomial)
-    if any(mono[i] > mono[i + 1] for i in range(len(mono) - 1)):
+    if not _is_weakly_increasing(mono):
         raise NotWeaklyIncreasing(f"{mono} is not weakly increasing")
     return tuple(b - a for a, b in zip((0,) + mono, mono))
-
-
-def _is_weakly_increasing(mono: Monomial) -> bool:
-    return all(mono[i] <= mono[i + 1] for i in range(len(mono) - 1))
 
 
 @dataclass(frozen=True)
@@ -72,16 +73,15 @@ class FSet:
         if type(self.side) is not int or self.side < 0:
             raise InvalidFSet(f"side must be a nonnegative integer, got {self.side!r}")
         try:
-            elements = tuple(sorted({tuple(m) for m in self.elements}))
+            elements = tuple(sorted({_as_vector(self.dim, m, "element")
+                                     for m in self.elements}))
         except TypeError:
             raise InvalidFSet("elements must be sequences of integers") from None
+        except InputError as exc:
+            raise InvalidFSet(str(exc)) from None
         object.__setattr__(self, "elements", elements)
         pure = (0,) * (self.dim - 1) + (self.side,)
         for mono in elements:
-            if len(mono) != self.dim:
-                raise InvalidFSet(f"element {mono} has length {len(mono)}, expected {self.dim}")
-            if any(type(v) is not int or v < 0 for v in mono):
-                raise InvalidFSet(f"element {mono} must contain nonnegative integers")
             if not _is_weakly_increasing(mono):
                 raise InvalidFSet(f"element {mono} is not weakly increasing")
             if max(mono) > self.side:
@@ -97,18 +97,12 @@ class FSet:
 
     @classmethod
     def from_json_dict(cls, data) -> "FSet":
-        if not isinstance(data, dict):
-            raise InputError("FSet JSON must be an object")
-        try:
-            dim = data["dim"]
-            side = data["side"]
-            elements = data["elements"]
-        except (KeyError, TypeError):
-            raise InputError("FSet JSON needs 'dim', 'side' and 'elements'") from None
-        if type(dim) is not int or type(side) is not int \
-                or not isinstance(elements, list):
-            raise InputError("'dim' and 'side' must be integers and 'elements' a list")
+        dim, side, elements = _json_fields(data, "FSet", dim=int, side=int, elements=list)
         return cls(dim, side, tuple(elements))
+
+    def pretty(self) -> str:
+        monomials = ", ".join(monomial_str(m) for m in self.elements)
+        return f"{{{monomials}}} in a box of side {self.side}"
 
 
 def bgens_via_psi(ideal: MonomialIdeal) -> tuple[Monomial, ...]:

@@ -4,9 +4,18 @@ Exit codes: 0 success, 1 malformed input, 2 violated precondition
 (standard output closed before the output was written included),
 3 resource budget exceeded.
 
+The seven conversions (`partition2ideal`, `ss2ts`, `ts2ss`, `lambda`,
+`omega`, `ideal2partition`, `closure`) are the rows of `_CONVERSIONS`:
+each names its input, the public library function it calls and its
+help.  One handler reads the input, calls the function and prints the
+result; the README's "Command line" table gives every subcommand's
+input, function and output.  The other subcommands build reports, not
+objects, and keep their own handlers.
+
 A subcommand imports only what it uses: `check-partition` and `render`
 need no more than this module's own imports, and every other handler
-imports the library functions it calls when it runs.
+imports the library functions it calls when it runs (a conversion finds
+each one's home module in the package's `_HOME`).
 """
 
 from __future__ import annotations
@@ -18,12 +27,41 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+from . import _HOME
 from .errors import BorelboxError, InputError, UnsupportedDimension
-from .partitions import Partition
+from .partitions import Partition, _json_fields
 
 _MAX_JSON_INT = 2**53 - 1
 
 _PREDICATE_NAMES = {"ss": "strongly_stable", "ts": "totally_symmetric", "all": "all"}
+
+# The conversion subcommands: (subcommand, input, public function, help,
+# `--budget` help or None).  The input is the public class whose
+# `from_json_dict` reads it, or "gens" for a {"gens": [...]} object whose
+# list is passed on as it is.  Only rows with a `--budget` help take one.
+_CONVERSIONS = (
+    ("partition2ideal", "Partition", "partition_to_ideal",
+     "complement ideal of a partition", None),
+    ("ss2ts", "Partition", "ss_to_ts_partition",
+     "totally symmetric partner of a strongly stable partition", None),
+    ("ts2ss", "Partition", "ts_to_ss_partition",
+     "strongly stable partner of a totally symmetric partition", None),
+    ("lambda", "MonomialIdeal", "lambda_map",
+     "prefix-sum image of the Borel generators", None),
+    ("omega", "FSet", "omega", "ideal generated by the symmetrized antichain", None),
+    ("ideal2partition", "MonomialIdeal", "ideal_to_partition",
+     "complement partition of an Artinian ideal",
+     "most complement cells to grow; exceeding it exits with code 3"),
+    ("closure", "gens", "borel_closure", "Borel closure of a monomial set",
+     "most monomials the closure may reach; exceeding it exits with code 3"),
+)
+
+
+def _public(name: str):
+    """The public library object `name`, loaded from its home module by
+    `__import__`, the call an import statement makes (so `-X importtime`
+    lists the load, which it does not for `importlib.import_module`)."""
+    return getattr(__import__(f"{__package__}.{_HOME[name]}", fromlist=(name,)), name)
 
 
 def _jsonify(value):
@@ -99,30 +137,15 @@ def _pretty_partition(partition: Partition) -> str:
     return " ".join(str(cell) for cell in partition.cells)
 
 
-def _pretty_monomials(monomials) -> str:
-    from .ideals import monomial_str
-    return "{" + ", ".join(monomial_str(m) for m in monomials) + "}"
-
-
-def _emit_partition(args, partition: Partition) -> None:
-    if args.format == "pretty":
-        print(_pretty_partition(partition))
+def _emit(args, result) -> None:
+    """Print a conversion's result: its JSON form, or under `--format
+    pretty` a partition's drawing or the object's own `pretty()`."""
+    if args.format != "pretty":
+        _emit_json(result.to_json_dict())
+    elif isinstance(result, Partition):
+        print(_pretty_partition(result))
     else:
-        _emit_json(partition.to_json_dict())
-
-
-def _emit_ideal(args, ideal: MonomialIdeal) -> None:
-    if args.format == "pretty":
-        print(ideal.pretty())
-    else:
-        _emit_json(ideal.to_json_dict())
-
-
-def _emit_fset(args, fset: FSet) -> None:
-    if args.format == "pretty":
-        print(f"{_pretty_monomials(fset.elements)} in a box of side {fset.side}")
-    else:
-        _emit_json(fset.to_json_dict())
+        print(result.pretty())
 
 
 def _cmd_check_partition(args) -> None:
@@ -164,63 +187,25 @@ def _cmd_check_ideal(args) -> None:
         _emit_json(report)
 
 
-def _cmd_ideal2partition(args) -> None:
-    from .correspondence import ideal_to_partition
-    from .ideals import MonomialIdeal
-    ideal = MonomialIdeal.from_json_dict(_read_payload(args))
-    _emit_partition(args, ideal_to_partition(ideal, budget=args.budget))
-
-
-def _cmd_partition2ideal(args) -> None:
-    from .correspondence import partition_to_ideal
-    partition = Partition.from_json_dict(_read_payload(args))
-    _emit_ideal(args, partition_to_ideal(partition))
-
-
 def _cmd_bgens(args) -> None:
-    from .ideals import MonomialIdeal
+    from .ideals import MonomialIdeal, monomial_str
     ideal = MonomialIdeal.from_json_dict(_read_payload(args))
     bgens = ideal.bgens()
     if args.format == "pretty":
-        print(_pretty_monomials(bgens))
+        print("{" + ", ".join(monomial_str(m) for m in bgens) + "}")
     else:
         _emit_json({"bgens": [list(m) for m in bgens]})
 
 
-def _cmd_closure(args) -> None:
-    from .ideals import borel_closure
+def _cmd_convert(args) -> None:
+    _, reads, function, _, budget_help = args.conversion
     data = _read_payload(args)
-    if not isinstance(data, dict) or "gens" not in data:
-        raise InputError("closure input JSON needs 'gens'")
-    gens = data["gens"]
-    if not isinstance(gens, list):
-        raise InputError("'gens' must be a list")
-    _emit_ideal(args, borel_closure((tuple(m) for m in gens), budget=args.budget))
-
-
-def _cmd_ss2ts(args) -> None:
-    from .bijection import ss_to_ts_partition
-    partition = Partition.from_json_dict(_read_payload(args))
-    _emit_partition(args, ss_to_ts_partition(partition))
-
-
-def _cmd_ts2ss(args) -> None:
-    from .bijection import ts_to_ss_partition
-    partition = Partition.from_json_dict(_read_payload(args))
-    _emit_partition(args, ts_to_ss_partition(partition))
-
-
-def _cmd_lambda(args) -> None:
-    from .bijection import lambda_map
-    from .ideals import MonomialIdeal
-    ideal = MonomialIdeal.from_json_dict(_read_payload(args))
-    _emit_fset(args, lambda_map(ideal))
-
-
-def _cmd_omega(args) -> None:
-    from .bijection import FSet, omega
-    fset = FSet.from_json_dict(_read_payload(args))
-    _emit_ideal(args, omega(fset))
+    if reads == "gens":
+        (value,) = _json_fields(data, "closure input", gens=list)
+    else:
+        value = _public(reads).from_json_dict(data)
+    budget = {} if budget_help is None else {"budget": args.budget}
+    _emit(args, _public(function)(value, **budget))
 
 
 def _cmd_count(args) -> None:
@@ -306,34 +291,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "partitions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    simple = (
+    reports = (
         ("check-partition", _cmd_check_partition, "validate a partition and report its invariants"),
         ("check-ideal", _cmd_check_ideal, "canonicalize an ideal and report its properties"),
-        ("partition2ideal", _cmd_partition2ideal, "complement ideal of a partition"),
         ("bgens", _cmd_bgens, "minimal Borel generators of a strongly stable ideal"),
-        ("ss2ts", _cmd_ss2ts, "totally symmetric partner of a strongly stable partition"),
-        ("ts2ss", _cmd_ts2ss, "strongly stable partner of a totally symmetric partition"),
-        ("lambda", _cmd_lambda, "prefix-sum image of the Borel generators"),
-        ("omega", _cmd_omega, "ideal generated by the symmetrized antichain"),
     )
-    for name, handler, help_text in simple:
+    for name, handler, help_text in reports:
         p = sub.add_parser(name, help=help_text)
         _add_io_arguments(p)
         p.set_defaults(handler=handler)
 
-    p = sub.add_parser("ideal2partition", help="complement partition of an Artinian ideal")
-    _add_io_arguments(p)
-    p.add_argument("--budget", type=int, default=None,
-                   help="most complement cells to grow; exceeding it exits "
-                        "with code 3")
-    p.set_defaults(handler=_cmd_ideal2partition)
-
-    p = sub.add_parser("closure", help="Borel closure of a monomial set")
-    _add_io_arguments(p)
-    p.add_argument("--budget", type=int, default=None,
-                   help="most monomials the closure may reach; exceeding it "
-                        "exits with code 3")
-    p.set_defaults(handler=_cmd_closure)
+    for row in _CONVERSIONS:
+        name, _, _, help_text, budget_help = row
+        p = sub.add_parser(name, help=help_text)
+        _add_io_arguments(p)
+        if budget_help is not None:
+            p.add_argument("--budget", type=int, default=None, help=budget_help)
+        p.set_defaults(handler=_cmd_convert, conversion=row)
 
     p = sub.add_parser("count", help="cumulative counts by box side")
     _add_box_arguments(p)

@@ -54,7 +54,7 @@ from typing import Callable, Iterator
 
 from .errors import (ArithmeticSelfCheck, NonIntegerProduct, ResourceLimit, _Budget,
                      _checked_budget)
-from .partitions import Cell, Partition
+from .partitions import Cell, Partition, _distinct_permutations
 from .qpoly import QPolynomial
 
 PREDICATES = ("all", "strongly_stable", "totally_symmetric")
@@ -105,25 +105,6 @@ def _orbit_requirements(dim: int, side: int):
                 need.add(index[below])
         requires.append(tuple(sorted(need)))
     return order, requires
-
-
-def _distinct_permutations(rep: Cell) -> Iterator[Cell]:
-    """The distinct rearrangements of a weakly increasing tuple, in
-    lexicographic order by next-permutation steps, so an orbit costs its
-    own size rather than d!."""
-    perm = list(rep)
-    while True:
-        yield tuple(perm)
-        i = len(perm) - 2
-        while i >= 0 and perm[i] >= perm[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(perm) - 1
-        while perm[j] <= perm[i]:
-            j -= 1
-        perm[i], perm[j] = perm[j], perm[i]
-        perm[i + 1:] = reversed(perm[i + 1:])
 
 
 def _orbit_size(rep: Cell) -> int:

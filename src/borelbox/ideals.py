@@ -11,38 +11,23 @@ minimal Borel generators of a strongly stable ideal live here too.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import permutations
 from operator import le
 from typing import Iterable, Iterator
 
 from .errors import (
     DimensionMismatch,
     EmptyInput,
-    InputError,
     InvalidCell,
     InvalidMove,
     NotArtinian,
     NotStronglyStable,
     _Budget,
 )
+from .partitions import _as_vector, _distinct_permutations, _json_fields
 
 Monomial = tuple[int, ...]
 
 VAR_ALIASES = "xyz"
-
-
-def _as_monomial(dim: int, raw) -> Monomial:
-    try:
-        mono = tuple(raw)
-    except TypeError:
-        raise InvalidCell(f"monomial {raw!r} must be a sequence of integers") from None
-    if len(mono) != dim:
-        raise DimensionMismatch(
-            f"monomial {mono} has length {len(mono)}, expected {dim}")
-    for value in mono:
-        if type(value) is not int or value < 0:
-            raise InvalidCell(f"monomial {mono} must contain nonnegative integers")
-    return mono
 
 
 def divides(a: Monomial, b: Monomial) -> bool:
@@ -111,8 +96,9 @@ def _graded_complement(dim: int, gens: Iterable[Monomial],
 
 def symmetrize(monomials: Iterable[Monomial]) -> tuple[Monomial, ...]:
     """Union of the coordinate-permutation orbits of the input, deduplicated
-    and ordered lexicographically."""
-    out = {perm for m in monomials for perm in permutations(tuple(m))}
+    and ordered lexicographically.  Each orbit is expanded from its sorted
+    representative, so it costs its own size rather than d!."""
+    out = {perm for m in monomials for perm in _distinct_permutations(sorted(m))}
     return tuple(sorted(out))
 
 
@@ -173,7 +159,7 @@ class MonomialIdeal:
         if type(dim) is not int or dim < 1:
             raise InvalidCell(f"dimension must be a positive integer, got {dim!r}")
         self.dim = dim
-        self.gens = minimalize(_as_monomial(dim, g) for g in gens)
+        self.gens = minimalize(_as_vector(dim, g, "monomial") for g in gens)
         self._outside = None
 
     @classmethod
@@ -208,7 +194,7 @@ class MonomialIdeal:
         The argument is validated.  An ideal whose complement is known
         answers by a lookup in it; any other scans its generators.
         """
-        return self._has(_as_monomial(self.dim, monomial))
+        return self._has(_as_vector(self.dim, monomial, "monomial"))
 
     __contains__ = contains
 
@@ -324,16 +310,7 @@ class MonomialIdeal:
 
     @classmethod
     def from_json_dict(cls, data) -> "MonomialIdeal":
-        if not isinstance(data, dict):
-            raise InputError("ideal JSON must be an object")
-        try:
-            dim = data["dim"]
-            gens = data["gens"]
-        except (KeyError, TypeError):
-            raise InputError("ideal JSON needs 'dim' and 'gens'") from None
-        if type(dim) is not int or not isinstance(gens, list):
-            raise InputError("'dim' must be an integer and 'gens' a list")
-        return cls(dim, gens)
+        return cls(*_json_fields(data, "ideal", dim=int, gens=list))
 
 
 def borel_closure(monomials: Iterable[Iterable[int]], *,
@@ -351,16 +328,16 @@ def borel_closure(monomials: Iterable[Iterable[int]], *,
     """
     limiter = _Budget(budget)
     limiter.phase = "Borel closure"
-    try:
-        seed = [tuple(m) for m in monomials]
-    except TypeError:
-        raise InvalidCell("monomials must be sequences of integers") from None
-    if not seed:
+    seeds = list(monomials)
+    if not seeds:
         raise EmptyInput("Borel closure needs at least one monomial")
-    dim = len(seed[0])
+    try:
+        dim = len(seeds[0])
+    except TypeError:
+        raise InvalidCell(f"monomial {seeds[0]!r} must be a sequence of integers") from None
     if dim < 1:
         raise InvalidCell(f"dimension must be a positive integer, got {dim!r}")
-    reachable = {_as_monomial(dim, m) for m in seed}
+    reachable = {_as_vector(dim, m, "monomial") for m in seeds}
     limiter.charge(len(reachable))
     stack = list(reachable)
     while stack:

@@ -10,6 +10,10 @@ cell collects, per axis, how far the partition extends beyond the cell in
 that direction; a partition is *strongly stable* when every hook vector is
 weakly increasing.  A partition is *totally symmetric* when its cell set
 is fixed by every permutation of the coordinates.
+
+The input checks every object shares live here too, since every caller
+loads this module: one parser for exponent vectors (cells and monomials)
+and one reader for JSON objects with typed fields.
 """
 
 from __future__ import annotations
@@ -29,18 +33,56 @@ from .errors import (
 Cell = tuple[int, ...]
 
 
-def _as_cell(dim: int, raw) -> Cell:
+def _as_vector(dim: int, raw, noun: str = "cell") -> Cell:
+    """`raw` as a tuple of `dim` nonnegative integers (a cell, or the
+    exponent vector of a monomial: `noun` names it in the error)."""
     try:
-        cell = tuple(raw)
+        vector = tuple(raw)
     except TypeError:
-        raise InvalidCell(f"cell {raw!r} must be a sequence of integers") from None
-    if len(cell) != dim:
+        raise InvalidCell(f"{noun} {raw!r} must be a sequence of integers") from None
+    if len(vector) != dim:
         raise DimensionMismatch(
-            f"cell {cell} has length {len(cell)}, expected {dim}")
-    for value in cell:
+            f"{noun} {vector} has length {len(vector)}, expected {dim}")
+    for value in vector:
         if type(value) is not int or value < 0:
-            raise InvalidCell(f"cell {cell} must contain nonnegative integers")
-    return cell
+            raise InvalidCell(f"{noun} {vector} must contain nonnegative integers")
+    return vector
+
+
+def _json_fields(data, what: str, **kinds: type) -> list:
+    """The values of the named fields of the JSON object `data`, in the
+    order given, each of its kind (`int` or `list`; a boolean is not an
+    integer).  Raises :class:`InputError` naming `what` or the field."""
+    if not isinstance(data, dict):
+        raise InputError(f"{what} JSON must be an object")
+    values = []
+    for key, kind in kinds.items():
+        if key not in data:
+            raise InputError(f"{what} JSON needs {key!r}")
+        value = data[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise InputError(f"{key!r} must be {'an integer' if kind is int else 'a list'}")
+        values.append(value)
+    return values
+
+
+def _distinct_permutations(rep: Cell) -> Iterator[Cell]:
+    """The distinct rearrangements of a weakly increasing tuple, in
+    lexicographic order by next-permutation steps, so an orbit costs its
+    own size rather than d!."""
+    perm = list(rep)
+    while True:
+        yield tuple(perm)
+        i = len(perm) - 2
+        while i >= 0 and perm[i] >= perm[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(perm) - 1
+        while perm[j] <= perm[i]:
+            j -= 1
+        perm[i], perm[j] = perm[j], perm[i]
+        perm[i + 1:] = reversed(perm[i + 1:])
 
 
 class Partition:
@@ -60,7 +102,7 @@ class Partition:
     def __init__(self, dim: int, cells: Iterable[Iterable[int]] = ()):
         if type(dim) is not int or dim < 1:
             raise InvalidCell(f"dimension must be a positive integer, got {dim!r}")
-        canon = tuple(sorted({_as_cell(dim, c) for c in cells}))
+        canon = tuple(sorted({_as_vector(dim, c) for c in cells}))
         members = frozenset(canon)
         for cell in canon:
             for axis, value in enumerate(cell):
@@ -116,7 +158,7 @@ class Partition:
     def hook_vector(self, cell) -> tuple[int, ...]:
         """Arm lengths of `cell`: per axis, the largest h such that the
         cell shifted h steps along that axis is still in the partition."""
-        cell = _as_cell(self.dim, cell)
+        cell = _as_vector(self.dim, cell)
         if cell not in self._members:
             raise CellNotInPartition(f"cell {cell} is not in the partition")
         return self._arms(cell)
@@ -175,13 +217,4 @@ class Partition:
 
     @classmethod
     def from_json_dict(cls, data) -> "Partition":
-        if not isinstance(data, dict):
-            raise InputError("partition JSON must be an object")
-        try:
-            dim = data["dim"]
-            cells = data["cells"]
-        except (KeyError, TypeError):
-            raise InputError("partition JSON needs 'dim' and 'cells'") from None
-        if type(dim) is not int or not isinstance(cells, list):
-            raise InputError("'dim' must be an integer and 'cells' a list")
-        return cls(dim, cells)
+        return cls(*_json_fields(data, "partition", dim=int, cells=list))

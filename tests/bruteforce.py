@@ -112,6 +112,12 @@ def naive_minimalize(monomials):
             if not any(g != m and all(x <= y for x, y in zip(g, m)) for g in mono)}
 
 
+def naive_symmetrize(monomials):
+    """Every rearrangement of every monomial, from the full permutation
+    group of the coordinates."""
+    return {perm for m in monomials for perm in permutations(m)}
+
+
 def naive_borel_closure(monomials):
     """Every monomial reached from the input by Borel moves x_i/x_j with
     any i < j (not only adjacent ones), by saturating a set."""

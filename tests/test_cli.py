@@ -344,22 +344,27 @@ def test_import_does_not_load_thread_pools():
     assert proc.stdout.strip() == "False"
 
 
-def _imported(args, stdin=""):
-    """The modules a fresh `python -X importtime *args` imports."""
+def _loaded(code, stdin=""):
+    """The modules in `sys.modules` after a fresh interpreter runs `code`.
+
+    Read from `sys.modules`, not from an `-X importtime` log: the package
+    loads its public names through `importlib.import_module`, which that
+    log does not show."""
     src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args], input=stdin,
+    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], input=stdin,
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
-    assert proc.returncode == 0, (args, proc.stderr)
-    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-            if line.startswith("import time:")}
+    assert proc.returncode == 0, (code, proc.stderr)
+    return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
 def test_each_subcommand_imports_only_the_modules_it_uses():
     one_cell = json.dumps({"dim": 3, "cells": [[0, 0, 0]]})
 
     def library(argv):
-        loaded = _imported(["-m", "borelbox", *argv], one_cell)
+        loaded = _loaded(f"from borelbox.cli import run\nassert run({argv!r}) == 0",
+                         one_cell)
         return loaded, {m.removeprefix("borelbox.") for m in loaded
                         if m.startswith("borelbox.")}
 
@@ -374,11 +379,13 @@ def test_each_subcommand_imports_only_the_modules_it_uses():
         _, modules = library(argv)
         assert "enumeration" in modules, argv
         assert not modules & {"ideals", "correspondence", "bijection"}, argv
+    # A public name loaded lazily shows up too.
+    assert "borelbox.bijection" in _loaded("import borelbox\nborelbox.ss_to_ts_partition")
     # No submodule pulls in the thread pools or `fractions`.
     package = Path(borelbox.enumeration.__file__).parent
     every = sorted(f"borelbox.{p.stem}" for p in package.glob("*.py")
                    if not p.stem.startswith("__"))
-    loaded = _imported(["-c", "import " + ", ".join(every)])
+    loaded = _loaded("import " + ", ".join(every))
     assert set(every) <= loaded
     assert not loaded & {"concurrent.futures", "fractions"}
 

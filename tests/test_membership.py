@@ -3,12 +3,14 @@ minimalization against the scanning oracles in bruteforce.py, and the
 ideals and partitions the bijection chain builds without validating or
 minimalizing them again against the validating constructors."""
 
+import time
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from borelbox import (
+    FSet,
     InvalidCell,
     MonomialIdeal,
     Partition,
@@ -115,6 +117,23 @@ def test_omega_generators_are_the_minimal_symmetrization(data):
     assert omega(fset).gens == minimalize(symmetrized)
     assert omega(fset) == MonomialIdeal(dim, symmetrized)
     assert set(omega(fset).gens) == bruteforce.naive_minimalize(symmetrized)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda dim: st.lists(st.tuples(*[st.integers(0, 2)] * dim), max_size=5)))
+def test_symmetrize_matches_the_full_permutation_group(monomials):
+    expected = tuple(sorted(bruteforce.naive_symmetrize(monomials)))
+    assert symmetrize(monomials) == expected
+    assert symmetrize(list(m) for m in monomials) == expected
+
+
+def test_symmetrize_costs_the_orbit_not_all_permutations():
+    """One element in d = 12 has 12 rearrangements among 12! permutations."""
+    start = time.perf_counter()
+    ideal = omega(FSet(12, 1, [(0,) * 11 + (1,)]))
+    assert time.perf_counter() - start < 1.0
+    assert ideal.gens == tuple(sorted((0,) * j + (1,) + (0,) * (11 - j) for j in range(12)))
 
 
 def test_closure_of_the_empty_monomial_is_still_refused():
