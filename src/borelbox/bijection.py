@@ -1,21 +1,48 @@
-"""Prefix sums on exponents and the stable-to-symmetric bijection chain.
+"""Prefix sums on exponents and the stable-to-symmetric bijection.
 
-The prefix-sum map sends an exponent vector to its running totals, which
-are weakly increasing by construction; consecutive differences invert it.
-Composing it with Borel generators gives a bijection from Artinian
-strongly stable ideals with top pure power degree n onto antichains of
-weakly increasing vectors in the side-n box, and symmetrizing such an
-antichain gives a bijection onto Artinian symmetric ideals.  Conjugating
-the whole chain through the complement correspondence transports strongly
-stable partitions onto totally symmetric partitions of the same bounding
-side.
+The prefix-sum map ψ sends an exponent vector to its running totals,
+which are weakly increasing by construction; consecutive differences
+invert it.  The paper builds the side-preserving bijection through
+ideals: the complement ideal I of a strongly stable partition P, the
+prefix-sum image of its Borel generators B (`lambda_map`), their
+symmetrization (`omega`), and the complement partition of the symmetric
+ideal J it generates.
+
+That chain has a closed form on cells, and `ss_to_ts_partition` and
+`ts_to_ss_partition` compute it directly:
+
+* ss_to_ts(P) is the union, over the cells p of P, of the distinct
+  coordinate permutations of ψ(p);
+* ts_to_ss(T) is ψ⁻¹ of the weakly increasing cells of T.
+
+Proof.  A monomial m lies in the strongly stable ideal I exactly when
+ψ(m) ≥ ψ(b) coordinatewise for some b in B (Francisco, Mermin and
+Schweig, "Borel generators", J. Algebra 332, 2011).  J is generated by
+the rearrangements of the weakly increasing ψ(b), and a vector c lies
+above some rearrangement of a weakly increasing v exactly when sorted(c)
+≥ v (sorting keeps a coordinatewise inequality).  So c is in J exactly
+when ψ⁻¹(sorted(c)) is in I: the cells outside J are the rearrangements
+of ψ(p), p in P.  ψ is injective, so distinct cells give disjoint orbits,
+and the cell count of P is the orbit count of its image; that is why
+`cell_gf_ss == orbit_gf_ts`.  The inverse reads each orbit's weakly
+increasing member back through ψ⁻¹.
+
+The forward map costs the size of its output, the inverse the size of
+its input.  The chain functions
+(`lambda_map`, `omega` and their inverses, with the complement maps in
+`correspondence`) stay public as the paper's objects, and the tests
+check the direct map against their composition, the way the two
+Borel-generator algorithms check each other.  They load `ideals` and
+`correspondence` when they run; the direct map needs neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import le, sub
+from typing import TYPE_CHECKING
 
-from .correspondence import ideal_to_partition, partition_to_ideal
 from .errors import (
     EmptyInput,
     InputError,
@@ -25,24 +52,35 @@ from .errors import (
     NotSymmetric,
     NotTotallySymmetric,
     NotWeaklyIncreasing,
+    _Budget,
 )
-from .ideals import (Monomial, MonomialIdeal, borel_closure, minimalize, monomial_str,
-                     symmetrize)
-from .partitions import Partition, _as_vector, _json_fields
+from .partitions import (Partition, _as_vector, _distinct_permutations, _json_fields,
+                         _orbit_size)
+
+if TYPE_CHECKING:
+    from .ideals import Monomial, MonomialIdeal
+
+
+def __getattr__(name):
+    # The benchmark's tracer tests read the complement maps as attributes
+    # of this module; they load `correspondence` on first use only.
+    if name in ("ideal_to_partition", "partition_to_ideal"):
+        from . import correspondence
+        return getattr(correspondence, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def psi(monomial) -> Monomial:
     """Prefix sums of the exponent vector; the image is weakly increasing."""
-    total = 0
-    out = []
-    for value in monomial:
-        total += value
-        out.append(total)
-    return tuple(out)
+    return tuple(accumulate(monomial))
 
 
 def _is_weakly_increasing(mono: Monomial) -> bool:
-    return all(mono[i] <= mono[i + 1] for i in range(len(mono) - 1))
+    return all(map(le, mono, mono[1:]))
+
+
+def _differences(mono: Monomial) -> Monomial:
+    return tuple(map(sub, mono, (0,) + mono[:-1]))
 
 
 def psi_inv(monomial) -> Monomial:
@@ -51,7 +89,7 @@ def psi_inv(monomial) -> Monomial:
     mono = tuple(monomial)
     if not _is_weakly_increasing(mono):
         raise NotWeaklyIncreasing(f"{mono} is not weakly increasing")
-    return tuple(b - a for a, b in zip((0,) + mono, mono))
+    return _differences(mono)
 
 
 @dataclass(frozen=True)
@@ -68,6 +106,7 @@ class FSet:
     elements: tuple[Monomial, ...]
 
     def __post_init__(self):
+        from .ideals import minimalize
         if type(self.dim) is not int or self.dim < 1:
             raise InvalidFSet(f"dimension must be a positive integer, got {self.dim!r}")
         if type(self.side) is not int or self.side < 0:
@@ -101,6 +140,7 @@ class FSet:
         return cls(dim, side, tuple(elements))
 
     def pretty(self) -> str:
+        from .ideals import monomial_str
         monomials = ", ".join(monomial_str(m) for m in self.elements)
         return f"{{{monomials}}} in a box of side {self.side}"
 
@@ -110,6 +150,7 @@ def bgens_via_psi(ideal: MonomialIdeal) -> tuple[Monomial, ...]:
     map to every minimal generator, minimalize under divisibility, pull
     back through consecutive differences.  Agrees with
     :meth:`MonomialIdeal.bgens`."""
+    from .ideals import minimalize
     if not ideal.is_strongly_stable():
         raise NotStronglyStable(
             "Borel generators are only defined for strongly stable ideals")
@@ -139,6 +180,7 @@ def lambda_map(ideal: MonomialIdeal) -> FSet:
 def lambda_inv(fset: FSet) -> MonomialIdeal:
     """Borel closure of the difference preimages; inverse of
     :func:`lambda_map`."""
+    from .ideals import borel_closure
     return borel_closure(psi_inv(m) for m in fset.elements)
 
 
@@ -152,6 +194,7 @@ def omega(fset: FSet) -> MonomialIdeal:
     below one of g puts f below g, and the antichain forces f = g and
     then equality.  So the ideal is built without minimalizing again.
     """
+    from .ideals import MonomialIdeal, symmetrize
     return MonomialIdeal._trusted(fset.dim, symmetrize(fset.elements))
 
 
@@ -165,28 +208,46 @@ def omega_inv(ideal: MonomialIdeal) -> FSet:
     return FSet(ideal.dim, n, elems)
 
 
-def ss_to_ts_partition(partition: Partition) -> Partition:
-    """Totally symmetric partner of a strongly stable partition.
+def ss_to_ts_partition(partition: Partition, *, budget: int | None = None) -> Partition:
+    """Totally symmetric partner of a strongly stable partition: the
+    distinct rearrangements of ψ(p) over its cells p (see the module
+    docstring for why this is the ideal chain).
 
-    Implemented through the ideal chain: complement ideal, prefix-sum
-    image of its Borel generators, symmetrize, complement back.  The
-    bounding side is preserved and the map is inverse to
-    :func:`ts_to_ss_partition`.
+    The image is a partition of the same bounding side n.  Moving every
+    unit of a cell p to the last axis stays in P, so (0, ..., 0, |p|) is
+    a cell and the degree |p| is below n; ψ(p) has largest entry |p|, so
+    the image fits the side-n box, and the cell (0, ..., 0, n-1) of P
+    fills it.  `budget`
+    bounds the output cells; one more raises :class:`ResourceLimit`
+    before the orbit that would exceed it is built.
     """
     if len(partition) == 0:
         raise EmptyInput("the empty partition has no box side to preserve")
     if not partition.is_strongly_stable():
         raise NotStronglyStable("the partition is not strongly stable")
-    ideal = partition_to_ideal(partition)
-    return ideal_to_partition(omega(lambda_map(ideal)))
+    limiter = _Budget(budget)
+    limiter.phase = "bijection"
+    cells = []
+    for cell in partition.cells:
+        rep = psi(cell)
+        if budget is not None:
+            limiter.charge(_orbit_size(rep))
+        cells.extend(_distinct_permutations(rep))
+    cells.sort()
+    return Partition._trusted(partition.dim, tuple(cells))
 
 
-def ts_to_ss_partition(partition: Partition) -> Partition:
-    """Strongly stable partner of a totally symmetric partition; inverse
-    of :func:`ss_to_ts_partition`."""
+def ts_to_ss_partition(partition: Partition, *, budget: int | None = None) -> Partition:
+    """Strongly stable partner of a totally symmetric partition, ψ⁻¹ of
+    its weakly increasing cells; inverse of :func:`ss_to_ts_partition`.
+    `budget` bounds the output cells, one per orbit of the input; one
+    more raises :class:`ResourceLimit`."""
     if len(partition) == 0:
         raise EmptyInput("the empty partition has no box side to preserve")
     if not partition.is_totally_symmetric():
         raise NotTotallySymmetric("the partition is not totally symmetric")
-    ideal = partition_to_ideal(partition)
-    return ideal_to_partition(lambda_inv(omega_inv(ideal)))
+    limiter = _Budget(budget)
+    limiter.phase = "bijection"
+    reps = [cell for cell in partition.cells if _is_weakly_increasing(cell)]
+    limiter.charge(len(reps))
+    return Partition._trusted(partition.dim, tuple(sorted(map(_differences, reps))))

@@ -43,9 +43,11 @@ _CONVERSIONS = (
     ("partition2ideal", "Partition", "partition_to_ideal",
      "complement ideal of a partition", None),
     ("ss2ts", "Partition", "ss_to_ts_partition",
-     "totally symmetric partner of a strongly stable partition", None),
+     "totally symmetric partner of a strongly stable partition",
+     "most cells the image may have; exceeding it exits with code 3"),
     ("ts2ss", "Partition", "ts_to_ss_partition",
-     "strongly stable partner of a totally symmetric partition", None),
+     "strongly stable partner of a totally symmetric partition",
+     "most cells the image may have; exceeding it exits with code 3"),
     ("lambda", "MonomialIdeal", "lambda_map",
      "prefix-sum image of the Borel generators", None),
     ("omega", "FSet", "omega", "ideal generated by the symmetrized antichain", None),

@@ -54,7 +54,7 @@ from typing import Callable, Iterator
 
 from .errors import (ArithmeticSelfCheck, NonIntegerProduct, ResourceLimit, _Budget,
                      _checked_budget)
-from .partitions import Cell, Partition, _distinct_permutations
+from .partitions import Cell, Partition, _distinct_permutations, _orbit_size
 from .qpoly import QPolynomial
 
 PREDICATES = ("all", "strongly_stable", "totally_symmetric")
@@ -105,17 +105,6 @@ def _orbit_requirements(dim: int, side: int):
                 need.add(index[below])
         requires.append(tuple(sorted(need)))
     return order, requires
-
-
-def _orbit_size(rep: Cell) -> int:
-    """Number of distinct rearrangements of a weakly increasing tuple: the
-    multinomial d! / prod(m!) over the multiplicities m of its values,
-    built one position at a time (each prefix's count is an integer)."""
-    size = run = 1
-    for k in range(1, len(rep)):
-        run = run + 1 if rep[k] == rep[k - 1] else 1
-        size = size * (k + 1) // run
-    return size
 
 
 def _walk(requires, tick: Callable[[], None]) -> Iterator[tuple[int, ...]]:

@@ -85,6 +85,17 @@ def _distinct_permutations(rep: Cell) -> Iterator[Cell]:
         perm[i + 1:] = reversed(perm[i + 1:])
 
 
+def _orbit_size(rep: Cell) -> int:
+    """Number of distinct rearrangements of a weakly increasing tuple: the
+    multinomial d! / prod(m!) over the multiplicities m of its values,
+    built one position at a time (each prefix's count is an integer)."""
+    size = run = 1
+    for k in range(1, len(rep)):
+        run = run + 1 if rep[k] == rep[k - 1] else 1
+        size = size * (k + 1) // run
+    return size
+
+
 class Partition:
     """Canonical immutable partition.
 

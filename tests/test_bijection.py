@@ -28,6 +28,7 @@ from borelbox import (
     symmetrize,
     ts_to_ss_partition,
 )
+from borelbox.partitions import _distinct_permutations
 
 from cases import (
     SS_IDEAL_2D_BGENS,
@@ -230,3 +231,40 @@ def test_cells_become_orbits():
     for dim, top in ((1, 4), (2, 4), (3, 4)):
         for p, _ in stable_classes(dim, top):
             assert ss_to_ts_partition(p).orbit_count() == len(p)
+
+
+# The direct cell map against the paper's chain of ideals.
+
+def chain_disagreements(dim, side, forward=ss_to_ts_partition, backward=ts_to_ss_partition):
+    """The nonempty strongly stable partitions of the box on which
+    `forward` differs from the chain, then the totally symmetric ones on
+    which `backward` does."""
+    return ([p for p, ideal in stable_classes(dim, side)
+             if forward(p) != ideal_to_partition(omega(lambda_map(ideal)))]
+            + [t for t, ideal in symmetric_classes(dim, side)
+               if backward(t) != ideal_to_partition(lambda_inv(omega_inv(ideal)))])
+
+
+@pytest.mark.parametrize("dim, side", [(1, 6), (2, 10), (3, 5), (4, 4), (5, 3)])
+def test_direct_map_is_the_ideal_chain(dim, side):
+    assert chain_disagreements(dim, side) == []
+
+
+def _expand(p, orbit):
+    cells = sorted(cell for c in p.cells for cell in orbit(c))
+    return Partition._trusted(p.dim, tuple(cells))
+
+
+def test_the_chain_oracle_catches_a_wrong_map():
+    def drops_one_member(p):
+        return _expand(p, lambda c: list(_distinct_permutations(psi(c)))[1:] or [psi(c)])
+
+    def skips_psi(p):
+        return _expand(p, lambda c: _distinct_permutations(tuple(sorted(c))))
+
+    def skips_psi_inv(t):
+        return Partition._trusted(t.dim, tuple(c for c in t.cells if c == tuple(sorted(c))))
+
+    for forward in (drops_one_member, skips_psi):
+        assert chain_disagreements(3, 3, forward=forward)
+    assert chain_disagreements(3, 3, backward=skips_psi_inv)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -372,8 +373,10 @@ def test_each_subcommand_imports_only_the_modules_it_uses():
         loaded, modules = library(argv)
         assert modules == {"cli", "errors", "partitions"}, argv
         assert "dataclasses" not in loaded, argv
-    _, modules = library(["ss2ts"])
-    assert "bijection" in modules and not modules & {"enumeration", "qpoly"}
+    # The bijection is a direct map on cells: no ideals, no complements.
+    for argv in (["ss2ts"], ["ts2ss"]):
+        _, modules = library(argv)
+        assert modules == {"cli", "errors", "partitions", "bijection"}, argv
     for argv in (["count", "--d", "2", "--n", "2"], ["gf", "--d", "2", "--n", "2"],
                  ["hawkes", "--d", "3", "--n", "2"]):
         _, modules = library(argv)
@@ -406,6 +409,25 @@ def test_back_to_back_runs_share_no_parser_state(monkeypatch, capsys):
                             None, monkeypatch, capsys)
     assert code == 0 and err == ""
     assert json.loads(out) == {"d": 2, "n": 2, "T": [1, 2, 4]}
+
+
+def test_conversion_budget_exit_code(monkeypatch, capsys):
+    """`ss2ts` and `ts2ss` charge one budget step per output cell."""
+    # {0, e_1, ..., e_12} in d = 12 maps to 2^12 cells: ψ(e_i) has 13 - i ones.
+    star = Partition(12, [(0,) * 12] + [(0,) * i + (1,) + (0,) * (11 - i)
+                                        for i in range(12)])
+    image = {"dim": 12, "cells": [list(c) for c in product((0, 1), repeat=12)]}
+    for argv, payload, expected in ((["ss2ts"], star.to_json_dict(), image),
+                                    (["ts2ss"], image, star.to_json_dict())):
+        cells = len(expected["cells"])
+        code, out, err = invoke(argv + ["--budget", str(cells)], payload,
+                                monkeypatch, capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out) == expected
+        code, out, err = invoke(argv + ["--budget", str(cells - 1)], payload,
+                                monkeypatch, capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1 and "budget" in err
 
 
 def test_closure_budget_exit_code(monkeypatch, capsys):
