@@ -14,9 +14,21 @@ constrained streams small:
 * totally symmetric partitions are walked by orbit representative (cells
   with sorted coordinates), adding a whole orbit at a time.
 
-Completed candidates are still re-validated with the definitional hook
-and symmetry predicates before being yielded; since the pruning
-guarantees that every candidate passes, one that fails raises.
+Completed candidates are still re-validated against the definitions
+before being yielded; since the pruning guarantees that every candidate
+passes, one that fails raises.  Totally symmetric candidates go through
+:meth:`Partition.is_totally_symmetric`.  Strongly stable ones are checked
+on the bitmask of their cells, cell c being bit number
+sum(c_j side^(d-1-j)) (see :func:`_hooks_increase`): the cells whose arm
+along axis j is at least k are the set shifted k steps back along j, so
+the hooks increase exactly when, for every k, each axis's shifted set
+lies inside the next axis's.  That is O(d * side) operations on a
+side^d-bit int per candidate, not a dictionary step per cell and axis.
+It reads the hook definition, not the walk's move-closure rule, so the
+re-validation stays independent of the pruning.
+:meth:`Partition.is_strongly_stable` stays cell-level and is the tests'
+reference: its input has no box, and a 41-cell partition in d = 40
+would need a 2^40-bit mask.
 
 Strongly stable and totally symmetric counts and generating functions
 do not list the partitions (only the cumulative counts of all partitions
@@ -149,7 +161,60 @@ def _rejected(part: Partition, predicate: str) -> ArithmeticSelfCheck:
         f"{predicate.replace('_', ' ')}")
 
 
+def _layout(dim: int, side: int, cells) -> tuple[list[int], list[int]]:
+    """The bit layout of box cells that the stable listing and transfer
+    share: cell c is bit number sum(c_j side^(d-1-j)), its base-side
+    digits with c_1 most significant, which is also its rank in
+    lexicographic order.  Returns each axis's step side^(d-1-j) and the
+    bit numbers of `cells`."""
+    steps = [side ** j for j in reversed(range(dim))]
+    return steps, [sum(map(mul, cell, steps)) for cell in cells]
+
+
+def _inboxes(side: int, steps: list[int]) -> list[int]:
+    """Per axis j, the mask of the box cells with c_j < side - 1.  From
+    those cells a shift by steps[j] is one step along axis j; from the
+    others it would carry into the next digit."""
+    # Most significant bit first: each of the side^j blocks of digit j is
+    # `step` zeros (c_j = side - 1) above step * (side - 1) ones.
+    return [int(("0" * step + "1" * (step * (side - 1))) * side ** j or "0", 2)
+            for j, step in enumerate(steps)]
+
+
+def _hooks_increase(mask: int, steps: list[int], inboxes: list[int]) -> bool:
+    """Whether every hook vector of the cell set `mask` (in the layout of
+    :func:`_layout`) is weakly increasing, in O(d * side) operations on
+    side^d-bit ints.
+
+    R_k(j), the cells c with c, c + e_j, ..., c + k e_j all in the set, are
+    the cells with arm_j(c) >= k.  R_0(j) is the set, and R_k(j) is
+    R_(k-1)(j) shifted down one step along j, kept where c_j < side - 1
+    (no carry) and c is in the set.  Hooks increase exactly when
+    R_k(j) <= R_k(j+1) for every k >= 1 and j < d - 1.  Arms are below
+    side, so the rounds stop, after at most side - 1, once every R_k(j)
+    with j < d - 1 is empty (R_k(d-1) is only ever the larger side)."""
+    if len(steps) < 2:  # no pair of axes to compare
+        return True
+    inside = [mask & inbox for inbox in inboxes]
+    runs = [mask] * len(steps)
+    axes = range(1, len(steps))
+    longer = mask
+    while longer:
+        longer = 0
+        runs[0] = low = (runs[0] >> steps[0]) & inside[0]
+        for j in axes:
+            run = runs[j] = (runs[j] >> steps[j]) & inside[j]
+            if low & ~run:
+                return False
+            longer = longer or low
+            low = run
+    return True
+
+
 def _mode(dim: int, side: int, predicate: str):
+    """The walk's table for the predicate, (order, requires), and the
+    `finalize` that turns a walked index set into its re-validated
+    Partition."""
     if predicate == "totally_symmetric":
         order, requires = _orbit_requirements(dim, side)
         # Orbits are expanded on first use.  The walk yields each state
@@ -168,10 +233,17 @@ def _mode(dim: int, side: int, predicate: str):
     else:
         stable = predicate == "strongly_stable"
         order, requires = _cell_requirements(dim, side, stable)
+        steps, numbers = _layout(dim, side, order)
+        lex = sorted(order)  # lex[k] is the cell with bit number k
+        inboxes = _inboxes(side, steps) if stable else []
 
         def finalize(idxs: tuple[int, ...]) -> Partition:
-            part = Partition._trusted(dim, tuple(sorted(order[i] for i in idxs)))
-            if stable and not part.is_strongly_stable():
+            ranks = sorted(map(numbers.__getitem__, idxs))
+            part = Partition._trusted(dim, tuple(map(lex.__getitem__, ranks)))
+            # Bits are made per candidate: a table of them would hold
+            # side^d ints of up to side^d bits.
+            if stable and not _hooks_increase(sum(map((1).__lshift__, ranks)),
+                                              steps, inboxes):
                 raise _rejected(part, predicate)
             return part
     return order, requires, finalize
@@ -195,8 +267,10 @@ def enumerate_partitions(dim: int, side: int, predicate: str = "all", *,
     `budget` caps the number of search nodes and of requirement table
     entries; exceeding it raises :class:`ResourceLimit`, before the table
     is built when the table is the larger.  Every candidate is
-    re-validated against the predicate's definition; one that fails raises
-    :class:`ArithmeticSelfCheck`, since the pruned walk cannot produce it.
+    re-validated against the predicate's definition, a strongly stable one
+    on the bitmask of its cells by :func:`_hooks_increase`; one that fails
+    raises :class:`ArithmeticSelfCheck`, since the pruned walk cannot
+    produce it.
     """
     _check_box_args(dim, side, predicate)
     limiter = _Budget(budget)
@@ -250,8 +324,9 @@ def _stable_transfer(dim: int, side: int, weight: Callable[[int], object], *,
 
     The states are the (d-1)-dimensional strongly stable partitions of
     side at most `side`, listed by one run of the stable walk and
-    re-validated there.  A cell y is bit number sum(y_j side^(d-2-j)),
-    its base-side digits with y_1 most significant, so
+    re-validated there on their bitmasks.  A cell y is bit number
+    sum(y_j side^(d-2-j)), its base-side digits with y_1 most significant
+    (the layout of :func:`_layout`, which that re-validation shares), so
     g(mask) = mask & (mask >> side^(d-2)).  States are sorted by the
     smallest m with S inside T_m, so the states inside T_m come first.
     Summing F_a over the states inside each state is one pass per cell
@@ -267,15 +342,15 @@ def _stable_transfer(dim: int, side: int, weight: Callable[[int], object], *,
     limiter = _Budget(budget)
     limiter.refuse_table(dim - 1, side, "strongly_stable")
     order, requires, finalize = _mode(dim - 1, side, "strongly_stable")
-    digits = [side ** j for j in reversed(range(dim - 1))]
-    bit = [1 << sum(map(mul, cell, digits)) for cell in order]
-    shift = digits[0] if digits else 0
+    steps, numbers = _layout(dim - 1, side, order)
+    bit = [1 << k for k in numbers]
+    shift = steps[0] if steps else 0
     rank = [sum(cell) + 1 for cell in order]
     found = []
     for idxs in _walk(requires, limiter.tick):
         finalize(idxs)
-        found.append((max((rank[i] for i in idxs), default=0),
-                      sum(bit[i] for i in idxs), idxs))
+        found.append((max(map(rank.__getitem__, idxs), default=0),
+                      sum(map(bit.__getitem__, idxs)), idxs))
     found.sort()
     masks = [mask for _, mask, _ in found]
     index = {mask: s for s, mask in enumerate(masks)}
@@ -291,7 +366,7 @@ def _stable_transfer(dim: int, side: int, weight: Callable[[int], object], *,
             t = index.get(mask ^ bit[i])
             if t is not None:
                 removals[i].append((s, t))
-    passes = [removals[i] for i in sorted(range(len(order)), key=order.__getitem__)]
+    passes = [removals[i] for i in sorted(range(len(order)), key=numbers.__getitem__)]
 
     limiter.phase = "transfer"
     sums = [weight(0)] * len(masks)  # Z_side: the empty chain

@@ -108,7 +108,7 @@ class Partition:
     :class:`ClosureViolation` naming the offending cell and axis.
     """
 
-    __slots__ = ("dim", "cells", "_members")
+    __slots__ = ("dim", "cells", "_member_set")
 
     def __init__(self, dim: int, cells: Iterable[Iterable[int]] = ()):
         if type(dim) is not int or dim < 1:
@@ -123,7 +123,7 @@ class Partition:
                         raise ClosureViolation(cell, axis + 1)
         self.dim = dim
         self.cells = canon
-        self._members = members
+        self._member_set = members
 
     @classmethod
     def _trusted(cls, dim: int, sorted_cells: tuple[Cell, ...],
@@ -133,8 +133,16 @@ class Partition:
         part = object.__new__(cls)
         part.dim = dim
         part.cells = sorted_cells
-        part._members = frozenset(sorted_cells) if members is None else members
+        part._member_set = members
         return part
+
+    @property
+    def _members(self) -> frozenset[Cell]:
+        # The frozenset of the cells, built on first use: a listing yields
+        # many partitions whose membership nobody asks.
+        if self._member_set is None:
+            self._member_set = frozenset(self.cells)
+        return self._member_set
 
     def __contains__(self, cell) -> bool:
         return tuple(cell) in self._members
@@ -176,10 +184,11 @@ class Partition:
 
     def _arms(self, cell: Cell) -> tuple[int, ...]:
         # Trusted path: `cell` is one of this partition's own cells.
+        members = self._members
         arms = []
         for axis in range(self.dim):
             h = 1
-            while cell[:axis] + (cell[axis] + h,) + cell[axis + 1:] in self._members:
+            while cell[:axis] + (cell[axis] + h,) + cell[axis + 1:] in members:
                 h += 1
             arms.append(h - 1)
         return tuple(arms)
@@ -191,6 +200,11 @@ class Partition:
         cell), over the cells in reverse lexicographic order, which meets
         c + e_j first.  Keys read cells as digits in a base above every
         coordinate, so c + e_j is one addition away.
+
+        The enumerators re-validate strongly stable candidates on a
+        bitmask of the box instead (``enumeration._hooks_increase``).  This check stays
+        cell-level because a partition has no box: 41 cells in d = 40
+        would need a 2^40-bit mask.
         """
         base = max(chain.from_iterable(self.cells), default=0) + 2
         steps = [base ** j for j in reversed(range(self.dim))]
@@ -212,9 +226,10 @@ class Partition:
         symmetric group, and a set closed under generators is closed under
         the group.
         """
+        members = self._members
         for j in range(self.dim - 1):
             swap = itemgetter(*range(j), j + 1, j, *range(j + 2, self.dim))
-            if not self._members.issuperset(map(swap, self.cells)):
+            if not members.issuperset(map(swap, self.cells)):
                 return False
         return True
 

@@ -233,12 +233,23 @@ def test_hawkes_identity():
         hawkes_check(2, 1)
 
 
+def list_ss(dim, side):
+    return list(enumerate_partitions(dim, side, "strongly_stable"))
+
+
 @pytest.mark.parametrize("predicate, counter", [
     ("is_strongly_stable", count_ss),
+    ("is_strongly_stable", list_ss),
     ("is_totally_symmetric", count_ts),
 ])
 def test_failed_revalidation_raises(monkeypatch, predicate, counter):
-    monkeypatch.setattr(Partition, predicate, lambda self: False)
+    # Stable candidates are re-validated on their bitmask by
+    # `_hooks_increase`, symmetric ones by the Partition predicate.
+    if predicate == "is_strongly_stable":
+        monkeypatch.setattr(borelbox.enumeration, "_hooks_increase",
+                            lambda mask, steps, inboxes: False)
+    else:
+        monkeypatch.setattr(Partition, predicate, lambda self: False)
     with pytest.raises(ArithmeticSelfCheck, match="enumerated candidate"):
         counter(2, 2)
 

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +10,7 @@ from borelbox import (
     InvalidCell,
     Partition,
     enumerate_partitions,
+    partition_to_ideal,
 )
 
 import bruteforce
@@ -135,6 +138,32 @@ def test_predicates_match_naive_oracles_on_power_set(dim, side):
 def test_orbit_count_at_most_cell_count():
     for p in enumerate_partitions(3, 2, "all"):
         assert p.orbit_count() <= len(p)
+
+
+@pytest.mark.parametrize("predicate", ["all", "totally_symmetric"])
+def test_trusted_partitions_build_their_member_sets_on_demand(predicate):
+    # Cells and non-cells, some outside the box.
+    probes = list(product(range(4), repeat=3))
+
+    def fresh(cells):
+        part = Partition._trusted(3, cells)
+        assert part._member_set is None
+        return part
+
+    for listed in enumerate_partitions(3, 3, predicate):
+        cells = listed.cells
+        checked = Partition(3, cells)
+        assert [c in fresh(cells) for c in probes] == [c in checked for c in probes]
+        assert ([fresh(cells).hook_vector(c) for c in cells]
+                == [checked.hook_vector(c) for c in cells])
+        assert fresh(cells).is_totally_symmetric() == checked.is_totally_symmetric()
+        assert partition_to_ideal(fresh(cells)) == partition_to_ideal(checked)
+        assert fresh(cells).is_strongly_stable() == checked.is_strongly_stable()
+        assert fresh(cells).orbit_count() == checked.orbit_count()
+        assert listed == checked and hash(listed) == hash(checked)
+        assert [c in listed for c in probes] == [c in checked for c in probes]
+    members = frozenset(checked.cells)
+    assert Partition._trusted(3, checked.cells, members)._members is members
 
 
 cell_lists_2d = st.lists(
