@@ -17,14 +17,24 @@ constrained streams small:
 Completed candidates are still re-validated against the definitions
 before being yielded; since the pruning guarantees that every candidate
 passes, one that fails raises.  Totally symmetric candidates go through
-:meth:`Partition.is_totally_symmetric`.  Strongly stable ones are checked
-on the bitmask of their cells, cell c being bit number
-sum(c_j side^(d-1-j)) (see :func:`_hooks_increase`): the cells whose arm
-along axis j is at least k are the set shifted k steps back along j, so
-the hooks increase exactly when, for every k, each axis's shifted set
-lies inside the next axis's.  That is O(d * side) operations on a
-side^d-bit int per candidate, not a dictionary step per cell and axis.
-It reads the hook definition, not the walk's move-closure rule, so the
+:meth:`Partition.is_totally_symmetric`.  Every other candidate is a set
+of box cells, checked on its bitmask, cell c being bit number
+sum(c_j side^(d-1-j)), which is also its lexicographic rank (see
+:func:`_layout`).  A walk node is its parent plus one cell, and the walk
+yields it right after its parent's earlier subtrees, so the listing
+keeps, per depth, the last node's lexicographically sorted cells and
+mask: a child inserts its cell into its parent's cells (found by
+bisection) and sets one bit of its parent's mask, and nothing is sorted
+or rebuilt per node.  Every such candidate is checked for downward
+closure (see :func:`_down_closed`): its cells' predecessors along axis
+j, the set shifted one step back along j without carries, must lie
+inside it.  A strongly stable one is also checked for increasing hooks
+(see :func:`_hooks_increase`): the cells whose arm along axis j is at
+least k are the set shifted k steps back along j, so the hooks increase
+exactly when, for every k, each axis's shifted set lies inside the next
+axis's.  Together that is O(d * side) operations on a side^d-bit int
+per candidate, not a dictionary step per cell and axis.  Both read the
+definitions, not the walk's predecessor and move rules, so the
 re-validation stays independent of the pruning.
 :meth:`Partition.is_strongly_stable` stays cell-level and is the tests'
 reference: its input has no box, and a 41-cell partition in d = 40
@@ -155,10 +165,9 @@ def _walk(requires, tick: Callable[[], None]) -> Iterator[tuple[int, ...]]:
         stack.append(sorted(frontier + unlocked, reverse=True))
 
 
-def _rejected(part: Partition, predicate: str) -> ArithmeticSelfCheck:
+def _rejected(part: Partition, failed: str) -> ArithmeticSelfCheck:
     return ArithmeticSelfCheck(
-        f"enumerated candidate {[list(c) for c in part.cells]} is not "
-        f"{predicate.replace('_', ' ')}")
+        f"enumerated candidate {[list(c) for c in part.cells]} is not {failed}")
 
 
 def _layout(dim: int, side: int, cells) -> tuple[list[int], list[int]]:
@@ -179,6 +188,17 @@ def _inboxes(side: int, steps: list[int]) -> list[int]:
     # `step` zeros (c_j = side - 1) above step * (side - 1) ones.
     return [int(("0" * step + "1" * (step * (side - 1))) * side ** j or "0", 2)
             for j, step in enumerate(steps)]
+
+
+def _down_closed(mask: int, steps: list[int], inboxes: list[int]) -> bool:
+    """Whether the cell set `mask` (in the layout of :func:`_layout`) holds
+    c whenever it holds c + e_j, in O(d) operations on side^d-bit ints:
+    shifted one step back along j and kept where c_j < side - 1, the set
+    is its cells' predecessors along j, which must lie inside it."""
+    for step, inbox in zip(steps, inboxes):
+        if (mask >> step) & inbox & ~mask:
+            return False
+    return True
 
 
 def _hooks_increase(mask: int, steps: list[int], inboxes: list[int]) -> bool:
@@ -228,24 +248,39 @@ def _mode(dim: int, side: int, predicate: str):
             cells = [cell for i in idxs for cell in orbits[i]]
             part = Partition._trusted(dim, tuple(sorted(cells)))
             if not part.is_totally_symmetric():
-                raise _rejected(part, predicate)
+                raise _rejected(part, "totally symmetric")
             return part
     else:
         stable = predicate == "strongly_stable"
         order, requires = _cell_requirements(dim, side, stable)
         steps, numbers = _layout(dim, side, order)
-        lex = sorted(order)  # lex[k] is the cell with bit number k
-        inboxes = _inboxes(side, steps) if stable else []
+        inboxes = _inboxes(side, steps)
+        # Per depth, the lex-sorted cells and the mask of the last node
+        # walked there.  The walk yields each node right after its parent's
+        # earlier subtrees, so depth len(idxs) - 1 holds its parent, and a
+        # node is its parent plus the cell of its last index.
+        sorted_cells: list[tuple[Cell, ...]] = [()] * (len(order) + 1)
+        masks = [0] * (len(order) + 1)
 
         def finalize(idxs: tuple[int, ...]) -> Partition:
-            ranks = sorted(map(numbers.__getitem__, idxs))
-            part = Partition._trusted(dim, tuple(map(lex.__getitem__, ranks)))
-            # Bits are made per candidate: a table of them would hold
-            # side^d ints of up to side^d bits.
-            if stable and not _hooks_increase(sum(map((1).__lshift__, ranks)),
-                                              steps, inboxes):
-                raise _rejected(part, predicate)
+            depth = len(idxs)
+            if depth:
+                i = idxs[-1]
+                parent, cell = sorted_cells[depth - 1], order[i]
+                k = bisect_left(parent, cell)
+                sorted_cells[depth] = cells = parent[:k] + (cell,) + parent[k:]
+                masks[depth] = mask = masks[depth - 1] | 1 << numbers[i]
+            else:
+                cells, mask = (), 0
+            part = Partition._trusted(dim, cells)
+            if not _down_closed(mask, steps, inboxes):
+                raise _rejected(part, "downward closed")
+            if stable and not _hooks_increase(mask, steps, inboxes):
+                raise _rejected(part, "strongly stable")
             return part
+        # The stable transfer keys its states by these masks.  (A wrapper
+        # made by functools.wraps shares this list through its __dict__.)
+        finalize.masks = masks
     return order, requires, finalize
 
 
@@ -267,10 +302,12 @@ def enumerate_partitions(dim: int, side: int, predicate: str = "all", *,
     `budget` caps the number of search nodes and of requirement table
     entries; exceeding it raises :class:`ResourceLimit`, before the table
     is built when the table is the larger.  Every candidate is
-    re-validated against the predicate's definition, a strongly stable one
-    on the bitmask of its cells by :func:`_hooks_increase`; one that fails
-    raises :class:`ArithmeticSelfCheck`, since the pruned walk cannot
-    produce it.
+    re-validated against the predicate's definition: a totally symmetric
+    one by :meth:`Partition.is_totally_symmetric`, any other on the bitmask
+    of its cells for downward closure by :func:`_down_closed`, and a
+    strongly stable one for increasing hooks by :func:`_hooks_increase`.
+    One that fails raises :class:`ArithmeticSelfCheck`, since the pruned
+    walk cannot produce it.
     """
     _check_box_args(dim, side, predicate)
     limiter = _Budget(budget)
@@ -324,9 +361,10 @@ def _stable_transfer(dim: int, side: int, weight: Callable[[int], object], *,
 
     The states are the (d-1)-dimensional strongly stable partitions of
     side at most `side`, listed by one run of the stable walk and
-    re-validated there on their bitmasks.  A cell y is bit number
-    sum(y_j side^(d-2-j)), its base-side digits with y_1 most significant
-    (the layout of :func:`_layout`, which that re-validation shares), so
+    re-validated there on their bitmasks, which the walk carries from
+    parent to child and which key the states here.  A cell y is bit
+    number sum(y_j side^(d-2-j)), its base-side digits with y_1 most
+    significant (the layout of :func:`_layout`), so
     g(mask) = mask & (mask >> side^(d-2)).  States are sorted by the
     smallest m with S inside T_m, so the states inside T_m come first.
     Summing F_a over the states inside each state is one pass per cell
@@ -343,14 +381,14 @@ def _stable_transfer(dim: int, side: int, weight: Callable[[int], object], *,
     limiter.refuse_table(dim - 1, side, "strongly_stable")
     order, requires, finalize = _mode(dim - 1, side, "strongly_stable")
     steps, numbers = _layout(dim - 1, side, order)
-    bit = [1 << k for k in numbers]
+    carried = finalize.masks  # each walked state's mask, by depth
     shift = steps[0] if steps else 0
     rank = [sum(cell) + 1 for cell in order]
     found = []
     for idxs in _walk(requires, limiter.tick):
         finalize(idxs)
         found.append((max(map(rank.__getitem__, idxs), default=0),
-                      sum(map(bit.__getitem__, idxs)), idxs))
+                      carried[len(idxs)], idxs))
     found.sort()
     masks = [mask for _, mask, _ in found]
     index = {mask: s for s, mask in enumerate(masks)}
@@ -358,12 +396,12 @@ def _stable_transfer(dim: int, side: int, weight: Callable[[int], object], *,
     inner = [index[mask & (mask >> shift)] for mask in masks]
     ranks = [r for r, _, _ in found]
     inside = [bisect_left(ranks, m + 1) for m in range(side + 1)]
-    top = [index[sum(b for b, r in zip(bit, rank) if r <= m)]
+    top = [index[sum(1 << k for k, r in zip(numbers, rank) if r <= m)]
            for m in range(side + 1)]
     removals: list[list[tuple[int, int]]] = [[] for _ in order]
     for s, (_, mask, idxs) in enumerate(found):
         for i in idxs:
-            t = index.get(mask ^ bit[i])
+            t = index.get(mask ^ 1 << numbers[i])
             if t is not None:
                 removals[i].append((s, t))
     passes = [removals[i] for i in sorted(range(len(order)), key=numbers.__getitem__)]

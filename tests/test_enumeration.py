@@ -1,5 +1,6 @@
 import hashlib
 import json
+from itertools import islice, zip_longest
 from math import comb
 
 import pytest
@@ -252,6 +253,74 @@ def test_failed_revalidation_raises(monkeypatch, predicate, counter):
         monkeypatch.setattr(Partition, predicate, lambda self: False)
     with pytest.raises(ArithmeticSelfCheck, match="enumerated candidate"):
         counter(2, 2)
+
+
+_real_requirements = borelbox.enumeration._cell_requirements
+
+
+def requirements_without_predecessors(dim, side, stable):
+    """The walk's table with every cell's coordinate predecessors dropped
+    from its needs: the walk then reaches sets that are not downward
+    closed."""
+    order, requires = _real_requirements(dim, side, stable)
+    index = {cell: i for i, cell in enumerate(order)}
+    dropped = []
+    for cell, need in zip(order, requires):
+        below = {index[cell[:j] + (v - 1,) + cell[j + 1:]]
+                 for j, v in enumerate(cell) if v}
+        dropped.append(None if need is None
+                       else tuple(k for k in need if k not in below))
+    return order, dropped
+
+
+def requirements_without_moves(dim, side, stable):
+    """The walk's table without the strongly stable moves: a stable walk
+    then reaches every downward-closed set."""
+    return _real_requirements(dim, side, False)
+
+
+@pytest.mark.parametrize("predicate", ["all", "strongly_stable"])
+def test_listing_a_set_that_is_not_downward_closed_raises(monkeypatch, predicate):
+    monkeypatch.setattr(borelbox.enumeration, "_cell_requirements",
+                        requirements_without_predecessors)
+    with pytest.raises(ArithmeticSelfCheck, match="not downward closed"):
+        list(enumerate_partitions(2, 3, predicate))
+
+
+@pytest.mark.parametrize("counter", [list_ss, count_ss])
+def test_walking_a_set_that_is_not_strongly_stable_raises(monkeypatch, counter):
+    monkeypatch.setattr(borelbox.enumeration, "_cell_requirements",
+                        requirements_without_moves)
+    with pytest.raises(ArithmeticSelfCheck, match="not strongly stable"):
+        counter(3, 3)
+
+
+@pytest.mark.parametrize("dim, side, predicate", [
+    (2, 6, "all"), (3, 3, "all"), (4, 2, "all"), (3, 4, "strongly_stable")])
+def test_carried_cells_are_the_canonical_cells(dim, side, predicate):
+    # Each listed partition's cells, built from its parent's, are those
+    # the validating constructor sorts from scratch.
+    for part in enumerate_partitions(dim, side, predicate):
+        assert part.cells == Partition(dim, part.cells).cells
+
+
+@pytest.mark.parametrize("first, second", [
+    ((3, 3, "all"), (3, 3, "all")),
+    ((2, 5, "all"), (3, 4, "strongly_stable")),
+    ((3, 4, "strongly_stable"), (3, 3, "totally_symmetric")),
+])
+def test_interleaved_listings_keep_their_own_state(first, second):
+    # Each listing carries its parents' cells and masks: two of them
+    # advanced alternately, one of them a few nodes ahead, list what each
+    # lists on its own.
+    alone = [[p.cells for p in enumerate_partitions(*box)] for box in (first, second)]
+    streams = [enumerate_partitions(*box) for box in (first, second)]
+    got = [[p.cells for p in islice(streams[0], 7)], []]
+    for pair in zip_longest(*streams):
+        for listing, part in zip(got, pair):
+            if part is not None:
+                listing.append(part.cells)
+    assert got == alone
 
 
 def test_non_plane_generating_functions_also_enumerable():

@@ -1,20 +1,22 @@
-"""The bitmask hook check that re-validates strongly stable candidates in
-the walk (`enumeration._hooks_increase`), against the cell-level
-`Partition.is_strongly_stable` and the brute-force oracle."""
+"""The bitmask checks that re-validate candidates in the walk: the hook
+check of strongly stable ones (`enumeration._hooks_increase`), against the
+cell-level `Partition.is_strongly_stable` and the brute-force oracle, and
+the closure check of every cell-level candidate (`enumeration._down_closed`),
+against the brute-force closure test."""
 
 from itertools import combinations, product
 
 import pytest
 
 from borelbox import Partition, enumerate_partitions
-from borelbox.enumeration import _hooks_increase, _inboxes, _layout
+from borelbox.enumeration import _down_closed, _hooks_increase, _inboxes, _layout
 
 import bruteforce
 
 
-def mask_check(dim, side, cells):
+def mask_check(dim, side, cells, check=_hooks_increase):
     steps, numbers = _layout(dim, side, cells)
-    return _hooks_increase(sum(1 << k for k in numbers), steps, _inboxes(side, steps))
+    return check(sum(1 << k for k in numbers), steps, _inboxes(side, steps))
 
 
 def reference(dim, cells):
@@ -58,3 +60,18 @@ def test_shifts_do_not_carry_into_the_next_digit(side):
     square = list(product(range(side), repeat=2))
     assert not reference(2, square)
     assert not mask_check(2, side, square)
+
+
+@pytest.mark.parametrize("dim, side", [(1, 4), (2, 3), (3, 2)])
+def test_closure_check_matches_the_oracle_on_every_cell_set(dim, side):
+    # Every set, so also those where a shift without the in-box bound
+    # would carry: (1, 0) is not the successor of (0, side - 1).
+    box = list(product(range(side), repeat=dim))
+    verdicts = set()
+    for size in range(len(box) + 1):
+        for cells in combinations(box, size):
+            verdict = bruteforce.is_downward_closed(cells)
+            assert mask_check(dim, side, cells, _down_closed) == verdict, cells
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
