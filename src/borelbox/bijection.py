@@ -27,8 +27,12 @@ and the cell count of P is the orbit count of its image; that is why
 `cell_gf_ss == orbit_gf_ts`.  The inverse reads each orbit's weakly
 increasing member back through ψ⁻¹.
 
-The forward map costs the size of its output, the inverse the size of
-its input.  The chain functions
+The forward map costs the size of its output: it groups the cells of P
+by the zero pattern of p[1:], which fixes the runs of equal entries of
+ψ(p), and expands each group by one index getter per rearrangement of
+its pattern, cached for patterns with small orbits.  The inverse never
+scans T: it walks P itself, in lexicographic order from the origin,
+with O(d·|P|) membership tests in T.  The chain functions
 (`lambda_map`, `omega` and their inverses, with the complement maps in
 `correspondence`) stay public as the paper's objects, and the tests
 check the direct map against their composition, the way the two
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import le, sub
+from operator import itemgetter, le, sub
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -54,7 +58,7 @@ from .errors import (
     NotWeaklyIncreasing,
     _Budget,
 )
-from .partitions import (Partition, _as_vector, _distinct_permutations, _json_fields,
+from .partitions import (Cell, Partition, _as_vector, _distinct_permutations, _json_fields,
                          _orbit_size)
 
 if TYPE_CHECKING:
@@ -79,17 +83,13 @@ def _is_weakly_increasing(mono: Monomial) -> bool:
     return all(map(le, mono, mono[1:]))
 
 
-def _differences(mono: Monomial) -> Monomial:
-    return tuple(map(sub, mono, (0,) + mono[:-1]))
-
-
 def psi_inv(monomial) -> Monomial:
     """Consecutive differences; inverse of :func:`psi` on weakly increasing
     vectors."""
     mono = tuple(monomial)
     if not _is_weakly_increasing(mono):
         raise NotWeaklyIncreasing(f"{mono} is not weakly increasing")
-    return _differences(mono)
+    return tuple(map(sub, mono, (0,) + mono[:-1]))
 
 
 @dataclass(frozen=True)
@@ -208,6 +208,36 @@ def omega_inv(ideal: MonomialIdeal) -> FSet:
     return FSet(ideal.dim, n, elems)
 
 
+# The forward map's rearrangements, one table per zero pattern of p[1:]:
+# p_k = 0 exactly when ψ(p) repeats its entry at k, so the pattern fixes
+# the runs of equal entries of ψ(p).  A table is kept only for an orbit of
+# at most _CACHED_ORBIT rearrangements, and for at most _CACHED_PATTERNS
+# patterns: it holds a getter per rearrangement, and d = 12 has patterns
+# with 12! of them.
+_CACHED_ORBIT = 720
+_CACHED_PATTERNS = 64
+_REARRANGEMENTS: dict[tuple[bool, ...], list[itemgetter]] = {}
+
+
+def _run_starts(pattern: tuple[bool, ...]) -> tuple[int, ...]:
+    """Where each position's run of equal entries starts in ψ(p), for p
+    whose p[1:] has the zero pattern `pattern` (true where nonzero): a
+    weakly increasing tuple, and its rearrangements, as indices into
+    ψ(p), give the rearrangements of ψ(p)."""
+    starts = [0]
+    for position, new_run in enumerate(pattern, 1):
+        starts.append(position if new_run else starts[-1])
+    return tuple(starts)
+
+
+def _build_rearrangements(starts: tuple[int, ...]) -> list[itemgetter]:
+    """A getter for each rearrangement of the run starts but the first,
+    which is the identity."""
+    perms = _distinct_permutations(starts)
+    next(perms)
+    return [itemgetter(*perm) for perm in perms]
+
+
 def ss_to_ts_partition(partition: Partition, *, budget: int | None = None) -> Partition:
     """Totally symmetric partner of a strongly stable partition: the
     distinct rearrangements of ψ(p) over its cells p (see the module
@@ -217,9 +247,13 @@ def ss_to_ts_partition(partition: Partition, *, budget: int | None = None) -> Pa
     unit of a cell p to the last axis stays in P, so (0, ..., 0, |p|) is
     a cell and the degree |p| is below n; ψ(p) has largest entry |p|, so
     the image fits the side-n box, and the cell (0, ..., 0, n-1) of P
-    fills it.  `budget`
-    bounds the output cells; one more raises :class:`ResourceLimit`
-    before the orbit that would exceed it is built.
+    fills it.
+
+    The cells are grouped by zero pattern, and each group is expanded by
+    its pattern's getters.  `budget` bounds the output cells; each group
+    is charged its cells times its orbit size before its getters are
+    built, so one more cell raises :class:`ResourceLimit` before the
+    group that would exceed it is expanded.
     """
     if len(partition) == 0:
         raise EmptyInput("the empty partition has no box side to preserve")
@@ -227,12 +261,26 @@ def ss_to_ts_partition(partition: Partition, *, budget: int | None = None) -> Pa
         raise NotStronglyStable("the partition is not strongly stable")
     limiter = _Budget(budget)
     limiter.phase = "bijection"
-    cells = []
+    groups: dict[tuple[bool, ...], list[Cell]] = {}
     for cell in partition.cells:
-        rep = psi(cell)
+        groups.setdefault(tuple(map(bool, cell[1:])), []).append(tuple(accumulate(cell)))
+    cells: list[Cell] = []
+    for pattern, reps in groups.items():
+        table = _REARRANGEMENTS.get(pattern)
+        if table is None:
+            starts = _run_starts(pattern)
+            size = _orbit_size(starts)
+        else:
+            size = len(table) + 1
         if budget is not None:
-            limiter.charge(_orbit_size(rep))
-        cells.extend(_distinct_permutations(rep))
+            limiter.charge(len(reps) * size)
+        if table is None:
+            table = _build_rearrangements(starts)
+            if size <= _CACHED_ORBIT and len(_REARRANGEMENTS) < _CACHED_PATTERNS:
+                _REARRANGEMENTS[pattern] = table
+        cells += reps
+        for getter in table:
+            cells += map(getter, reps)
     cells.sort()
     return Partition._trusted(partition.dim, tuple(cells))
 
@@ -241,13 +289,36 @@ def ts_to_ss_partition(partition: Partition, *, budget: int | None = None) -> Pa
     """Strongly stable partner of a totally symmetric partition, ψ⁻¹ of
     its weakly increasing cells; inverse of :func:`ss_to_ts_partition`.
     `budget` bounds the output cells, one per orbit of the input; one
-    more raises :class:`ResourceLimit`."""
+    more raises :class:`ResourceLimit`.
+
+    The output P is walked in lexicographic order from the origin, with
+    T as its membership test: q is in P exactly when ψ(q) is in T.  Every
+    vector after a cell p in that order lies coordinatewise above one of
+    (p_1, ..., p_(k-1), p_k + 1, 0, ..., 0), k = 1..d, and P is downward
+    closed, so the next cell is the one of these in P with the largest k.
+    ψ of it is (s_1, ..., s_(k-1), s_k + 1, ..., s_k + 1) with s = ψ(p).
+    """
     if len(partition) == 0:
         raise EmptyInput("the empty partition has no box side to preserve")
     if not partition.is_totally_symmetric():
         raise NotTotallySymmetric("the partition is not totally symmetric")
     limiter = _Budget(budget)
     limiter.phase = "bijection"
-    reps = [cell for cell in partition.cells if _is_weakly_increasing(cell)]
-    limiter.charge(len(reps))
-    return Partition._trusted(partition.dim, tuple(sorted(map(_differences, reps))))
+    members = partition._members
+    dim = partition.dim
+    zeros = (0,) * dim
+    axes = range(dim - 1, -1, -1)
+    cell = sums = zeros
+    cells = []
+    while True:
+        if budget is not None:
+            limiter.charge(1)
+        cells.append(cell)
+        for k in axes:
+            padded = sums[:k] + (sums[k] + 1,) * (dim - k)
+            if padded in members:
+                cell = cell[:k] + (cell[k] + 1,) + zeros[k + 1:]
+                sums = padded
+                break
+        else:
+            return Partition._trusted(dim, tuple(cells))

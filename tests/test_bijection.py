@@ -13,6 +13,7 @@ from borelbox import (
     NotTotallySymmetric,
     NotWeaklyIncreasing,
     Partition,
+    ResourceLimit,
     bgens_via_psi,
     divides,
     enumerate_partitions,
@@ -28,6 +29,7 @@ from borelbox import (
     symmetrize,
     ts_to_ss_partition,
 )
+from borelbox import bijection
 from borelbox.partitions import _distinct_permutations
 
 from cases import (
@@ -245,9 +247,19 @@ def chain_disagreements(dim, side, forward=ss_to_ts_partition, backward=ts_to_ss
                if backward(t) != ideal_to_partition(lambda_inv(omega_inv(ideal)))])
 
 
-@pytest.mark.parametrize("dim, side", [(1, 6), (2, 10), (3, 5), (4, 4), (5, 3)])
+@pytest.mark.parametrize("dim, side", [(1, 6), (2, 10), (3, 5), (4, 4), (5, 3), (6, 3)])
 def test_direct_map_is_the_ideal_chain(dim, side):
     assert chain_disagreements(dim, side) == []
+
+
+@pytest.mark.parametrize("dim, side", [(3, 5), (4, 4), (5, 3), (6, 3)])
+def test_direct_map_is_the_ideal_chain_with_two_cached_patterns(monkeypatch, dim, side):
+    """The first two patterns met keep their getters; every other
+    pattern's are built again on each call."""
+    monkeypatch.setattr(bijection, "_CACHED_PATTERNS", 2)
+    monkeypatch.setattr(bijection, "_REARRANGEMENTS", {})
+    assert chain_disagreements(dim, side) == []
+    assert len(bijection._REARRANGEMENTS) == 2
 
 
 def _expand(p, orbit):
@@ -265,6 +277,69 @@ def test_the_chain_oracle_catches_a_wrong_map():
     def skips_psi_inv(t):
         return Partition._trusted(t.dim, tuple(c for c in t.cells if c == tuple(sorted(c))))
 
+    def stops_early_on_the_last_axis(t):
+        # The walk of ts_to_ss_partition, where a step along the last axis
+        # also needs the step after it.
+        members, dim = t._members, t.dim
+        cell = sums = (0,) * dim
+        cells = [cell]
+        while True:
+            for k in reversed(range(dim)):
+                ahead = 2 if k == dim - 1 else 1
+                if sums[:k] + (sums[k] + ahead,) * (dim - k) in members:
+                    cell = cell[:k] + (cell[k] + 1,) + (0,) * (dim - k - 1)
+                    sums = sums[:k] + (sums[k] + 1,) * (dim - k)
+                    cells.append(cell)
+                    break
+            else:
+                return Partition._trusted(dim, tuple(cells))
+
     for forward in (drops_one_member, skips_psi):
         assert chain_disagreements(3, 3, forward=forward)
-    assert chain_disagreements(3, 3, backward=skips_psi_inv)
+    for backward in (skips_psi_inv, stops_early_on_the_last_axis):
+        assert chain_disagreements(3, 3, backward=backward)
+
+
+def test_the_chain_oracle_catches_a_getter_table_short_of_one(monkeypatch):
+    build = bijection._build_rearrangements
+    monkeypatch.setattr(bijection, "_build_rearrangements", lambda starts: build(starts)[1:])
+    monkeypatch.setattr(bijection, "_REARRANGEMENTS", {})
+    assert chain_disagreements(3, 3)
+
+
+def test_the_inverse_lists_its_cells_in_order():
+    for dim, side in ((1, 6), (4, 4), (5, 3)):
+        for t, _ in symmetric_classes(dim, side):
+            cells = ts_to_ss_partition(t).cells
+            assert cells == Partition(dim, cells).cells
+
+
+def test_an_over_budget_forward_map_builds_no_getters_for_the_group_past_it(monkeypatch):
+    # {0, e_1, ..., e_12} in d = 12: 0 and e_1 share the constant pattern,
+    # then e_12, e_11, ..., e_2 each have their own, with orbits of
+    # C(12, 1), C(12, 2), ..., C(12, 11) cells; 4,096 in all.
+    star = Partition(12, [(0,) * 12] + [(0,) * i + (1,) + (0,) * (11 - i)
+                                        for i in range(12)])
+    build = bijection._build_rearrangements
+    built = []
+
+    def counted(starts):
+        built.append(starts)
+        return build(starts)
+
+    monkeypatch.setattr(bijection, "_build_rearrangements", counted)
+    last = (0,) + (1,) * 11   # the run starts of ψ(e_2), the last group
+    for budget, passes in ((4096, True), (4095, False)):
+        monkeypatch.setattr(bijection, "_REARRANGEMENTS", {})
+        built.clear()
+        if passes:
+            assert len(ss_to_ts_partition(star, budget=budget)) == 4096
+        else:
+            with pytest.raises(ResourceLimit):
+                ss_to_ts_partition(star, budget=budget)
+        assert len(built) == 12 - (not passes)
+        assert (last in built) == passes
+    # The orbits built last, all but ψ(e_2)'s; only those within the cap are kept.
+    sizes = (1, 12, 66, 220, 495, 792, 924, 792, 495, 220, 66)
+    kept = sorted(len(table) + 1 for table in bijection._REARRANGEMENTS.values())
+    assert kept == sorted(s for s in sizes if s <= bijection._CACHED_ORBIT)

@@ -430,6 +430,16 @@ def test_conversion_budget_exit_code(monkeypatch, capsys):
         assert err.startswith("error:") and len(err.splitlines()) == 1 and "budget" in err
 
 
+def test_conversions_of_one_cell_in_a_high_dimension(monkeypatch, capsys):
+    """The inverse's search over P runs as a loop, not one call per axis:
+    d = 3000 is past the interpreter's recursion limit."""
+    origin = {"dim": 3000, "cells": [[0] * 3000]}
+    for argv in (["ss2ts"], ["ts2ss"]):
+        code, out, err = invoke(argv, origin, monkeypatch, capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out) == origin
+
+
 def test_closure_budget_exit_code(monkeypatch, capsys):
     payload = {"gens": [[0, 0, 0, 1000000]]}
     code, out, err = invoke(["closure", "--budget", "500"], payload, monkeypatch, capsys)
