@@ -30,14 +30,16 @@ increasing member back through ψ⁻¹.
 The forward map costs the size of its output: it groups the cells of P
 by the zero pattern of p[1:], which fixes the runs of equal entries of
 ψ(p), and expands each group by one index getter per rearrangement of
-its pattern, cached for patterns with small orbits.  The inverse never
-scans T: it walks P itself, in lexicographic order from the origin,
-with O(d·|P|) membership tests in T.  The chain functions
-(`lambda_map`, `omega` and their inverses, with the complement maps in
-`correspondence`) stay public as the paper's objects, and the tests
-check the direct map against their composition, the way the two
-Borel-generator algorithms check each other.  They load `ideals` and
-`correspondence` when they run; the direct map needs neither.
+its pattern, built once per call.  The inverse never scans T: it walks P
+itself, in lexicographic order from the origin, with at most d
+membership tests in T per cell of P, each hashing a d-tuple, so
+O(d²·|P|) in the worst case; steps that would leave T's box are skipped
+untested.  The chain functions (`lambda_map`, `omega` and their
+inverses, with the complement maps in `correspondence`) stay public as
+the paper's objects, and the tests check the direct map against their
+composition, the way the two Borel-generator algorithms check each
+other.  They load `ideals` and `correspondence` when they run; the
+direct map needs neither.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter, le, sub
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import (
     EmptyInput,
@@ -208,17 +210,6 @@ def omega_inv(ideal: MonomialIdeal) -> FSet:
     return FSet(ideal.dim, n, elems)
 
 
-# The forward map's rearrangements, one table per zero pattern of p[1:]:
-# p_k = 0 exactly when ψ(p) repeats its entry at k, so the pattern fixes
-# the runs of equal entries of ψ(p).  A table is kept only for an orbit of
-# at most _CACHED_ORBIT rearrangements, and for at most _CACHED_PATTERNS
-# patterns: it holds a getter per rearrangement, and d = 12 has patterns
-# with 12! of them.
-_CACHED_ORBIT = 720
-_CACHED_PATTERNS = 64
-_REARRANGEMENTS: dict[tuple[bool, ...], list[itemgetter]] = {}
-
-
 def _run_starts(pattern: tuple[bool, ...]) -> tuple[int, ...]:
     """Where each position's run of equal entries starts in ψ(p), for p
     whose p[1:] has the zero pattern `pattern` (true where nonzero): a
@@ -230,12 +221,14 @@ def _run_starts(pattern: tuple[bool, ...]) -> tuple[int, ...]:
     return tuple(starts)
 
 
-def _build_rearrangements(starts: tuple[int, ...]) -> list[itemgetter]:
+def _rearrangements(starts: tuple[int, ...]) -> Iterator[itemgetter]:
     """A getter for each rearrangement of the run starts but the first,
-    which is the identity."""
+    which is the identity.  p_k = 0 exactly when ψ(p) repeats its entry
+    at k, so the zero pattern of p[1:] fixes the runs of ψ(p), and these
+    getters serve every cell of P with that pattern."""
     perms = _distinct_permutations(starts)
     next(perms)
-    return [itemgetter(*perm) for perm in perms]
+    return (itemgetter(*perm) for perm in perms)
 
 
 def ss_to_ts_partition(partition: Partition, *, budget: int | None = None) -> Partition:
@@ -266,20 +259,11 @@ def ss_to_ts_partition(partition: Partition, *, budget: int | None = None) -> Pa
         groups.setdefault(tuple(map(bool, cell[1:])), []).append(tuple(accumulate(cell)))
     cells: list[Cell] = []
     for pattern, reps in groups.items():
-        table = _REARRANGEMENTS.get(pattern)
-        if table is None:
-            starts = _run_starts(pattern)
-            size = _orbit_size(starts)
-        else:
-            size = len(table) + 1
+        starts = _run_starts(pattern)
         if budget is not None:
-            limiter.charge(len(reps) * size)
-        if table is None:
-            table = _build_rearrangements(starts)
-            if size <= _CACHED_ORBIT and len(_REARRANGEMENTS) < _CACHED_PATTERNS:
-                _REARRANGEMENTS[pattern] = table
+            limiter.charge(len(reps) * _orbit_size(starts))
         cells += reps
-        for getter in table:
+        for getter in _rearrangements(starts):
             cells += map(getter, reps)
     cells.sort()
     return Partition._trusted(partition.dim, tuple(cells))
@@ -297,6 +281,9 @@ def ts_to_ss_partition(partition: Partition, *, budget: int | None = None) -> Pa
     (p_1, ..., p_(k-1), p_k + 1, 0, ..., 0), k = 1..d, and P is downward
     closed, so the next cell is the one of these in P with the largest k.
     ψ of it is (s_1, ..., s_(k-1), s_k + 1, ..., s_k + 1) with s = ψ(p).
+    That needs s_k below the largest entry of T, the first entry of its
+    last cell (T is symmetric), so other axes cost a comparison, not a
+    membership test of a d-tuple.
     """
     if len(partition) == 0:
         raise EmptyInput("the empty partition has no box side to preserve")
@@ -306,6 +293,7 @@ def ts_to_ss_partition(partition: Partition, *, budget: int | None = None) -> Pa
     limiter.phase = "bijection"
     members = partition._members
     dim = partition.dim
+    top = partition.cells[-1][0]
     zeros = (0,) * dim
     axes = range(dim - 1, -1, -1)
     cell = sums = zeros
@@ -315,10 +303,11 @@ def ts_to_ss_partition(partition: Partition, *, budget: int | None = None) -> Pa
             limiter.charge(1)
         cells.append(cell)
         for k in axes:
-            padded = sums[:k] + (sums[k] + 1,) * (dim - k)
-            if padded in members:
-                cell = cell[:k] + (cell[k] + 1,) + zeros[k + 1:]
-                sums = padded
-                break
+            if sums[k] < top:
+                padded = sums[:k] + (sums[k] + 1,) * (dim - k)
+                if padded in members:
+                    cell = cell[:k] + (cell[k] + 1,) + zeros[k + 1:]
+                    sums = padded
+                    break
         else:
             return Partition._trusted(dim, tuple(cells))

@@ -252,16 +252,6 @@ def test_direct_map_is_the_ideal_chain(dim, side):
     assert chain_disagreements(dim, side) == []
 
 
-@pytest.mark.parametrize("dim, side", [(3, 5), (4, 4), (5, 3), (6, 3)])
-def test_direct_map_is_the_ideal_chain_with_two_cached_patterns(monkeypatch, dim, side):
-    """The first two patterns met keep their getters; every other
-    pattern's are built again on each call."""
-    monkeypatch.setattr(bijection, "_CACHED_PATTERNS", 2)
-    monkeypatch.setattr(bijection, "_REARRANGEMENTS", {})
-    assert chain_disagreements(dim, side) == []
-    assert len(bijection._REARRANGEMENTS) == 2
-
-
 def _expand(p, orbit):
     cells = sorted(cell for c in p.cells for cell in orbit(c))
     return Partition._trusted(p.dim, tuple(cells))
@@ -301,9 +291,8 @@ def test_the_chain_oracle_catches_a_wrong_map():
 
 
 def test_the_chain_oracle_catches_a_getter_table_short_of_one(monkeypatch):
-    build = bijection._build_rearrangements
-    monkeypatch.setattr(bijection, "_build_rearrangements", lambda starts: build(starts)[1:])
-    monkeypatch.setattr(bijection, "_REARRANGEMENTS", {})
+    build = bijection._rearrangements
+    monkeypatch.setattr(bijection, "_rearrangements", lambda starts: list(build(starts))[1:])
     assert chain_disagreements(3, 3)
 
 
@@ -320,17 +309,16 @@ def test_an_over_budget_forward_map_builds_no_getters_for_the_group_past_it(monk
     # C(12, 1), C(12, 2), ..., C(12, 11) cells; 4,096 in all.
     star = Partition(12, [(0,) * 12] + [(0,) * i + (1,) + (0,) * (11 - i)
                                         for i in range(12)])
-    build = bijection._build_rearrangements
+    build = bijection._rearrangements
     built = []
 
     def counted(starts):
         built.append(starts)
         return build(starts)
 
-    monkeypatch.setattr(bijection, "_build_rearrangements", counted)
+    monkeypatch.setattr(bijection, "_rearrangements", counted)
     last = (0,) + (1,) * 11   # the run starts of ψ(e_2), the last group
     for budget, passes in ((4096, True), (4095, False)):
-        monkeypatch.setattr(bijection, "_REARRANGEMENTS", {})
         built.clear()
         if passes:
             assert len(ss_to_ts_partition(star, budget=budget)) == 4096
@@ -339,7 +327,3 @@ def test_an_over_budget_forward_map_builds_no_getters_for_the_group_past_it(monk
                 ss_to_ts_partition(star, budget=budget)
         assert len(built) == 12 - (not passes)
         assert (last in built) == passes
-    # The orbits built last, all but ψ(e_2)'s; only those within the cap are kept.
-    sizes = (1, 12, 66, 220, 495, 792, 924, 792, 495, 220, 66)
-    kept = sorted(len(table) + 1 for table in bijection._REARRANGEMENTS.values())
-    assert kept == sorted(s for s in sizes if s <= bijection._CACHED_ORBIT)
