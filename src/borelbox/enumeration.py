@@ -69,15 +69,15 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, combinations_with_replacement, product
-from math import comb, gcd
+from itertools import accumulate, combinations_with_replacement, compress, product
+from math import comb, isqrt, prod
 from operator import add, mul
 from typing import Callable, Iterator
 
 from .errors import (ArithmeticSelfCheck, NonIntegerProduct, ResourceLimit, _Budget,
                      _checked_budget)
 from .partitions import Cell, Partition, _distinct_permutations, _orbit_size
-from .qpoly import QPolynomial
+from .qpoly import QPolynomial, _div_one_minus_q_power, _mul_one_minus_q_power
 
 PREDICATES = ("all", "strongly_stable", "totally_symmetric")
 
@@ -599,63 +599,126 @@ def _triple_exponents(n: int) -> dict[int, int]:
     """The cancelled factor table of the boxed triple product: t -> e_t
     with prod over 1 <= i <= j <= k <= n of F(i+j+k-1)/F(i+j+k-2) equal
     to prod F(t)^e_t, for any F.  With m_s the number of triples summing
-    to s, e_t = m_(t+1) - m_(t+2); zero exponents are left out.  For each
-    pair i <= j the sums i+j+k over j <= k <= n fill [i+2j, i+j+n], so m
-    is the running sum of a difference array with +1 at i+2j and -1 at
-    i+j+n+1, in O(n^2)."""
-    steps = [0] * (3 * n + 3)
+    to s, e_t = m_(t+1) - m_(t+2) = -steps_(t+2), steps being the first
+    differences of m; zero exponents are left out.
+
+    For each i the sums i+j+k over i <= j <= k <= n fill [i+2j, i+j+n]
+    for every j, so steps holds +1 at each i+2j (a stride-2 run from 3i
+    to i+2n) and -1 at each i+j+n+1 (a stride-1 run from 2i+n+1 to
+    i+2n+1).  Both runs go into one list of differences that the running
+    sums over its even and its odd entries undo: the stride-2 run as +1 at
+    3i and -1 at i+2n+2, the stride-1 run as -1 at 2i+n+1 and 2i+n+2 and
+    +1 at i+2n+2 and i+2n+3 (a stride-1 running sum is a stride-2 one of
+    x_k + x_(k-1)).  The two entries at i+2n+2 cancel, which leaves four
+    per i: O(n) Python steps."""
+    diffs = [0] * (3 * n + 4)
     for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            steps[i + 2 * j] += 1
-            steps[i + j + n + 1] -= 1
-    sums = list(accumulate(steps))
-    exponents = {t: sums[t + 1] - sums[t + 2] for t in range(1, 3 * n)}
-    return {t: e for t, e in exponents.items() if e}
+        diffs[3 * i] += 1
+        diffs[2 * i + n + 1] -= 1
+        diffs[2 * i + n + 2] -= 1
+        diffs[i + 2 * n + 3] += 1
+    steps = [0] * len(diffs)
+    steps[0::2] = accumulate(diffs[0::2])
+    steps[1::2] = accumulate(diffs[1::2])
+    return {t: -steps[t + 2] for t in range(1, 3 * n) if steps[t + 2]}
+
+
+def _primes(limit: int) -> list[int]:
+    """The primes up to `limit` (at least 1), by the sieve of
+    Eratosthenes."""
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    return list(compress(range(limit + 1), sieve))
+
+
+def _balanced_product(factors: list[int]) -> int:
+    """The product of the factors, the two halves' products multiplied
+    last, so that large operands meet operands of similar size; a few
+    factors are multiplied in a row, which costs less than splitting."""
+    if len(factors) <= 8:
+        return prod(factors)
+    half = len(factors) // 2
+    return _balanced_product(factors[:half]) * _balanced_product(factors[half:])
 
 
 def _integer_product(exponents: dict[int, int]) -> int:
-    """prod t^e_t over the table; a fractional value raises
-    :class:`NonIntegerProduct`."""
-    numerator = denominator = 1
+    """prod t^e_t over the table (t >= 1), from the exponent of each prime:
+    with e listed by t, p appears sum over k >= 1 of sum(e[p^k::p^k])
+    times, p^k dividing t once for each k with t a multiple of p^k.  The
+    result is the product of the prime powers, with no division.  A
+    negative exponent raises :class:`NonIntegerProduct`, naming the
+    fraction, already reduced since numerator and denominator share no
+    prime."""
+    top = max(exponents, default=1)
+    table = [0] * (top + 1)
     for t, e in exponents.items():
-        if e > 0:
-            numerator *= t ** e
-        else:
-            denominator *= t ** -e
-    quotient, remainder = divmod(numerator, denominator)
-    if remainder:
-        common = gcd(numerator, denominator)
+        table[t] = e
+    numerator, denominator = [], []
+    for p in _primes(top):
+        power, a = p, 0
+        while power <= top:
+            a += sum(table[power::power])
+            power *= p
+        if a > 0:
+            numerator.append(p ** a)
+        elif a < 0:
+            denominator.append(p ** -a)
+    if denominator:
         raise NonIntegerProduct(f"the product is the fraction "
-                                f"{numerator // common}/{denominator // common}")
-    return quotient
+                                f"{_balanced_product(numerator)}/"
+                                f"{_balanced_product(denominator)}")
+    return _balanced_product(numerator)
 
 
 def _q_product(exponents: dict[int, int]) -> QPolynomial:
-    """prod (1 - q^t)^e_t over the table: the factors with e_t > 0 are
-    multiplied out, then each factor with e_t < 0 is divided off exactly,
-    and a non-polynomial value raises :class:`InexactDivision`."""
-    poly = QPolynomial.one()
+    """prod (1 - q^t)^e_t over the table, on one coefficient list: each
+    factor with e_t > 0 is multiplied in as a shifted subtraction, then
+    each factor with e_t < 0 is divided off as running sums per residue
+    class, and a non-polynomial value raises :class:`InexactDivision`.
+    One :class:`QPolynomial` is built, from the final list."""
+    coeffs = [1]
     for t, e in exponents.items():
         for _ in range(e):
-            poly = poly * QPolynomial.one_minus_q_power(t)
+            _mul_one_minus_q_power(coeffs, t)
     for t, e in exponents.items():
         for _ in range(-e):
-            poly = poly.exact_div(QPolynomial.one_minus_q_power(t))
-    return poly
+            coeffs = _div_one_minus_q_power(coeffs, t)
+    return QPolynomial(coeffs)
 
 
-def stembridge_t3(n: int) -> int:
+def _check_side(n: int, budget: int | None, measure: str) -> None:
+    """Validate the side of a triple product, and refuse with
+    :class:`ResourceLimit` one whose C(n+2, 3) triples exceed the budget;
+    `measure` formats that count for the message."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    triples = comb(n + 2, 3)
+    if _checked_budget(budget) is not None and triples > budget:
+        raise ResourceLimit(budget, f"a product of {measure.format(triples)} "
+                                    f"exceeds the budget of {budget}")
+
+
+def stembridge_t3(n: int, *, budget: int | None = None) -> int:
     """Totally symmetric plane partitions in an n-box, by the triple
     product over 1 <= i <= j <= k <= n of (i+j+k-1)/(i+j+k-2), evaluated
-    exactly from its cancelled factor table (see :func:`qtspp`).
+    exactly from its cancelled factor table (see :func:`qtspp`): the table
+    takes O(n) steps, and the product is taken over the exponent of each
+    prime, with no division (see :func:`_integer_product`).
 
     The result is guaranteed to be an integer; a fractional outcome
     signals an arithmetic bug and raises :class:`NonIntegerProduct`.
     Cancelling common factors first does not weaken that check: a
     fraction is an integer exactly when its reduced form is.
+
+    `budget` caps C(n+2, 3), the number of factors, and a larger count
+    raises :class:`ResourceLimit` before the table is built.  The count
+    also bounds the result's bits: the result counts the order ideals of
+    the C(n+2, 3) orbit representatives, so it is at most 2^C(n+2, 3).
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    _check_side(n, budget, "{} factors")
     return _integer_product(_triple_exponents(n))
 
 
@@ -666,23 +729,19 @@ def qtspp(n: int, *, budget: int | None = None) -> QPolynomial:
 
     Numerator and denominator factors are cancelled in a table of
     exponents e_t of 1 - q^t first (for n = 12 the numerator degree drops
-    from 6,734 to 560).  The factors with e_t > 0 are multiplied out and
-    each remaining denominator is divided off exactly; any nonzero
-    remainder raises :class:`InexactDivision`, since polynomiality is
-    guaranteed.  Cancelling keeps that check whole: a rational function
-    is a polynomial exactly when its reduced form is, so the divisions
-    left succeed exactly when dividing off every denominator would.
-    Evaluating the result at q=1 equals :func:`stembridge_t3`.
+    from 6,734 to 560).  On one coefficient list, the factors with e_t > 0
+    are multiplied out and each remaining denominator is divided off
+    exactly (see :func:`_q_product`); any nonzero remainder raises
+    :class:`InexactDivision`, since polynomiality is guaranteed.
+    Cancelling keeps that check whole: a rational function is a polynomial
+    exactly when its reduced form is, so the divisions left succeed
+    exactly when dividing off every denominator would.  Evaluating the
+    result at q=1 equals :func:`stembridge_t3`.
 
     The result has degree C(n+2, 3); `budget` caps that degree, and a
     larger one raises :class:`ResourceLimit` before any arithmetic.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    degree = comb(n + 2, 3)
-    if _checked_budget(budget) is not None and degree > budget:
-        raise ResourceLimit(budget, f"a product of degree {degree} "
-                                    f"exceeds the budget of {budget}")
+    _check_side(n, budget, "degree {}")
     return _q_product(_triple_exponents(n))
 
 

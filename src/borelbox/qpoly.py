@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from itertools import accumulate, repeat
-from operator import add, mul
-from typing import Iterable
+from operator import add, mul, sub
+from typing import Iterable, Sequence
 
 from .errors import InexactDivision
 
@@ -111,7 +111,7 @@ class QPolynomial:
                 f"degree {self.degree} is below the divisor degree {divisor.degree}")
         d = divisor.coeffs
         if len(d) > 1 and d[0] == 1 and d[-1] == -1 and d.count(0) == len(d) - 2:
-            return self._div_one_minus_q_power(len(d) - 1)
+            return QPolynomial(_div_one_minus_q_power(self.coeffs, len(d) - 1))
         rem = list(self.coeffs)
         lead = divisor.coeffs[-1]
         shift = len(divisor.coeffs) - 1
@@ -132,15 +132,24 @@ class QPolynomial:
             raise InexactDivision("nonzero remainder")
         return QPolynomial(quot)
 
-    def _div_one_minus_q_power(self, b: int) -> "QPolynomial":
-        """Divide by 1 - q^b.  The quotient c satisfies c_k = a_k + c_(k-b),
-        so on each residue class mod b it is the running sum of the
-        dividend's coefficients.  Those sums run b places past the
-        quotient's degree; the division is exact iff those last b are 0."""
-        a = self.coeffs
-        sums = [0] * len(a)
-        for r in range(b):
-            sums[r::b] = accumulate(a[r::b])
-        if any(sums[-b:]):
-            raise InexactDivision(f"nonzero remainder on division by 1 - q^{b}")
-        return QPolynomial(sums[:-b])
+
+def _mul_one_minus_q_power(coeffs: list[int], b: int) -> None:
+    """Multiply the coefficient list by 1 - q^b (b >= 1) in place, as one
+    shifted subtraction: c_k = a_k - a_(k-b)."""
+    coeffs += [0] * b
+    coeffs[b:] = map(sub, coeffs[b:], coeffs[:-b])
+
+
+def _div_one_minus_q_power(coeffs: Sequence[int], b: int) -> list[int]:
+    """Divide the coefficients by 1 - q^b (b >= 1) into a new list.  The
+    quotient c satisfies c_k = a_k + c_(k-b), so on each residue class mod
+    b it is the running sum of the dividend's coefficients.  Those sums run
+    b places past the quotient's degree; the division is exact iff those
+    last b are 0, and otherwise raises :class:`InexactDivision`."""
+    sums = [0] * len(coeffs)
+    for r in range(b):
+        sums[r::b] = accumulate(coeffs[r::b])
+    if any(sums[-b:]):
+        raise InexactDivision(f"nonzero remainder on division by 1 - q^{b}")
+    del sums[-b:]
+    return sums

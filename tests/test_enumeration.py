@@ -193,6 +193,45 @@ def test_qtspp_budget_caps_the_degree_before_any_arithmetic(monkeypatch):
         qtspp(3, budget=0)
 
 
+def test_stembridge_budget_caps_the_factor_count_before_the_table(monkeypatch):
+    # C(5, 3) = 10 factors for n = 3, C(6, 3) = 20 for n = 4.
+    assert stembridge_t3(3, budget=10) == 16
+    with pytest.raises(ResourceLimit, match="20 factors"):
+        stembridge_t3(4, budget=10)
+
+    def untouched(n):
+        raise AssertionError("the factor table was built")
+
+    monkeypatch.setattr(borelbox.enumeration, "_triple_exponents", untouched)
+    with pytest.raises(ResourceLimit, match="1335334000 factors"):
+        stembridge_t3(2000, budget=100)
+    with pytest.raises(ValueError):
+        stembridge_t3(3, budget=0)
+
+
+def test_triple_exponents_match_the_listed_triples():
+    for n in range(61):
+        sums = bruteforce.triple_sum_counts(n)
+        expected = {t: sums[t + 1] - sums[t + 2] for t in range(1, 3 * n)}
+        assert borelbox.enumeration._triple_exponents(n) == {
+            t: e for t, e in expected.items() if e}
+
+
+def test_non_integer_product_names_the_reduced_fraction():
+    for table in ({2: -2, 6: 1}, {6: 1, 4: -1}):
+        with pytest.raises(NonIntegerProduct, match=r"fraction 3/2$"):
+            borelbox.enumeration._integer_product(table)
+    # 8^2 / 4^3 = 1: the prime 2 appears in 8 and 4 more than once.
+    assert borelbox.enumeration._integer_product({8: 2, 4: -3, 9: 1}) == 9
+    with pytest.raises(NonIntegerProduct, match=r"fraction 1/8$"):
+        borelbox.enumeration._integer_product({8: 1, 4: -3})
+
+
+def test_prime_and_polynomial_products_agree():
+    for n in range(21):
+        assert stembridge_t3(n) == qtspp(n).evaluate(1)
+
+
 def test_generating_functions():
     assert orbit_gf_ts(3, 1) == QPolynomial([1, 1])
     assert cell_gf_ss(3, 2) == QPolynomial([1, 1, 1, 1, 1])

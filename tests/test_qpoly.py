@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from borelbox import InexactDivision, QPolynomial
+from borelbox.qpoly import _div_one_minus_q_power, _mul_one_minus_q_power
 
 
 def test_trailing_zeros_trimmed():
@@ -77,3 +78,38 @@ def test_division_by_one_minus_q_power_round_trips_and_is_loud(a, b, k):
     assert (a * binomial).exact_div(binomial) == a
     with pytest.raises(InexactDivision):
         (a * binomial + QPolynomial([0] * k + [1])).exact_div(binomial)
+
+
+integer_polys = st.builds(QPolynomial, st.lists(st.integers(-10**12, 10**12), max_size=40))
+binomial_powers = st.integers(1, 40)
+
+
+@given(integer_polys, binomial_powers)
+def test_binomial_kernels_multiply_and_divide_back(p, b):
+    product = list(p.coeffs)
+    _mul_one_minus_q_power(product, b)
+    assert QPolynomial(product) == p * QPolynomial.one_minus_q_power(b)
+    assert QPolynomial(_div_one_minus_q_power(product, b)) == p
+
+
+@given(integer_polys, binomial_powers, st.data())
+def test_binomial_division_kernel_raises_on_a_remainder(p, b, data):
+    k = data.draw(st.integers(0, b - 1))
+    dividend = p * QPolynomial.one_minus_q_power(b) + QPolynomial([0] * k + [1])
+    with pytest.raises(InexactDivision):
+        _div_one_minus_q_power(dividend.coeffs, b)
+
+
+@given(integer_polys, binomial_powers, small_polys)
+def test_binomial_division_agrees_with_long_division(p, b, r):
+    # q^b - 1 leads with +1 and ends with -1, so exact_div divides it off by
+    # long division, not by the binomial kernel.
+    binomial = QPolynomial.one_minus_q_power(b)
+    dividend = p * binomial + r
+    try:
+        quotient = dividend.exact_div(binomial)
+    except InexactDivision:
+        with pytest.raises(InexactDivision):
+            dividend.exact_div(-binomial)
+    else:
+        assert dividend.exact_div(-binomial) == -quotient

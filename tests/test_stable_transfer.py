@@ -12,7 +12,6 @@ import pytest
 
 import borelbox.enumeration
 from borelbox import (
-    NonIntegerProduct,
     QPolynomial,
     ResourceLimit,
     cell_gf_ss,
@@ -104,8 +103,3 @@ def test_import_does_not_load_fractions():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0
     assert proc.stdout.strip() == "False"
-
-
-def test_non_integer_product_names_the_reduced_fraction():
-    with pytest.raises(NonIntegerProduct, match=r"fraction 3/2$"):
-        borelbox.enumeration._integer_product({2: -2, 6: 1})

@@ -121,14 +121,6 @@ def test_cli_gf_budget_exits_three(capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
-def test_triple_exponents_match_the_listed_triples():
-    for n in range(41):
-        sums = bruteforce.triple_sum_counts(n)
-        expected = {t: sums[t + 1] - sums[t + 2] for t in range(1, 3 * n)}
-        assert borelbox.enumeration._triple_exponents(n) == {
-            t: e for t, e in expected.items() if e}
-
-
 def test_closed_stdout_ends_in_one_error_line():
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.Popen(
