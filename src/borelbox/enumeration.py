@@ -15,27 +15,37 @@ constrained streams small:
   with sorted coordinates), adding a whole orbit at a time.
 
 Completed candidates are still re-validated against the definitions
-before being yielded; since the pruning guarantees that every candidate
-passes, one that fails raises.  Totally symmetric candidates go through
-:meth:`Partition.is_totally_symmetric`.  Every other candidate is a set
-of box cells, checked on its bitmask, cell c being bit number
-sum(c_j side^(d-1-j)), which is also its lexicographic rank (see
-:func:`_layout`).  A walk node is its parent plus one cell, and the walk
-yields it right after its parent's earlier subtrees, so the listing
-keeps, per depth, the last node's lexicographically sorted cells and
-mask: a child inserts its cell into its parent's cells (found by
-bisection) and sets one bit of its parent's mask, and nothing is sorted
-or rebuilt per node.  Every such candidate is checked for downward
-closure (see :func:`_down_closed`): its cells' predecessors along axis
-j, the set shifted one step back along j without carries, must lie
-inside it.  A strongly stable one is also checked for increasing hooks
-(see :func:`_hooks_increase`): the cells whose arm along axis j is at
-least k are the set shifted k steps back along j, so the hooks increase
-exactly when, for every k, each axis's shifted set lies inside the next
-axis's.  Together that is O(d * side) operations on a side^d-bit int
-per candidate, not a dictionary step per cell and axis.  Both read the
-definitions, not the walk's predecessor and move rules, so the
-re-validation stays independent of the pruning.
+before being yielded or counted; since the pruning guarantees that every
+candidate passes, one that fails raises.  A candidate is re-validated on
+its bitmask alone, which the walk carries from parent to child: a walk
+node is its parent plus one cell or orbit, and the walk yields it right
+after its parent's earlier subtrees, so the per-depth mask of the last
+node walked there is its parent's, and a child sets one bit of it.
+
+* A set of box cells has cell c as bit number sum(c_j side^(d-1-j)),
+  which is also its lexicographic rank (see :func:`_layout`).  It is
+  checked for downward closure (see :func:`_down_closed`): its cells'
+  predecessors along axis j, the set shifted one step back along j
+  without carries, must lie inside it.  A strongly stable one is also
+  checked for increasing hooks (see :func:`_hooks_increase`): the cells
+  whose arm along axis j is at least k are the set shifted k steps back
+  along j, so the hooks increase exactly when, for every k, each axis's
+  shifted set lies inside the next axis's.  Together that is
+  O(d * side) operations on a side^d-bit int per candidate, not a
+  dictionary step per cell and axis.
+* A set of whole orbits has one bit per orbit representative (see
+  :func:`_orbit_layout`).  Such a union is always totally symmetric, so
+  what is checked is downward closure (see :func:`_orbits_closed`): it
+  holds exactly when, for each representative r in it, the orbit of
+  sorted(r - e_j) is in it for every j with r_j > 0; one operation per
+  representative, and no orbit is expanded.
+
+All three checks read the definitions, not the walk's predecessor and
+move rules, so the re-validation stays independent of the pruning.
+Cells are built only for a listing: a cell set's sorted cells are
+carried per depth like its mask (a child inserts its cell, found by
+bisection, into its parent's), and a symmetric listing expands its
+orbits, sorts them and also runs :meth:`Partition.is_totally_symmetric`.
 :meth:`Partition.is_strongly_stable` stays cell-level and is the tests'
 reference: its input has no box, and a 41-cell partition in d = 40
 would need a 2^40-bit mask.
@@ -44,7 +54,8 @@ Strongly stable and totally symmetric counts and generating functions
 do not list the partitions (only the cumulative counts of all partitions
 do).  Each of the two classes is counted by its own transfer over
 slices, whose states are the (d-1)-dimensional partitions of that class
-listed by the walk above and re-validated there:
+listed by the walk above and re-validated there on their masks, which
+are all the transfers read:
 
 * strongly stable partitions are sliced by their first coordinate, and
   each slice lies inside a shrunken copy of the one before it; the
@@ -69,14 +80,14 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, combinations_with_replacement, compress, product
+from itertools import accumulate, combinations_with_replacement, compress
 from math import comb, isqrt, prod
-from operator import add, mul
+from operator import add, mul, or_
 from typing import Callable, Iterator
 
 from .errors import (ArithmeticSelfCheck, NonIntegerProduct, ResourceLimit, _Budget,
                      _checked_budget)
-from .partitions import Cell, Partition, _distinct_permutations, _orbit_size
+from .partitions import Cell, Partition, _distinct_permutations
 from .qpoly import QPolynomial, _div_one_minus_q_power, _mul_one_minus_q_power
 
 PREDICATES = ("all", "strongly_stable", "totally_symmetric")
@@ -87,27 +98,26 @@ def _graded(cells) -> list[Cell]:
 
 
 def _cell_requirements(dim: int, side: int, stable: bool):
-    """Box cells in graded lexicographic order, with the set of earlier
-    cells each one needs before it may be added (None when it can never
-    occur in a strongly stable set bounded by this box)."""
-    order = _graded(product(range(side), repeat=dim))
+    """Box cells in graded lexicographic order, with the earlier cells
+    each one needs before it may be added.  A cell of a strongly stable
+    set in the box has coordinate sum below `side` (moving every unit to
+    the last coordinate stays in the set), and its predecessors and move
+    images stay in that simplex, so the stable table lists only those
+    C(side+d-1, d) cells.  Cells are built prefix by prefix, each prefix
+    extended by the values its bound leaves."""
+    cells = [()]
+    for _ in range(dim):
+        cells = [cell + (v,) for cell in cells
+                 for v in range(side - sum(cell) if stable else side)]
+    order = _graded(cells)
     index = {c: i for i, c in enumerate(order)}
-    requires: list[tuple[int, ...] | None] = []
+    requires = []
     for cell in order:
-        need = []
-        possible = True
-        for j in range(dim):
-            if cell[j] > 0:
-                need.append(index[cell[:j] + (cell[j] - 1,) + cell[j + 1:]])
+        need = [index[cell[:j] + (v - 1,) + cell[j + 1:]] for j, v in enumerate(cell) if v]
         if stable:
-            for j in range(dim - 1):
-                if cell[j] > 0:
-                    image = cell[:j] + (cell[j] - 1, cell[j + 1] + 1) + cell[j + 2:]
-                    if image[j + 1] >= side:
-                        possible = False
-                        break
-                    need.append(index[image])
-        requires.append(tuple(need) if possible else None)
+            need += [index[cell[:j] + (cell[j] - 1, cell[j + 1] + 1) + cell[j + 2:]]
+                     for j in range(dim - 1) if cell[j]]
+        requires.append(tuple(need))
     return order, requires
 
 
@@ -117,7 +127,7 @@ def _orbit_requirements(dim: int, side: int):
     orbits."""
     order = _graded(combinations_with_replacement(range(side), dim))
     index = {r: i for i, r in enumerate(order)}
-    requires: list[tuple[int, ...] | None] = []
+    requires = []
     for rep in order:
         need = set()
         for value in set(rep):
@@ -135,11 +145,10 @@ def _walk(requires, tick: Callable[[], None]) -> Iterator[tuple[int, ...]]:
     requirements, so a node extends only through its frontier (indices
     above its last with none missing, kept in decreasing order): the rest
     of its parent's frontier plus the indices its own index unlocked."""
-    # -1 never reaches 0: an index that can never occur is nobody's dependent.
-    missing = [-1 if need is None else len(need) for need in requires]
+    missing = [len(need) for need in requires]
     dependents: list[list[int]] = [[] for _ in requires]
     for i, need in enumerate(requires):
-        for k in need or ():
+        for k in need:
             dependents[k].append(i)
     chosen: list[int] = []
     tick()
@@ -165,9 +174,9 @@ def _walk(requires, tick: Callable[[], None]) -> Iterator[tuple[int, ...]]:
         stack.append(sorted(frontier + unlocked, reverse=True))
 
 
-def _rejected(part: Partition, failed: str) -> ArithmeticSelfCheck:
+def _rejected(cells, failed: str) -> ArithmeticSelfCheck:
     return ArithmeticSelfCheck(
-        f"enumerated candidate {[list(c) for c in part.cells]} is not {failed}")
+        f"enumerated candidate {[list(c) for c in sorted(cells)]} is not {failed}")
 
 
 def _layout(dim: int, side: int, cells) -> tuple[list[int], list[int]]:
@@ -231,57 +240,99 @@ def _hooks_increase(mask: int, steps: list[int], inboxes: list[int]) -> bool:
     return True
 
 
+def _orbit_layout(order: list[Cell]) -> tuple[list[int], list[int]]:
+    """The bit layout of orbit representatives that the symmetric listing
+    and transfer share: bit k of a state's mask is the k-th representative
+    by (largest value, graded order), a linear extension of the orbit
+    poset in which those inside [0, c)^d come first, so the states inside
+    that box are the masks below 2^(their number).  Returns each
+    representative's bit and the mask of its predecessor orbits, those of
+    sorted(r - e_j) for each j with r_j > 0, built from that rule and not
+    from the walk's table, so the re-validation stays independent of the
+    pruning."""
+    ranked = sorted(order, key=lambda rep: (max(rep, default=0), sum(rep), rep))
+    rank = {rep: k for k, rep in enumerate(ranked)}
+    bit = [1 << rank[rep] for rep in order]
+    below = [sum({1 << rank[tuple(sorted(rep[:j] + (v - 1,) + rep[j + 1:]))]
+                  for j, v in enumerate(rep) if v}) for rep in order]
+    return bit, below
+
+
+def _orbits_closed(mask: int, reps, below: list[int]) -> bool:
+    """Whether the union of the orbits of the representatives `reps`,
+    whose bitmask is `mask` (in the layout of :func:`_orbit_layout`), is
+    downward closed: exactly when it holds each one's predecessor orbits,
+    those of sorted(r - e_j) for each j with r_j > 0, whose mask is
+    below[r].  One operation per representative, and no cell is built."""
+    return not reduce(or_, map(below.__getitem__, reps), 0) & ~mask
+
+
 def _mode(dim: int, side: int, predicate: str):
-    """The walk's table for the predicate, (order, requires), and the
-    `finalize` that turns a walked index set into its re-validated
-    Partition."""
+    """The walk's table for the predicate and two callables on a walked
+    index set: (order, requires, partition, finalize).  `finalize`
+    re-validates the set on its bitmask and returns the mask, which is all
+    the transfers read; `partition` builds its Partition for a listing.
+    `finalize` comes last, where the benchmark's tracer times the
+    re-validation.
+
+    Each keeps, per depth, what it built for the last node walked there.
+    The walk yields each node right after its parent's earlier subtrees,
+    so depth len(idxs) - 1 holds the node's parent, which lacks only its
+    last index: a node's mask is its parent's plus one bit, and a cell
+    set's sorted cells are its parent's with one cell inserted.  So each
+    must be called on every node, in walk order."""
     if predicate == "totally_symmetric":
         order, requires = _orbit_requirements(dim, side)
-        # Orbits are expanded on first use.  The walk yields each state
-        # after its parent, which lacks only its last index, so that index
-        # is the only one that can be new.
+        bit, below = _orbit_layout(order)
+        masks = [0] * (len(order) + 1)
+        # Orbits are expanded on first use, by the listing only.
         orbits: list[tuple[Cell, ...] | None] = [None] * len(order)
 
-        def finalize(idxs: tuple[int, ...]) -> Partition:
+        def finalize(idxs: tuple[int, ...]) -> int:
+            depth = len(idxs)
+            if depth:
+                masks[depth] = masks[depth - 1] | bit[idxs[-1]]
+            mask = masks[depth]
+            if not _orbits_closed(mask, idxs, below):
+                cells = (cell for i in idxs for cell in _distinct_permutations(order[i]))
+                raise _rejected(cells, "downward closed")
+            return mask
+
+        def partition(idxs: tuple[int, ...]) -> Partition:
             if idxs and orbits[idxs[-1]] is None:
                 orbits[idxs[-1]] = tuple(_distinct_permutations(order[idxs[-1]]))
-            cells = [cell for i in idxs for cell in orbits[i]]
-            part = Partition._trusted(dim, tuple(sorted(cells)))
+            cells = sorted([cell for i in idxs for cell in orbits[i]])
+            part = Partition._trusted(dim, tuple(cells))
             if not part.is_totally_symmetric():
-                raise _rejected(part, "totally symmetric")
+                raise _rejected(part.cells, "totally symmetric")
             return part
     else:
         stable = predicate == "strongly_stable"
         order, requires = _cell_requirements(dim, side, stable)
         steps, numbers = _layout(dim, side, order)
         inboxes = _inboxes(side, steps)
-        # Per depth, the lex-sorted cells and the mask of the last node
-        # walked there.  The walk yields each node right after its parent's
-        # earlier subtrees, so depth len(idxs) - 1 holds its parent, and a
-        # node is its parent plus the cell of its last index.
-        sorted_cells: list[tuple[Cell, ...]] = [()] * (len(order) + 1)
         masks = [0] * (len(order) + 1)
+        sorted_cells: list[tuple[Cell, ...]] = [()] * (len(order) + 1)
 
-        def finalize(idxs: tuple[int, ...]) -> Partition:
+        def finalize(idxs: tuple[int, ...]) -> int:
             depth = len(idxs)
             if depth:
-                i = idxs[-1]
-                parent, cell = sorted_cells[depth - 1], order[i]
-                k = bisect_left(parent, cell)
-                sorted_cells[depth] = cells = parent[:k] + (cell,) + parent[k:]
-                masks[depth] = mask = masks[depth - 1] | 1 << numbers[i]
-            else:
-                cells, mask = (), 0
-            part = Partition._trusted(dim, cells)
+                masks[depth] = masks[depth - 1] | 1 << numbers[idxs[-1]]
+            mask = masks[depth]
             if not _down_closed(mask, steps, inboxes):
-                raise _rejected(part, "downward closed")
+                raise _rejected(map(order.__getitem__, idxs), "downward closed")
             if stable and not _hooks_increase(mask, steps, inboxes):
-                raise _rejected(part, "strongly stable")
-            return part
-        # The stable transfer keys its states by these masks.  (A wrapper
-        # made by functools.wraps shares this list through its __dict__.)
-        finalize.masks = masks
-    return order, requires, finalize
+                raise _rejected(map(order.__getitem__, idxs), "strongly stable")
+            return mask
+
+        def partition(idxs: tuple[int, ...]) -> Partition:
+            depth = len(idxs)
+            if depth:
+                parent, cell = sorted_cells[depth - 1], order[idxs[-1]]
+                k = bisect_left(parent, cell)
+                sorted_cells[depth] = parent[:k] + (cell,) + parent[k:]
+            return Partition._trusted(dim, sorted_cells[depth])
+    return order, requires, partition, finalize
 
 
 def _check_box_args(dim: int, side: int, predicate: str) -> None:
@@ -312,9 +363,10 @@ def enumerate_partitions(dim: int, side: int, predicate: str = "all", *,
     _check_box_args(dim, side, predicate)
     limiter = _Budget(budget)
     limiter.refuse_table(dim, side, predicate)
-    _, requires, finalize = _mode(dim, side, predicate)
+    _, requires, partition, finalize = _mode(dim, side, predicate)
     for idxs in _walk(requires, limiter.tick):
-        yield finalize(idxs)
+        finalize(idxs)
+        yield partition(idxs)
 
 
 def _tally(dim: int, side: int, predicate: str, stat: Callable[[Partition], int],
@@ -362,16 +414,17 @@ def _stable_transfer(dim: int, side: int, weight: Callable[[int], object], *,
     The states are the (d-1)-dimensional strongly stable partitions of
     side at most `side`, listed by one run of the stable walk and
     re-validated there on their bitmasks, which the walk carries from
-    parent to child and which key the states here.  A cell y is bit
-    number sum(y_j side^(d-2-j)), its base-side digits with y_1 most
-    significant (the layout of :func:`_layout`), so
+    parent to child and which key the states here; no cell set is built.
+    A cell y is bit number sum(y_j side^(d-2-j)), its base-side digits
+    with y_1 most significant (the layout of :func:`_layout`), so
     g(mask) = mask & (mask >> side^(d-2)).  States are sorted by the
-    smallest m with S inside T_m, so the states inside T_m come first.
-    Summing F_a over the states inside each state is one pass per cell
-    in lexicographic (increasing bit) order, a linear extension of the
-    cell order: Z[mask] += Z[mask ^ b] whenever mask ^ b is a state (a
-    zeta transform on the lattice of order ideals).  These pairs of
-    states are listed once; the slice a = side - m uses those inside T_m.
+    smallest m with S inside T_m, then by mask, so the states inside T_m
+    come first and T_m, which holds each of them, is the last.  Summing
+    F_a over the states inside each state is one pass per cell in
+    lexicographic (increasing bit) order, a linear extension of the cell
+    order: Z[mask] += Z[mask ^ b] whenever mask ^ b is a state (a zeta
+    transform on the lattice of order ideals).  These pairs of states
+    are listed once; the slice a = side - m uses those inside T_m.
 
     The budget is charged one per walk node, one per state of each slice
     and one per zeta step.
@@ -379,27 +432,18 @@ def _stable_transfer(dim: int, side: int, weight: Callable[[int], object], *,
     _check_box_args(dim, side, "strongly_stable")
     limiter = _Budget(budget)
     limiter.refuse_table(dim - 1, side, "strongly_stable")
-    order, requires, finalize = _mode(dim - 1, side, "strongly_stable")
+    order, requires, _, finalize = _mode(dim - 1, side, "strongly_stable")
     steps, numbers = _layout(dim - 1, side, order)
-    carried = finalize.masks  # each walked state's mask, by depth
     shift = steps[0] if steps else 0
     rank = [sum(cell) + 1 for cell in order]
-    found = []
-    for idxs in _walk(requires, limiter.tick):
-        finalize(idxs)
-        found.append((max(map(rank.__getitem__, idxs), default=0),
-                      carried[len(idxs)], idxs))
-    found.sort()
-    masks = [mask for _, mask, _ in found]
+    found = sorted((max(map(rank.__getitem__, idxs), default=0), finalize(idxs), idxs)
+                   for idxs in _walk(requires, limiter.tick))
+    ranks, masks, states = zip(*found)
     index = {mask: s for s, mask in enumerate(masks)}
-    weights = [weight(len(idxs)) for _, _, idxs in found]
+    weights = [weight(len(idxs)) for idxs in states]
     inner = [index[mask & (mask >> shift)] for mask in masks]
-    ranks = [r for r, _, _ in found]
-    inside = [bisect_left(ranks, m + 1) for m in range(side + 1)]
-    top = [index[sum(1 << k for k, r in zip(numbers, rank) if r <= m)]
-           for m in range(side + 1)]
     removals: list[list[tuple[int, int]]] = [[] for _ in order]
-    for s, (_, mask, idxs) in enumerate(found):
+    for s, (mask, idxs) in enumerate(zip(masks, states)):
         for i in idxs:
             t = index.get(mask ^ 1 << numbers[i])
             if t is not None:
@@ -408,17 +452,17 @@ def _stable_transfer(dim: int, side: int, weight: Callable[[int], object], *,
 
     limiter.phase = "transfer"
     sums = [weight(0)] * len(masks)  # Z_side: the empty chain
-    totals = [sums[top[0]]]
+    totals = [sums[0]]
     for m in range(1, side + 1):
-        size = inside[m]
+        size = bisect_left(ranks, m + 1)  # the states inside T_m
         limiter.charge(size)
         sums = [sums[inner[s]] * weights[s] for s in range(size)]
         for pairs in passes:
-            steps = bisect_left(pairs, (size,))
-            limiter.charge(steps)
-            for s, t in pairs[:steps]:
+            tried = bisect_left(pairs, (size,))
+            limiter.charge(tried)
+            for s, t in pairs[:tried]:
                 sums[s] += sums[t]
-        totals.append(sums[top[m]])
+        totals.append(sums[size - 1])  # T_m, the last state inside it
     return totals
 
 
@@ -458,43 +502,35 @@ def _slice_transfer(dim: int, side: int, weight: Callable[[int], object], *,
     c + 1 is the total over the chains that end at slice c.
 
     The states are the (d-1)-dimensional partitions of side at most
-    `side`, listed by one run of the symmetric walk and re-validated
-    there, each keyed by an int bitmask over orbit representatives.  Bits
-    follow the representatives by (largest value, graded order), a linear
-    extension of the orbit poset in which those inside [0, c)^(d-1) come
-    first, so the states inside it are the masks below 2^(their number).
-    Summing the previous slice over the supersets of each state is one
-    pass per representative in reverse order (a zeta transform on the
-    lattice of order ideals): O(states x representatives) per slice.
+    `side`, listed by one run of the symmetric walk, each an int bitmask
+    over orbit representatives that the walk carries from parent to child
+    and re-validates for downward closure (see :func:`_orbits_closed`);
+    no orbit is expanded into cells.  Bits follow the representatives by
+    (largest value, graded order) (see :func:`_orbit_layout`), so the
+    states inside [0, c)^(d-1) are the masks below 2^(the number of
+    representatives there).  Summing the previous slice over the
+    supersets of each state is one pass per representative in reverse
+    order, adding the state with that representative added whenever it
+    is one (a zeta transform on the lattice of order ideals):
+    O(states x representatives) per slice.
 
-    The budget is charged one per walk node, one per cell of each state
-    before it is expanded and re-validated (from the orbit sizes, so a
-    state too large for the budget is never expanded), one per state of
-    each slice and one per (representative, state) step tried.
+    The budget is charged one per walk node, one per representative of
+    each state before it is re-validated (what the check costs), one per
+    state of each slice and one per (representative, state) step tried.
     """
     _check_box_args(dim, side, "totally_symmetric")
     limiter = _Budget(budget)
     limiter.refuse_table(dim - 1, side, "totally_symmetric")
-    order, requires, finalize = _mode(dim - 1, side, "totally_symmetric")
-    top = [max(rep, default=0) for rep in order]
-    ranked = sorted(range(len(order)), key=lambda i: (top[i], sum(order[i]), order[i]))
-    bit = [0] * len(order)
-    for k, i in enumerate(ranked):
-        bit[i] = 1 << k
-    need = [sum(bit[j] for j in requires[i]) for i in ranked]
-    budgeted = limiter.limit is not None
-    sizes = [_orbit_size(rep) for rep in order] if budgeted else []
+    order, requires, _, finalize = _mode(dim - 1, side, "totally_symmetric")
     masks = []
     for idxs in _walk(requires, limiter.tick):
-        if budgeted:
-            limiter.charge(sum(map(sizes.__getitem__, idxs)))
-        finalize(idxs)
-        masks.append(sum(bit[i] for i in idxs))
+        limiter.charge(len(idxs))
+        masks.append(finalize(idxs))
     masks.sort()
     index = {mask: s for s, mask in enumerate(masks)}
     weights = [weight(mask.bit_count()) for mask in masks]
     # Representatives inside [0, c)^(d-1), and the states made of them.
-    tops = sorted(top)
+    tops = sorted(max(rep, default=0) for rep in order)
     reps_below = [bisect_left(tops, c) for c in range(side + 1)]
     states_below = [bisect_left(masks, 1 << r) for r in reps_below]
 
@@ -505,10 +541,12 @@ def _slice_transfer(dim: int, side: int, weight: Callable[[int], object], *,
         domain = masks[:states_below[c]]
         for k in reversed(range(reps_below[c])):
             limiter.charge(len(domain))
-            b, below = 1 << k, need[k]
+            b = 1 << k
             for s, mask in enumerate(domain):
-                if mask & below == below and not mask & b:
-                    chains[s] += chains[index[mask | b]]
+                if not mask & b:
+                    t = index.get(mask | b)
+                    if t is not None:
+                        chains[s] += chains[t]
         low = (1 << reps_below[c]) - 1
         limiter.charge(states_below[c + 1])
         chains = [chains[index[mask & low]] * weights[s]
@@ -529,9 +567,11 @@ def count_ts(dim: int, side: int, *, budget: int | None = None) -> int:
     are counted by a transfer from slice to slice
     (:func:`_slice_transfer`).
 
-    `budget` caps the slice-state walk and the transfer steps together;
-    exceeding it raises :class:`ResourceLimit` naming the phase (table,
-    walk or transfer).  A slice state that fails re-validation raises
+    `budget` caps the slice-state walk, with each state's orbit
+    representatives (what its re-validation costs), and the transfer
+    steps together; exceeding it raises :class:`ResourceLimit` naming the
+    phase (table, walk or transfer).  A slice state that is not downward
+    closed fails re-validation on its orbit mask and raises
     :class:`ArithmeticSelfCheck`.
     """
     return _slice_transfer(dim, side, _one, budget=budget)[-1]

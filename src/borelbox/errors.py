@@ -153,7 +153,11 @@ class _Budget:
     def refuse_table(self, dim: int, side: int, predicate: str) -> None:
         """Raise before a requirement table larger than the budget is
         built: side^d cells, or C(side+d-1, d) orbit representatives (one,
-        the empty tuple, in dimension 0)."""
+        the empty tuple, in dimension 0).  The strongly stable table lists
+        only the C(side+d-1, d) cells with coordinate sum below side, but
+        its candidates are still side^d-bit masks, and the in-box masks of
+        their checks are built as side^d-character strings, so side^d is
+        what it is measured by."""
         if self.limit is None:
             return
         if predicate == "totally_symmetric":

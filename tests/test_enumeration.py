@@ -277,17 +277,27 @@ def list_ss(dim, side):
     return list(enumerate_partitions(dim, side, "strongly_stable"))
 
 
+def list_ts(dim, side):
+    return list(enumerate_partitions(dim, side, "totally_symmetric"))
+
+
 @pytest.mark.parametrize("predicate, counter", [
     ("is_strongly_stable", count_ss),
     ("is_strongly_stable", list_ss),
     ("is_totally_symmetric", count_ts),
+    ("is_totally_symmetric", list_ts),
 ])
 def test_failed_revalidation_raises(monkeypatch, predicate, counter):
     # Stable candidates are re-validated on their bitmask by
-    # `_hooks_increase`, symmetric ones by the Partition predicate.
+    # `_hooks_increase`, symmetric ones on their orbit mask by
+    # `_orbits_closed`; a symmetric listing also runs the Partition
+    # predicate on the cells it builds.
     if predicate == "is_strongly_stable":
         monkeypatch.setattr(borelbox.enumeration, "_hooks_increase",
                             lambda mask, steps, inboxes: False)
+    elif counter is count_ts:
+        monkeypatch.setattr(borelbox.enumeration, "_orbits_closed",
+                            lambda mask, reps, below: False)
     else:
         monkeypatch.setattr(Partition, predicate, lambda self: False)
     with pytest.raises(ArithmeticSelfCheck, match="enumerated candidate"):
@@ -295,6 +305,7 @@ def test_failed_revalidation_raises(monkeypatch, predicate, counter):
 
 
 _real_requirements = borelbox.enumeration._cell_requirements
+_real_orbit_requirements = borelbox.enumeration._orbit_requirements
 
 
 def requirements_without_predecessors(dim, side, stable):
@@ -307,9 +318,15 @@ def requirements_without_predecessors(dim, side, stable):
     for cell, need in zip(order, requires):
         below = {index[cell[:j] + (v - 1,) + cell[j + 1:]]
                  for j, v in enumerate(cell) if v}
-        dropped.append(None if need is None
-                       else tuple(k for k in need if k not in below))
+        dropped.append(tuple(k for k in need if k not in below))
     return order, dropped
+
+
+def orbit_requirements_without_predecessors(dim, side):
+    """The symmetric walk's table with every predecessor orbit dropped:
+    the walk then reaches every set of orbits, most not downward closed."""
+    order, _ = _real_orbit_requirements(dim, side)
+    return order, [()] * len(order)
 
 
 def requirements_without_moves(dim, side, stable):
@@ -318,12 +335,24 @@ def requirements_without_moves(dim, side, stable):
     return _real_requirements(dim, side, False)
 
 
-@pytest.mark.parametrize("predicate", ["all", "strongly_stable"])
+@pytest.mark.parametrize("predicate", ["all", "strongly_stable", "totally_symmetric"])
 def test_listing_a_set_that_is_not_downward_closed_raises(monkeypatch, predicate):
     monkeypatch.setattr(borelbox.enumeration, "_cell_requirements",
                         requirements_without_predecessors)
+    monkeypatch.setattr(borelbox.enumeration, "_orbit_requirements",
+                        orbit_requirements_without_predecessors)
     with pytest.raises(ArithmeticSelfCheck, match="not downward closed"):
         list(enumerate_partitions(2, 3, predicate))
+
+
+@pytest.mark.parametrize("counter", [count_ts, orbit_gf_ts])
+def test_counting_sets_of_orbits_that_are_not_downward_closed_raises(monkeypatch, counter):
+    # Without the check on each slice state's orbit mask, count_ts(3, 3)
+    # counts 288 chains of such sets instead of the 16 partitions.
+    monkeypatch.setattr(borelbox.enumeration, "_orbit_requirements",
+                        orbit_requirements_without_predecessors)
+    with pytest.raises(ArithmeticSelfCheck, match="not downward closed"):
+        counter(3, 3)
 
 
 @pytest.mark.parametrize("counter", [list_ss, count_ss])

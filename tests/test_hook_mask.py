@@ -1,15 +1,18 @@
 """The bitmask checks that re-validate candidates in the walk: the hook
 check of strongly stable ones (`enumeration._hooks_increase`), against the
-cell-level `Partition.is_strongly_stable` and the brute-force oracle, and
-the closure check of every cell-level candidate (`enumeration._down_closed`),
-against the brute-force closure test."""
+cell-level `Partition.is_strongly_stable` and the brute-force oracle; the
+closure check of every cell-level candidate (`enumeration._down_closed`),
+against the brute-force closure test; and the closure check of sets of
+whole orbits on their masks (`enumeration._orbits_closed`), against the
+same test on their cells."""
 
 from itertools import combinations, product
 
 import pytest
 
 from borelbox import Partition, enumerate_partitions
-from borelbox.enumeration import _down_closed, _hooks_increase, _inboxes, _layout
+from borelbox.enumeration import (_down_closed, _hooks_increase, _inboxes, _layout,
+                                  _orbit_layout, _orbit_requirements, _orbits_closed)
 
 import bruteforce
 
@@ -75,3 +78,19 @@ def test_closure_check_matches_the_oracle_on_every_cell_set(dim, side):
             verdicts.add(verdict)
     assert verdicts == {True, False}
 
+
+@pytest.mark.parametrize("dim, side", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_orbit_closure_check_matches_the_oracle_on_every_set_of_orbits(dim, side):
+    # Every set of orbit representatives, not only those the walk reaches;
+    # the oracle expands each orbit by the full permutation group.
+    order, _ = _orbit_requirements(dim, side)
+    bit, below = _orbit_layout(order)
+    verdicts = set()
+    for size in range(len(order) + 1):
+        for reps in combinations(range(len(order)), size):
+            cells = bruteforce.naive_symmetrize(order[i] for i in reps)
+            verdict = bruteforce.is_downward_closed(cells)
+            mask = sum(bit[i] for i in reps)
+            assert _orbits_closed(mask, reps, below) == verdict, reps
+            verdicts.add(verdict)
+    assert verdicts == {True, False}

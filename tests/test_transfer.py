@@ -12,8 +12,11 @@ import pytest
 
 import borelbox.enumeration
 from borelbox import (
+    Partition,
     QPolynomial,
     ResourceLimit,
+    cell_gf_ss,
+    count_ss,
     count_ts,
     enumerate_partitions,
     orbit_gf_ts,
@@ -22,6 +25,7 @@ from borelbox import (
 )
 from borelbox.cli import run
 from borelbox.enumeration import cumulative_counts
+from borelbox.partitions import _orbit_size
 
 import bruteforce
 
@@ -61,13 +65,13 @@ def test_symmetric_box_transposition():
 
 def test_budget_covers_walk_and_transfer():
     with pytest.raises(ResourceLimit, match="transfer"):
-        orbit_gf_ts(3, 4, budget=200)
-    # 16 slice states walked and their 128 cells re-validated, then 30
-    # (slice, state) pairs and 62 zeta steps.
-    assert count_ts(3, 4, budget=236) == 66
-    assert orbit_gf_ts(3, 4, budget=236) == qtspp(4)
+        orbit_gf_ts(3, 4, budget=150)
+    # 16 slice states walked and their 80 representatives re-validated,
+    # then 30 (slice, state) pairs and 62 zeta steps.
+    assert count_ts(3, 4, budget=188) == 66
+    assert orbit_gf_ts(3, 4, budget=188) == qtspp(4)
     with pytest.raises(ResourceLimit):
-        count_ts(3, 4, budget=235)
+        count_ts(3, 4, budget=187)
     with pytest.raises(ValueError):
         count_ts(3, 4, budget=0)
 
@@ -81,7 +85,7 @@ def test_budget_message_names_the_phase(monkeypatch):
     with pytest.raises(ResourceLimit, match="walk"):
         list(enumerate_partitions(2, 3, "all", budget=9))
     with pytest.raises(ResourceLimit, match="transfer"):
-        count_ts(3, 4, budget=200)
+        count_ts(3, 4, budget=150)
     monkeypatch.setattr(borelbox.enumeration, "_orbit_requirements", unbuilt)
     with pytest.raises(ResourceLimit, match="table"):
         count_ts(3, 60, budget=1)
@@ -91,26 +95,32 @@ def test_budget_message_names_the_phase(monkeypatch):
 
 @pytest.mark.parametrize("dim", [10, 16, 17])
 def test_budget_charges_state_cells_before_expanding_them(monkeypatch, dim):
-    """A slice state's cells are charged from its orbit sizes before it is
-    expanded and re-validated, so no orbit past the budget is expanded."""
-    expanded = []
-    expand = borelbox.enumeration._distinct_permutations
+    """A slice state is charged its representatives and re-validated on
+    its orbit mask, so the transfer expands no orbit into cells, and a
+    walk past the budget is refused there."""
+    def unexpanded(rep):
+        raise AssertionError(f"the orbit of {rep} was expanded")
 
-    def counted(rep):
-        cells = list(expand(rep))
-        expanded.append(len(cells))
-        return iter(cells)
-
-    monkeypatch.setattr(borelbox.enumeration, "_distinct_permutations", counted)
+    monkeypatch.setattr(borelbox.enumeration, "_distinct_permutations", unexpanded)
     with pytest.raises(ResourceLimit, match="walk"):
         count_ts(dim, 3, budget=500)
-    assert sum(expanded) <= 500
+
+
+def test_transfers_build_no_cells(monkeypatch):
+    # Slice states are re-validated and keyed on their bitmasks alone.
+    def unbuilt(*args):
+        raise AssertionError("a cell-level value was built")
+
+    monkeypatch.setattr(borelbox.enumeration, "_distinct_permutations", unbuilt)
+    monkeypatch.setattr(Partition, "_trusted", unbuilt)
+    assert count_ss(4, 4) == count_ts(4, 4) == 352
+    assert cell_gf_ss(3, 5) == orbit_gf_ts(3, 5) == qtspp(5)
 
 
 def test_orbit_sizes_are_the_distinct_rearrangements():
     for dim in range(6):
         for rep in combinations_with_replacement(range(4), dim):
-            assert borelbox.enumeration._orbit_size(rep) == len(set(permutations(rep)))
+            assert _orbit_size(rep) == len(set(permutations(rep)))
 
 
 def test_cli_gf_budget_exits_three(capsys):
