@@ -1,31 +1,29 @@
 """Command line front end: JSON in, JSON or pretty text out.
 
 Exit codes: 0 success, 1 malformed input, 2 violated precondition
-(standard output closed before the output was written included),
-3 resource budget exceeded.
+(standard output closed before the output was written included) or
+usage error, 3 resource budget exceeded.
 
-The seven conversions (`partition2ideal`, `ss2ts`, `ts2ss`, `lambda`,
-`omega`, `ideal2partition`, `closure`) are the rows of `_CONVERSIONS`:
-each names its input, the public library function it calls and its
-help.  One handler reads the input, calls the function and prints the
-result; the README's "Command line" table gives every subcommand's
-input, function and output.  The other subcommands build reports, not
-objects, and keep their own handlers.
+`_COMMANDS` is the one table of subcommands: a row gives the handler's
+name, the help line, the input and the options.  The input is None when
+there is none, True for JSON, and for the seven conversions (which share
+`_cmd_convert`) the public class whose `from_json_dict` reads it, "gens"
+for a {"gens": [...]} object whose list is passed on, and the public
+function to call.  An option is (kind, default): the kind `int`, a tuple
+of choices or `bool` for a flag, the default `...` if it is required.
 
 A subcommand imports only what it uses: `check-partition` and `render`
-need no more than this module's own imports, and every other handler
-imports the library functions it calls when it runs (a conversion finds
-each one's home module in the package's `_HOME`).
+need no more than this module's imports; every other handler imports the
+library functions it calls when it runs, from their `_HOME` modules.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from collections import Counter
-from pathlib import Path
+from types import SimpleNamespace
 
 from . import _HOME
 from .errors import BorelboxError, InputError, UnsupportedDimension
@@ -35,28 +33,37 @@ _MAX_JSON_INT = 2**53 - 1
 
 _PREDICATE_NAMES = {"ss": "strongly_stable", "ts": "totally_symmetric", "all": "all"}
 
-# The conversion subcommands: (subcommand, input, public function, help,
-# `--budget` help or None).  The input is the public class whose
-# `from_json_dict` reads it, or "gens" for a {"gens": [...]} object whose
-# list is passed on as it is.  Only rows with a `--budget` help take one.
-_CONVERSIONS = (
-    ("partition2ideal", "Partition", "partition_to_ideal",
-     "complement ideal of a partition", None),
-    ("ss2ts", "Partition", "ss_to_ts_partition",
-     "totally symmetric partner of a strongly stable partition",
-     "most cells the image may have; exceeding it exits with code 3"),
-    ("ts2ss", "Partition", "ts_to_ss_partition",
-     "strongly stable partner of a totally symmetric partition",
-     "most cells the image may have; exceeding it exits with code 3"),
-    ("lambda", "MonomialIdeal", "lambda_map",
-     "prefix-sum image of the Borel generators", None),
-    ("omega", "FSet", "omega", "ideal generated by the symmetrized antichain", None),
-    ("ideal2partition", "MonomialIdeal", "ideal_to_partition",
-     "complement partition of an Artinian ideal",
-     "most complement cells to grow; exceeding it exits with code 3"),
-    ("closure", "gens", "borel_closure", "Borel closure of a monomial set",
-     "most monomials the closure may reach; exceeding it exits with code 3"),
-)
+_FORMAT = {"--format": (("json", "pretty"), "json")}
+_CAPPED = {**_FORMAT, "--budget": (int, None)}
+_BOX = {"--d": (int, ...), "--n": (int, ...), "--budget": (int, None)}
+_COMMANDS = {
+    "check-partition": ("_cmd_check_partition", "report a partition's invariants", True, _FORMAT),
+    "check-ideal": ("_cmd_check_ideal", "an ideal's canonical form and properties", True, _FORMAT),
+    "bgens": ("_cmd_bgens", "minimal Borel generators of a strongly stable ideal", True, _FORMAT),
+    "partition2ideal": ("_cmd_convert", "complement ideal of a partition",
+                        ("Partition", "partition_to_ideal"), _FORMAT),
+    "ss2ts": ("_cmd_convert", "totally symmetric partner of a strongly stable partition",
+              ("Partition", "ss_to_ts_partition"), _CAPPED),
+    "ts2ss": ("_cmd_convert", "strongly stable partner of a totally symmetric partition",
+              ("Partition", "ts_to_ss_partition"), _CAPPED),
+    "lambda": ("_cmd_convert", "prefix-sum image of the Borel generators",
+               ("MonomialIdeal", "lambda_map"), _FORMAT),
+    "omega": ("_cmd_convert", "ideal generated by the symmetrized antichain",
+              ("FSet", "omega"), _FORMAT),
+    "ideal2partition": ("_cmd_convert", "complement partition of an Artinian ideal",
+                        ("MonomialIdeal", "ideal_to_partition"), _CAPPED),
+    "closure": ("_cmd_convert", "Borel closure of a monomial set",
+                ("gens", "borel_closure"), _CAPPED),
+    "count": ("_cmd_count", "cumulative counts by box side", None,
+              {**_BOX, "--predicate": (("ss", "ts", "all"), None), "--list": (bool, False),
+               **_FORMAT}),
+    "gf": ("_cmd_gf", "cell or orbit counting generating function", None,
+           {**_BOX, "--d": (int, None), "--predicate": (("ss", "ts"), "ts"),
+            "--formula": (bool, False), **_FORMAT}),
+    "hawkes": ("_cmd_hawkes", "box transposition identity for the counts", None, _BOX),
+    "render": ("_cmd_render", "ASCII picture of a partition", True,
+               {"--style": (("ferrers", "matrix"), ...)}),
+}
 
 
 def _public(name: str):
@@ -88,7 +95,8 @@ def _read_payload(args):
         text = sys.stdin.read()
     else:
         try:
-            text = Path(args.input).read_text()
+            with open(args.input) as file:
+                text = file.read()
         except OSError as exc:
             raise InputError(f"cannot read {args.input}: {exc}") from None
     try:
@@ -200,13 +208,13 @@ def _cmd_bgens(args) -> None:
 
 
 def _cmd_convert(args) -> None:
-    _, reads, function, _, budget_help = args.conversion
+    reads, function = _COMMANDS[args.command][2]
     data = _read_payload(args)
     if reads == "gens":
         (value,) = _json_fields(data, "closure input", gens=list)
     else:
         value = _public(reads).from_json_dict(data)
-    budget = {} if budget_help is None else {"budget": args.budget}
+    budget = {"budget": args.budget} if hasattr(args, "budget") else {}
     _emit(args, _public(function)(value, **budget))
 
 
@@ -270,84 +278,79 @@ def _cmd_render(args) -> None:
         print(text)
 
 
-def _add_io_arguments(parser) -> None:
-    parser.add_argument("input", nargs="?", default="-",
-                        help="input file (JSON); '-' or omitted reads standard input")
-    parser.add_argument("--format", choices=("json", "pretty"), default="json")
+def _usage_error(message: str):
+    print(f"error: {message} (see --help)", file=sys.stderr)
+    raise SystemExit(2)
 
 
-def _add_box_arguments(parser, *, d_required: bool = True) -> None:
-    parser.add_argument("--d", type=int, required=d_required,
-                        help="ambient dimension")
-    parser.add_argument("--n", type=int, required=True, help="box side")
-    parser.add_argument("--budget", type=int, default=None,
-                        help="search node budget (the product degree for gf --formula); "
-                             "exceeding it exits with code 3")
+def _help(command: str | None):
+    """Print the help for `command`, or the list of subcommands when it is None."""
+    if command is None:
+        usage = "<subcommand> [options] [input]"
+        rows = [(name, row[1]) for name, row in _COMMANDS.items()]
+    else:
+        _, text, reads, options = _COMMANDS[command]
+        usage = f"{command} [options]{' [input]' * bool(reads)}\n\n{text}"
+        rows = [("input", "JSON file; '-' or omitted reads standard input")] * bool(reads)
+        for name, (kind, default) in options.items():
+            value = "" if kind is bool else " INT" if kind is int else " {%s}" % ",".join(kind)
+            rows.append((name + value, "required" if default is ... else ""))
+    width = max(len(name) for name, _ in rows)
+    print(f"usage: borelbox {usage}\n", *(f"  {name:<{width}}  {about}".rstrip()
+                                          for name, about in rows), sep="\n")
+    raise SystemExit(0)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="borelbox",
-        description="Boxed partitions, strongly stable monomial ideals, and "
-                    "their side-preserving bijection onto totally symmetric "
-                    "partitions.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _parse_args(argv=None) -> SimpleNamespace:
+    """argv read against `_COMMANDS`: options spelled in full, as `--opt value`
+    (the value even when it starts with `-`) or `--opt=value`, around one input path."""
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    if "-h" in argv or "--help" in argv:
+        _help(command)
+    if command is None:
+        _usage_error(f"unknown subcommand {argv[0]!r}" if argv else "no subcommand given")
+    handler, _, reads, options = _COMMANDS[command]
+    values = {name[2:]: default for name, (_, default) in options.items()}
+    paths, tokens = [], iter(argv[1:])
+    for token in tokens:
+        name, given, value = token.partition("=")
+        kind = options.get(name, (None,))[0]
+        if kind is None:
+            if token[:1] == "-" and token != "-" or not reads or paths:
+                _usage_error(f"{command}: unexpected argument {token!r}")
+            paths.append(token)
+            continue
+        if kind is bool and given:
+            _usage_error(f"{command}: {name} takes no value")
+        if not given and kind is not bool:
+            value = next(tokens, None)
+        try:   # tuple.index raises ValueError for a value outside the choices
+            values[name[2:]] = (True if kind is bool else int(value) if kind is int
+                                else kind[kind.index(value)])
+        except (TypeError, ValueError):
+            _usage_error(f"{command}: {name} needs a valid value, got {value!r}")
+    if ... in values.values():
+        _usage_error(f"{command}: needs " + ", ".join(o for o in options if values[o[2:]] is ...))
+    if reads:
+        values["input"] = paths[0] if paths else "-"
+    # The handler is looked up on each call, so that one wrapped in place runs.
+    return SimpleNamespace(command=command, handler=globals()[handler], **values)
 
-    reports = (
-        ("check-partition", _cmd_check_partition, "validate a partition and report its invariants"),
-        ("check-ideal", _cmd_check_ideal, "canonicalize an ideal and report its properties"),
-        ("bgens", _cmd_bgens, "minimal Borel generators of a strongly stable ideal"),
-    )
-    for name, handler, help_text in reports:
-        p = sub.add_parser(name, help=help_text)
-        _add_io_arguments(p)
-        p.set_defaults(handler=handler)
 
-    for row in _CONVERSIONS:
-        name, _, _, help_text, budget_help = row
-        p = sub.add_parser(name, help=help_text)
-        _add_io_arguments(p)
-        if budget_help is not None:
-            p.add_argument("--budget", type=int, default=None, help=budget_help)
-        p.set_defaults(handler=_cmd_convert, conversion=row)
-
-    p = sub.add_parser("count", help="cumulative counts by box side")
-    _add_box_arguments(p)
-    p.add_argument("--predicate", choices=("ss", "ts", "all"), default=None)
-    p.add_argument("--list", action="store_true",
-                   help="stream the matching partitions, one JSON object per line")
-    p.add_argument("--format", choices=("json", "pretty"), default="json")
-    p.set_defaults(handler=_cmd_count)
-
-    p = sub.add_parser("gf", help="cell or orbit counting generating function")
-    _add_box_arguments(p, d_required=False)
-    p.add_argument("--predicate", choices=("ss", "ts"), default="ts")
-    p.add_argument("--formula", action="store_true",
-                   help="evaluate the d=3 boxed product formula instead of enumerating")
-    p.add_argument("--format", choices=("json", "pretty"), default="json")
-    p.set_defaults(handler=_cmd_gf)
-
-    p = sub.add_parser("hawkes", help="box transposition identity for the counts")
-    _add_box_arguments(p)
-    p.set_defaults(handler=_cmd_hawkes)
-
-    p = sub.add_parser("render", help="ASCII picture of a partition")
-    p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--style", choices=("ferrers", "matrix"), required=True)
-    p.set_defaults(handler=_cmd_render)
-
-    return parser
+def build_parser() -> SimpleNamespace:
+    """The parser, whose `parse_args(argv)` gives the handler and its arguments."""
+    return SimpleNamespace(parse_args=_parse_args)
 
 
 _built: tuple = (None, None)   # (the builder that built it, the parser)
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> SimpleNamespace:
     """The parser, built on the first `run` and shared by the later ones
-    in the process: parsing leaves it unchanged.  It is built again when
-    the module's `build_parser` has been replaced, so a wrapped builder,
-    and the handlers bound while it was in place, take effect (the
-    per-layer tracer in perfbench/tracer.py wraps both)."""
+    in the process.  It is built again when the module's `build_parser`
+    has been replaced, so that a wrapped builder takes effect (the
+    per-layer tracer in perfbench/tracer.py wraps it and `parse_args`)."""
     global _built
     if _built[0] is not build_parser:
         _built = (build_parser, build_parser())
@@ -358,12 +361,9 @@ def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         args.handler(args)
-    except BorelboxError as exc:
+    except (BorelboxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code if isinstance(exc, BorelboxError) else 1
     return 0
 
 

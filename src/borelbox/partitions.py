@@ -18,9 +18,9 @@ and one reader for JSON objects with typed fields.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from itertools import chain
 from operator import itemgetter, mul
-from typing import Iterable, Iterator
 
 from .errors import (
     CellNotInPartition,

@@ -345,15 +345,16 @@ def test_import_does_not_load_thread_pools():
     assert proc.stdout.strip() == "False"
 
 
-def _loaded(code, stdin=""):
-    """The modules in `sys.modules` after a fresh interpreter runs `code`.
+def _loaded(code, stdin="", flags=()):
+    """The modules in `sys.modules` after a fresh interpreter, started
+    with `flags`, runs `code`.
 
     Read from `sys.modules`, not from an `-X importtime` log: the package
     loads its public names through `importlib.import_module`, which that
     log does not show."""
     src = Path(__file__).resolve().parents[1] / "src"
     probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", probe], input=stdin,
+    proc = subprocess.run([sys.executable, *flags, "-c", probe], input=stdin,
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, (code, proc.stderr)
@@ -363,16 +364,20 @@ def _loaded(code, stdin=""):
 def test_each_subcommand_imports_only_the_modules_it_uses():
     one_cell = json.dumps({"dim": 3, "cells": [[0, 0, 0]]})
 
-    def library(argv):
+    def library(argv, flags=()):
         loaded = _loaded(f"from borelbox.cli import run\nassert run({argv!r}) == 0",
-                         one_cell)
+                         one_cell, flags)
         return loaded, {m.removeprefix("borelbox.") for m in loaded
                         if m.startswith("borelbox.")}
 
     for argv in (["check-partition"], ["render", "--style", "matrix"]):
         loaded, modules = library(argv)
         assert modules == {"cli", "errors", "partitions"}, argv
-        assert "dataclasses" not in loaded, argv
+        assert not loaded & {"dataclasses", "argparse", "gettext", "locale"}, argv
+        # Without `site`, which may load them itself, neither do `typing`
+        # and `pathlib` load.
+        loaded, _ = library(argv, ["-S"])
+        assert not loaded & {"argparse", "gettext", "locale", "typing", "pathlib"}, argv
     # The bijection is a direct map on cells: no ideals, no complements.
     for argv in (["ss2ts"], ["ts2ss"]):
         _, modules = library(argv)
@@ -409,6 +414,42 @@ def test_back_to_back_runs_share_no_parser_state(monkeypatch, capsys):
                             None, monkeypatch, capsys)
     assert code == 0 and err == ""
     assert json.loads(out) == {"d": 2, "n": 2, "T": [1, 2, 4]}
+
+
+def _exit_code(argv):
+    """The code of the `SystemExit` that `run(argv)` raises."""
+    with pytest.raises(SystemExit) as raised:
+        run(argv)
+    return raised.value.code
+
+
+def test_help_lists_every_subcommand_and_option(capsys):
+    """`--help` lists each subcommand with its help line, `<cmd> --help`
+    (or `-h`) each option of that command with its choices; both exit 0
+    with nothing on standard error."""
+    from borelbox.cli import _COMMANDS
+
+    assert _exit_code(["--help"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("usage: borelbox")
+    rows = [line.split() for line in out.splitlines()]
+    assert len(_COMMANDS) == 14
+    for name, (_, about, _, _) in _COMMANDS.items():
+        assert [name, *about.split()] in rows, name
+    for name, (_, about, reads, options) in _COMMANDS.items():
+        for flag in ("--help", "-h"):
+            assert _exit_code([name, flag]) == 0
+            out, err = capsys.readouterr()
+            assert err == "" and about in out, name
+            rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()
+                    if line.startswith("  ")}
+            assert set(rows) == set(options) | ({"input"} if reads else set()), name
+            for option, (kind, default) in options.items():
+                if isinstance(kind, tuple):
+                    assert rows[option][0] == "{" + ",".join(kind) + "}", (name, option)
+                assert ("required" in rows[option]) == (default is ...), (name, option)
+    assert _exit_code(["count", "--d", "3", "--help"]) == 0
+    assert "--predicate {ss,ts,all}" in capsys.readouterr().out
 
 
 def test_conversion_budget_exit_code(monkeypatch, capsys):

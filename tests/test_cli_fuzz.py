@@ -1,8 +1,9 @@
-"""Fuzz the command line: arbitrary JSON into every JSON subcommand, and
+"""Fuzz the command line: arbitrary JSON into every JSON subcommand,
 small or invalid box sizes under a small budget into the box
-subcommands.  Every run must end in exit code 0-3, with exactly one
-`error:` line on standard error when it fails, and never in an uncaught
-exception (a traceback from `borelbox`)."""
+subcommands, and argv lists drawn from the subcommand table and junk.
+Every run must end in exit code 0-3, with exactly one `error:` line on
+standard error when it fails, and never in an uncaught exception (a
+traceback from `borelbox`)."""
 
 import io
 import json
@@ -11,7 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from borelbox.cli import run
+from borelbox.cli import _COMMANDS, run
 
 import bruteforce
 
@@ -119,3 +120,45 @@ def test_closure_with_large_exponents_stays_within_a_budget(gens, form):
     code, _, err = invoke(["closure", "--budget", "500", "--format", form],
                           json.dumps({"gens": gens}))
     assert_clean_exit(code, err)
+
+
+# argv tokens: the table's option names, values in and out of range or of
+# the choices, the `=` form, unknown options (an abbreviation among them),
+# help, extra positionals and input paths (`-` reads the one-cell input).
+OPTIONS = sorted({option for row in _COMMANDS.values() for option in row[3]})
+CHOICES = sorted({choice for row in _COMMANDS.values() for kind, _ in row[3].values()
+                  if isinstance(kind, tuple) for choice in kind})
+# Box sizes up to 3 keep every unbudgeted count and listing small.
+values = st.integers(-2, 3).map(str) | st.sampled_from(CHOICES + ["x", "", "1.5", "-1e3"])
+tokens = (st.sampled_from(OPTIONS) | values
+          | st.builds("{}={}".format, st.sampled_from(OPTIONS), values)
+          | st.sampled_from(["--pred", "--bogus", "-x", "--", "-", "extra", "missing.json",
+                             "-h", "--help"]))
+argvs = st.builds(lambda first, rest: first + rest,
+                  st.sampled_from([[name] for name in _COMMANDS] + [["nope"], ["--d"], []]),
+                  st.lists(tokens, max_size=8))
+
+
+@fuzz
+@given(argv=argvs)
+def test_any_argv_exits_cleanly(argv):
+    """Parsing ends in help (exit 0, nothing on standard error) or a usage
+    error (exit 2, one `error:` line and no output); past parsing, the
+    run ends like any other."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(json.dumps({"dim": 2, "cells": [[0, 0]]}))
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+    except SystemExit as exc:
+        assert exc.code in (0, 2), argv
+        if exc.code == 0:
+            assert err.getvalue() == "" and out.getvalue().startswith("usage:"), argv
+        else:
+            assert out.getvalue() == "", argv
+            assert_clean_exit(exc.code, err.getvalue())
+    else:
+        assert_clean_exit(code, err.getvalue())
+    finally:
+        sys.stdin = saved

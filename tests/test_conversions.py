@@ -17,7 +17,12 @@ from borelbox import (
     partition_to_ideal,
     ss_to_ts_partition,
 )
-from borelbox.cli import _CONVERSIONS, _pretty_partition, run
+from borelbox.cli import _COMMANDS, _pretty_partition, run
+
+# The conversion rows of the subcommand table: (subcommand, input, public
+# function, whether it takes `--budget`).
+CONVERSIONS = [(name, *row[2], "--budget" in row[3]) for name, row in _COMMANDS.items()
+               if isinstance(row[2], tuple)]
 
 # One strongly stable partition per pretty form: a Ferrers diagram (d=2),
 # a stack-height matrix (d=3) and a cell list (d=4).
@@ -57,17 +62,18 @@ def call(argv, text):
 
 
 def test_the_table_lists_the_seven_conversions():
-    assert sorted(row[0] for row in _CONVERSIONS) == sorted(
+    assert sorted(row[0] for row in CONVERSIONS) == sorted(
         ["partition2ideal", "ss2ts", "ts2ss", "lambda", "omega", "ideal2partition",
          "closure"])
-    for _, reads, function, _, _ in _CONVERSIONS:
+    assert all(_COMMANDS[row[0]][0] == "_cmd_convert" for row in CONVERSIONS)
+    for _, reads, function, _ in CONVERSIONS:
         assert function in borelbox.__all__
         assert reads == "gens" or reads in borelbox.__all__
 
 
-@pytest.mark.parametrize("row", _CONVERSIONS, ids=[row[0] for row in _CONVERSIONS])
+@pytest.mark.parametrize("row", CONVERSIONS, ids=[row[0] for row in CONVERSIONS])
 def test_each_conversion_prints_its_library_function(row):
-    name, reads, function, _, budget_help = row
+    name, reads, function, budgeted = row
     apply = getattr(borelbox, function)
     for payload in _payloads(reads, name):
         value = (payload["gens"] if reads == "gens"
@@ -85,7 +91,7 @@ def test_each_conversion_prints_its_library_function(row):
                   else expected.pretty())
         assert out == pretty + "\n"
 
-        if budget_help is None:
+        if not budgeted:
             with pytest.raises(SystemExit):
                 call([name, "--budget", "5"], text)
         else:
