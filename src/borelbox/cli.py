@@ -343,22 +343,8 @@ def build_parser() -> SimpleNamespace:
     return SimpleNamespace(parse_args=_parse_args)
 
 
-_built: tuple = (None, None)   # (the builder that built it, the parser)
-
-
-def _parser() -> SimpleNamespace:
-    """The parser, built on the first `run` and shared by the later ones
-    in the process.  It is built again when the module's `build_parser`
-    has been replaced, so that a wrapped builder takes effect (the
-    per-layer tracer in perfbench/tracer.py wraps it and `parse_args`)."""
-    global _built
-    if _built[0] is not build_parser:
-        _built = (build_parser, build_parser())
-    return _built[1]
-
-
 def run(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.handler(args)
     except (BorelboxError, ValueError) as exc:

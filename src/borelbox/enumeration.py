@@ -336,9 +336,9 @@ def _mode(dim: int, side: int, predicate: str):
 
 
 def _check_box_args(dim: int, side: int, predicate: str) -> None:
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise ValueError(f"dimension must be a positive integer, got {dim!r}")
-    if not isinstance(side, int) or side < 0:
+    if type(side) is not int or side < 0:
         raise ValueError(f"side must be a nonnegative integer, got {side!r}")
     if predicate not in PREDICATES:
         raise ValueError(f"predicate must be one of {PREDICATES}, got {predicate!r}")
@@ -354,8 +354,10 @@ def enumerate_partitions(dim: int, side: int, predicate: str = "all", *,
     entries; exceeding it raises :class:`ResourceLimit`, before the table
     is built when the table is the larger.  Every candidate is
     re-validated against the predicate's definition: a totally symmetric
-    one by :meth:`Partition.is_totally_symmetric`, any other on the bitmask
-    of its cells for downward closure by :func:`_down_closed`, and a
+    one on the bitmask of its orbits for downward closure by
+    :func:`_orbits_closed` and, once its cells are built, for symmetry by
+    :meth:`Partition.is_totally_symmetric`; any other on the bitmask of
+    its cells for downward closure by :func:`_down_closed`, and a
     strongly stable one for increasing hooks by :func:`_hooks_increase`.
     One that fails raises :class:`ArithmeticSelfCheck`, since the pruned
     walk cannot produce it.
@@ -733,7 +735,7 @@ def _check_side(n: int, budget: int | None, measure: str) -> None:
     """Validate the side of a triple product, and refuse with
     :class:`ResourceLimit` one whose C(n+2, 3) triples exceed the budget;
     `measure` formats that count for the message."""
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     triples = comb(n + 2, 3)
     if _checked_budget(budget) is not None and triples > budget:
@@ -791,6 +793,7 @@ def hawkes_counts(dim: int, side: int, *,
     counts for dimension d and side n, and for dimension n-1 and side d+1,
     each from its own slice transfer (:func:`count_ss`), under its own
     budget."""
+    _check_box_args(dim, side, "strongly_stable")
     if side < 2:
         raise ValueError("the identity needs side >= 2")
     return (count_ss(dim, side, budget=budget),

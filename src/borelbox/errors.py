@@ -120,7 +120,7 @@ class ResourceLimit(BorelboxError):
 
 
 def _checked_budget(limit: int | None) -> int | None:
-    if limit is not None and limit < 1:
+    if limit is not None and (type(limit) is not int or limit < 1):
         raise ValueError("budget must be a positive integer or None")
     return limit
 

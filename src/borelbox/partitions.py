@@ -178,13 +178,9 @@ class Partition:
         """Arm lengths of `cell`: per axis, the largest h such that the
         cell shifted h steps along that axis is still in the partition."""
         cell = _as_vector(self.dim, cell)
-        if cell not in self._members:
-            raise CellNotInPartition(f"cell {cell} is not in the partition")
-        return self._arms(cell)
-
-    def _arms(self, cell: Cell) -> tuple[int, ...]:
-        # Trusted path: `cell` is one of this partition's own cells.
         members = self._members
+        if cell not in members:
+            raise CellNotInPartition(f"cell {cell} is not in the partition")
         arms = []
         for axis in range(self.dim):
             h = 1

@@ -95,12 +95,14 @@ class QPolynomial:
         return total
 
     def exact_div(self, divisor: "QPolynomial") -> "QPolynomial":
-        """Exact polynomial division over the integers.
+        """Exact polynomial division over the integers, by plain long
+        division from the leading coefficient down.
 
         Raises :class:`InexactDivision` when a coefficient step does not
         divide or a nonzero remainder survives; dividing by zero raises
-        ZeroDivisionError.  A divisor 1 - q^b is divided off as running
-        sums over each residue class mod b.
+        ZeroDivisionError.  The products divide by 1 - q^b with the kernel
+        :func:`_div_one_minus_q_power`; this general method is its
+        reference in the tests.
         """
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
@@ -109,9 +111,6 @@ class QPolynomial:
         if len(self.coeffs) < len(divisor.coeffs):
             raise InexactDivision(
                 f"degree {self.degree} is below the divisor degree {divisor.degree}")
-        d = divisor.coeffs
-        if len(d) > 1 and d[0] == 1 and d[-1] == -1 and d.count(0) == len(d) - 2:
-            return QPolynomial(_div_one_minus_q_power(self.coeffs, len(d) - 1))
         rem = list(self.coeffs)
         lead = divisor.coeffs[-1]
         shift = len(divisor.coeffs) - 1

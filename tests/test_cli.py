@@ -509,9 +509,10 @@ def test_ideal2partition_budget_exit_code(monkeypatch, capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
-def test_a_replaced_build_parser_is_used_once_and_then_dropped(monkeypatch, capsys):
-    """The shared parser comes from the module's current `build_parser`,
-    so the handlers a wrapped builder binds are the ones that run."""
+def test_each_run_builds_its_parser_from_the_current_build_parser(monkeypatch, capsys):
+    """`run` looks `build_parser` up on each call, so a wrapped builder
+    (the benchmark's tracer wraps it) takes effect at once and stops
+    once it is undone."""
     import borelbox.cli as cli
     original = cli.build_parser
     built = []
@@ -524,9 +525,7 @@ def test_a_replaced_build_parser_is_used_once_and_then_dropped(monkeypatch, caps
     for _ in range(2):
         code, out, _ = invoke(["count", "--d", "2", "--n", "2"], None, monkeypatch, capsys)
         assert code == 0 and json.loads(out)["B"] == [1, 2, 4]
-    assert len(built) == 1
-    wrapped = cli._parser()
+    assert len(built) == 2
     monkeypatch.undo()
     code, _, _ = invoke(["count", "--d", "2", "--n", "2"], None, monkeypatch, capsys)
-    assert code == 0 and len(built) == 1
-    assert cli._parser() is cli._parser() is not wrapped
+    assert code == 0 and len(built) == 2

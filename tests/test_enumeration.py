@@ -19,6 +19,7 @@ from borelbox import (
     count_ts,
     enumerate_partitions,
     hawkes_check,
+    hawkes_counts,
     orbit_gf_ts,
     qtspp,
     stembridge_t3,
@@ -124,6 +125,15 @@ def test_enumerate_rejects_bad_arguments():
         list(enumerate_partitions(2, -1, "all"))
     with pytest.raises(ValueError):
         list(enumerate_partitions(2, 2, "ss"))
+    # A boolean is no box side, dimension or budget, and a non-integer
+    # budget is no budget.
+    for call in (lambda: count_ss(True, 3), lambda: count_ts(2, True), lambda: qtspp(True),
+                 lambda: stembridge_t3(False), lambda: count_ss(3, 3, budget=2.5),
+                 lambda: count_ts(3, 3, budget="5"), lambda: qtspp(3, budget=True),
+                 lambda: hawkes_counts(3, "a"),
+                 lambda: list(enumerate_partitions(2, 2, "all", budget=1.5))):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_budget_exhaustion_raises():
