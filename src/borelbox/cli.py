@@ -55,7 +55,7 @@ _COMMANDS = {
     "closure": ("_cmd_convert", "Borel closure of a monomial set",
                 ("gens", "borel_closure"), _CAPPED),
     "count": ("_cmd_count", "cumulative counts by box side", None,
-              {**_BOX, "--predicate": (("ss", "ts", "all"), None), "--list": (bool, False),
+              {**_BOX, "--predicate": (("ss", "ts", "all"), "all"), "--list": (bool, False),
                **_FORMAT}),
     "gf": ("_cmd_gf", "cell or orbit counting generating function", None,
            {**_BOX, "--d": (int, None), "--predicate": (("ss", "ts"), "ts"),
@@ -221,14 +221,14 @@ def _cmd_convert(args) -> None:
 def _cmd_count(args) -> None:
     from .enumeration import cumulative_counts, enumerate_partitions
     if args.list:
-        predicate = _PREDICATE_NAMES[args.predicate or "all"]
+        predicate = _PREDICATE_NAMES[args.predicate]
         for partition in enumerate_partitions(args.d, args.n, predicate,
                                               budget=args.budget):
             _emit_json(partition.to_json_dict())
         return
     payload: dict = {"d": args.d, "n": args.n}
     for key, name in (("B", "ss"), ("T", "ts")):
-        if args.predicate in (None, "all", name):
+        if args.predicate in ("all", name):
             payload[key] = list(cumulative_counts(args.d, args.n, _PREDICATE_NAMES[name],
                                                   budget=args.budget))
     if args.format == "pretty":

@@ -17,10 +17,9 @@ constrained streams small:
 Completed candidates are still re-validated against the definitions
 before being yielded or counted; since the pruning guarantees that every
 candidate passes, one that fails raises.  A candidate is re-validated on
-its bitmask alone, which the walk carries from parent to child: a walk
-node is its parent plus one cell or orbit, and the walk yields it right
-after its parent's earlier subtrees, so the per-depth mask of the last
-node walked there is its parent's, and a child sets one bit of it.
+its bitmask alone, which the walk yields with it: a walk node is its
+parent plus one cell or orbit, so its mask is its parent's with one bit
+set, kept on the walk's stack, and the check keeps no state of its own.
 
 * A set of box cells has cell c as bit number sum(c_j side^(d-1-j)),
   which is also its lexicographic rank (see :func:`_layout`).  It is
@@ -43,9 +42,10 @@ node walked there is its parent's, and a child sets one bit of it.
 All three checks read the definitions, not the walk's predecessor and
 move rules, so the re-validation stays independent of the pruning.
 Cells are built only for a listing: a cell set's sorted cells are
-carried per depth like its mask (a child inserts its cell, found by
-bisection, into its parent's), and a symmetric listing expands its
-orbits, sorts them and also runs :meth:`Partition.is_totally_symmetric`.
+kept per depth (the walk yields a node right after its parent's earlier
+subtrees, so a child inserts its cell, found by bisection, into its
+parent's), and a symmetric listing expands its orbits, sorts them and
+also runs :meth:`Partition.is_totally_symmetric`.
 :meth:`Partition.is_strongly_stable` stays cell-level and is the tests'
 reference: its input has no box, and a 41-cell partition in d = 40
 would need a 2^40-bit mask.
@@ -139,38 +139,45 @@ def _orbit_requirements(dim: int, side: int):
     return order, requires
 
 
-def _walk(requires, tick: Callable[[], None]) -> Iterator[tuple[int, ...]]:
-    """Depth-first over admissible index sets, each yielded once, children
-    in increasing order of the added index.  Each index counts its missing
-    requirements, so a node extends only through its frontier (indices
-    above its last with none missing, kept in decreasing order): the rest
-    of its parent's frontier plus the indices its own index unlocked."""
+def _walk(requires, bits: list[int],
+          tick: Callable[[], None]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Depth-first over admissible index sets, each yielded once with its
+    bitmask, the OR of bits[i] over its indices; children in increasing
+    order of the added index, so a set's indices increase.  Each index
+    counts its missing requirements, so a node extends only through its
+    frontier (indices above its last with none missing, kept in
+    decreasing order): the rest of its parent's frontier plus the indices
+    its own index unlocked.  A node's mask is its parent's OR its own
+    index's bit, kept on a stack beside the chosen indices."""
     missing = [len(need) for need in requires]
     dependents: list[list[int]] = [[] for _ in requires]
     for i, need in enumerate(requires):
         for k in need:
             dependents[k].append(i)
     chosen: list[int] = []
+    masks = [0]
     tick()
-    yield ()
+    yield (), 0
     stack = [[i for i in reversed(range(len(missing))) if missing[i] == 0]]
     while stack:
         frontier = stack[-1]
         if not frontier:
             stack.pop()
             if chosen:
+                masks.pop()
                 for j in dependents[chosen.pop()]:
                     missing[j] += 1
             continue
         i = frontier.pop()
         chosen.append(i)
+        masks.append(masks[-1] | bits[i])
         unlocked = []
         for j in dependents[i]:
             missing[j] -= 1
             if missing[j] == 0:
                 unlocked.append(j)
         tick()
-        yield tuple(chosen)
+        yield tuple(chosen), masks[-1]
         stack.append(sorted(frontier + unlocked, reverse=True))
 
 
@@ -180,9 +187,9 @@ def _rejected(cells, failed: str) -> ArithmeticSelfCheck:
 
 
 def _layout(dim: int, side: int, cells) -> tuple[list[int], list[int]]:
-    """The bit layout of box cells that the stable listing and transfer
-    share: cell c is bit number sum(c_j side^(d-1-j)), its base-side
-    digits with c_1 most significant, which is also its rank in
+    """The bit layout of box cells that the cell listings and the stable
+    transfer share: cell c is bit number sum(c_j side^(d-1-j)), its
+    base-side digits with c_1 most significant, which is also its rank in
     lexicographic order.  Returns each axis's step side^(d-1-j) and the
     bit numbers of `cells`."""
     steps = [side ** j for j in reversed(range(dim))]
@@ -253,8 +260,12 @@ def _orbit_layout(order: list[Cell]) -> tuple[list[int], list[int]]:
     ranked = sorted(order, key=lambda rep: (max(rep, default=0), sum(rep), rep))
     rank = {rep: k for k, rep in enumerate(ranked)}
     bit = [1 << rank[rep] for rep in order]
-    below = [sum({1 << rank[tuple(sorted(rep[:j] + (v - 1,) + rep[j + 1:]))]
-                  for j, v in enumerate(rep) if v}) for rep in order]
+    # r is weakly increasing: lowering the first entry of a run of equal
+    # values keeps it so, and lowering another entry of the run gives the
+    # same sorted tuple.
+    below = [sum(1 << rank[rep[:j] + (v - 1,) + rep[j + 1:]]
+                 for j, v in enumerate(rep) if v and (j == 0 or rep[j - 1] < v))
+             for rep in order]
     return bit, below
 
 
@@ -268,31 +279,26 @@ def _orbits_closed(mask: int, reps, below: list[int]) -> bool:
 
 
 def _mode(dim: int, side: int, predicate: str):
-    """The walk's table for the predicate and two callables on a walked
-    index set: (order, requires, partition, finalize).  `finalize`
-    re-validates the set on its bitmask and returns the mask, which is all
-    the transfers read; `partition` builds its Partition for a listing.
+    """The walk's table and bit layout for the predicate, and two callables
+    on a walked index set: (order, requires, bits, partition, finalize).
+    `finalize(idxs, mask)` re-validates the set on the bitmask the walk
+    carries and returns the mask, which is all the transfers read; it
+    keeps no state.  `partition(idxs)` builds its Partition for a listing.
     `finalize` comes last, where the benchmark's tracer times the
     re-validation.
 
-    Each keeps, per depth, what it built for the last node walked there.
-    The walk yields each node right after its parent's earlier subtrees,
-    so depth len(idxs) - 1 holds the node's parent, which lacks only its
-    last index: a node's mask is its parent's plus one bit, and a cell
-    set's sorted cells are its parent's with one cell inserted.  So each
-    must be called on every node, in walk order."""
+    A cell set's `partition` keeps, per depth, the sorted cells of the
+    last node walked there.  The walk yields each node right after its
+    parent's earlier subtrees, so depth len(idxs) - 1 holds the node's
+    parent, and the node's cells are its parent's with one cell inserted.
+    So it must be called on every node, in walk order."""
     if predicate == "totally_symmetric":
         order, requires = _orbit_requirements(dim, side)
-        bit, below = _orbit_layout(order)
-        masks = [0] * (len(order) + 1)
+        bits, below = _orbit_layout(order)
         # Orbits are expanded on first use, by the listing only.
         orbits: list[tuple[Cell, ...] | None] = [None] * len(order)
 
-        def finalize(idxs: tuple[int, ...]) -> int:
-            depth = len(idxs)
-            if depth:
-                masks[depth] = masks[depth - 1] | bit[idxs[-1]]
-            mask = masks[depth]
+        def finalize(idxs: tuple[int, ...], mask: int) -> int:
             if not _orbits_closed(mask, idxs, below):
                 cells = (cell for i in idxs for cell in _distinct_permutations(order[i]))
                 raise _rejected(cells, "downward closed")
@@ -310,15 +316,11 @@ def _mode(dim: int, side: int, predicate: str):
         stable = predicate == "strongly_stable"
         order, requires = _cell_requirements(dim, side, stable)
         steps, numbers = _layout(dim, side, order)
+        bits = [1 << k for k in numbers]
         inboxes = _inboxes(side, steps)
-        masks = [0] * (len(order) + 1)
         sorted_cells: list[tuple[Cell, ...]] = [()] * (len(order) + 1)
 
-        def finalize(idxs: tuple[int, ...]) -> int:
-            depth = len(idxs)
-            if depth:
-                masks[depth] = masks[depth - 1] | 1 << numbers[idxs[-1]]
-            mask = masks[depth]
+        def finalize(idxs: tuple[int, ...], mask: int) -> int:
             if not _down_closed(mask, steps, inboxes):
                 raise _rejected(map(order.__getitem__, idxs), "downward closed")
             if stable and not _hooks_increase(mask, steps, inboxes):
@@ -332,7 +334,7 @@ def _mode(dim: int, side: int, predicate: str):
                 k = bisect_left(parent, cell)
                 sorted_cells[depth] = parent[:k] + (cell,) + parent[k:]
             return Partition._trusted(dim, sorted_cells[depth])
-    return order, requires, partition, finalize
+    return order, requires, bits, partition, finalize
 
 
 def _check_box_args(dim: int, side: int, predicate: str) -> None:
@@ -365,9 +367,9 @@ def enumerate_partitions(dim: int, side: int, predicate: str = "all", *,
     _check_box_args(dim, side, predicate)
     limiter = _Budget(budget)
     limiter.refuse_table(dim, side, predicate)
-    _, requires, partition, finalize = _mode(dim, side, predicate)
-    for idxs in _walk(requires, limiter.tick):
-        finalize(idxs)
+    _, requires, bits, partition, finalize = _mode(dim, side, predicate)
+    for idxs, mask in _walk(requires, bits, limiter.tick):
+        finalize(idxs, mask)
         yield partition(idxs)
 
 
@@ -415,17 +417,19 @@ def _stable_transfer(dim: int, side: int, weight: Callable[[int], object], *,
 
     The states are the (d-1)-dimensional strongly stable partitions of
     side at most `side`, listed by one run of the stable walk and
-    re-validated there on their bitmasks, which the walk carries from
-    parent to child and which key the states here; no cell set is built.
-    A cell y is bit number sum(y_j side^(d-2-j)), its base-side digits
-    with y_1 most significant (the layout of :func:`_layout`), so
-    g(mask) = mask & (mask >> side^(d-2)).  States are sorted by the
-    smallest m with S inside T_m, then by mask, so the states inside T_m
-    come first and T_m, which holds each of them, is the last.  Summing
-    F_a over the states inside each state is one pass per cell in
-    lexicographic (increasing bit) order, a linear extension of the cell
-    order: Z[mask] += Z[mask ^ b] whenever mask ^ b is a state (a zeta
-    transform on the lattice of order ideals).  These pairs of states
+    re-validated there on their bitmasks, which the walk yields with them
+    and which key the states here; no cell set is built.  A cell y is bit
+    number sum(y_j side^(d-2-j)), its base-side digits with y_1 most
+    significant (the layout of :func:`_layout`, which :func:`_mode`
+    builds), so g(mask) = mask & (mask >> side^(d-2)).  States are sorted
+    by the smallest m with S inside T_m, then by mask, so the states
+    inside T_m come first and T_m, which holds each of them, is the last.
+    That m is one more than the coordinate sum of the state's last cell:
+    the walk adds cells in increasing graded order, so the last has the
+    largest sum.  Summing F_a over the states inside each state is one
+    pass per cell in lexicographic (increasing bit) order, a linear
+    extension of the cell order: Z[mask] += Z[mask ^ b] whenever mask ^ b
+    is a state (a zeta transform on the lattice of order ideals).  These pairs of states
     are listed once; the slice a = side - m uses those inside T_m.
 
     The budget is charged one per walk node, one per state of each slice
@@ -434,12 +438,11 @@ def _stable_transfer(dim: int, side: int, weight: Callable[[int], object], *,
     _check_box_args(dim, side, "strongly_stable")
     limiter = _Budget(budget)
     limiter.refuse_table(dim - 1, side, "strongly_stable")
-    order, requires, _, finalize = _mode(dim - 1, side, "strongly_stable")
-    steps, numbers = _layout(dim - 1, side, order)
-    shift = steps[0] if steps else 0
+    order, requires, bits, _, finalize = _mode(dim - 1, side, "strongly_stable")
+    shift = side ** (dim - 2) if dim > 1 else 0
     rank = [sum(cell) + 1 for cell in order]
-    found = sorted((max(map(rank.__getitem__, idxs), default=0), finalize(idxs), idxs)
-                   for idxs in _walk(requires, limiter.tick))
+    found = sorted((rank[idxs[-1]] if idxs else 0, finalize(idxs, mask), idxs)
+                   for idxs, mask in _walk(requires, bits, limiter.tick))
     ranks, masks, states = zip(*found)
     index = {mask: s for s, mask in enumerate(masks)}
     weights = [weight(len(idxs)) for idxs in states]
@@ -447,10 +450,10 @@ def _stable_transfer(dim: int, side: int, weight: Callable[[int], object], *,
     removals: list[list[tuple[int, int]]] = [[] for _ in order]
     for s, (mask, idxs) in enumerate(zip(masks, states)):
         for i in idxs:
-            t = index.get(mask ^ 1 << numbers[i])
+            t = index.get(mask ^ bits[i])
             if t is not None:
                 removals[i].append((s, t))
-    passes = [removals[i] for i in sorted(range(len(order)), key=numbers.__getitem__)]
+    passes = [removals[i] for i in sorted(range(len(order)), key=bits.__getitem__)]
 
     limiter.phase = "transfer"
     sums = [weight(0)] * len(masks)  # Z_side: the empty chain
@@ -505,8 +508,8 @@ def _slice_transfer(dim: int, side: int, weight: Callable[[int], object], *,
 
     The states are the (d-1)-dimensional partitions of side at most
     `side`, listed by one run of the symmetric walk, each an int bitmask
-    over orbit representatives that the walk carries from parent to child
-    and re-validates for downward closure (see :func:`_orbits_closed`);
+    over orbit representatives that the walk yields with it, re-validated
+    for downward closure (see :func:`_orbits_closed`);
     no orbit is expanded into cells.  Bits follow the representatives by
     (largest value, graded order) (see :func:`_orbit_layout`), so the
     states inside [0, c)^(d-1) are the masks below 2^(the number of
@@ -523,11 +526,11 @@ def _slice_transfer(dim: int, side: int, weight: Callable[[int], object], *,
     _check_box_args(dim, side, "totally_symmetric")
     limiter = _Budget(budget)
     limiter.refuse_table(dim - 1, side, "totally_symmetric")
-    order, requires, _, finalize = _mode(dim - 1, side, "totally_symmetric")
+    order, requires, bits, _, finalize = _mode(dim - 1, side, "totally_symmetric")
     masks = []
-    for idxs in _walk(requires, limiter.tick):
+    for idxs, mask in _walk(requires, bits, limiter.tick):
         limiter.charge(len(idxs))
-        masks.append(finalize(idxs))
+        masks.append(finalize(idxs, mask))
     masks.sort()
     index = {mask: s for s, mask in enumerate(masks)}
     weights = [weight(mask.bit_count()) for mask in masks]

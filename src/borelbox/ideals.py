@@ -243,19 +243,16 @@ class MonomialIdeal:
         return max(degrees)
 
     def is_strongly_stable(self) -> bool:
-        """Exchange condition on generators: for every generator divisible
-        by x_j and every i < j, moving one unit of exponent from x_j to
-        x_i must stay inside the ideal.  Checking generators suffices."""
+        """Exchange condition: for every member divisible by x_j and every
+        i < j, moving one unit of exponent from x_j to x_i must stay inside
+        the ideal.  Adjacent moves (i = j - 1) on the generators suffice,
+        O(d) tests per generator: a member m = g*u divisible by x_j moves
+        as g does when x_j divides g and as u does otherwise, and the moves
+        to i < j - 1 are adjacent moves composed."""
         for g in self.gens:
             for j in range(1, self.dim):
-                if g[j] == 0:
-                    continue
-                for i in range(j):
-                    moved = list(g)
-                    moved[j] -= 1
-                    moved[i] += 1
-                    if not self._has(tuple(moved)):
-                        return False
+                if g[j] and not self._has(g[:j - 1] + (g[j - 1] + 1, g[j] - 1) + g[j + 1:]):
+                    return False
         return True
 
     def is_symmetric(self) -> bool:
@@ -273,31 +270,16 @@ class MonomialIdeal:
         """Minimal Borel generators, ordered by degree then lexicographically.
 
         A generator survives when, for every variable x_q dividing it,
-        dividing by x_q leaves the ideal (automatic for minimal
-        generators) and exchanging one unit of x_q for x_{q+1} also leaves
-        the ideal; the exchange condition is vacuous for the last
-        variable.
+        exchanging one unit of x_q for x_{q+1} leaves the ideal; the
+        exchange condition is vacuous for the last variable.  (Dividing by
+        x_q also leaves the ideal, since the generators are minimal.)
         """
         if not self.is_strongly_stable():
             raise NotStronglyStable(
                 "Borel generators are only defined for strongly stable ideals")
-        picked = []
-        for g in self.gens:
-            keep = True
-            for q in range(self.dim):
-                if g[q] == 0:
-                    continue
-                lowered = g[:q] + (g[q] - 1,) + g[q + 1:]
-                if self._has(lowered):
-                    keep = False
-                    break
-                if q + 1 < self.dim:
-                    exchanged = g[:q] + (g[q] - 1, g[q + 1] + 1) + g[q + 2:]
-                    if self._has(exchanged):
-                        keep = False
-                        break
-            if keep:
-                picked.append(g)
+        picked = [g for g in self.gens
+                  if not any(g[q] and self._has(g[:q] + (g[q] - 1, g[q + 1] + 1) + g[q + 2:])
+                             for q in range(self.dim - 1))]
         return tuple(sorted(picked, key=lambda m: (sum(m), m)))
 
     def pretty(self) -> str:

@@ -137,6 +137,23 @@ def naive_borel_closure(monomials):
     return reached
 
 
+def naive_ideal_strongly_stable(gens, dim, side):
+    """Whether every move x_i/x_j with any i < j (not only adjacent ones)
+    keeps each member of the ideal in the box {0..side}^dim inside it,
+    membership by divisibility.  With every generator below `side`, the
+    box holds each generator, and if a move fails on some member, an
+    adjacent one fails on some generator."""
+    def member(m):
+        return any(all(x <= y for x, y in zip(g, m)) for g in gens)
+
+    for m in product(range(side + 1), repeat=dim):
+        if member(m):
+            for i, j in combinations(range(dim), 2):
+                if m[j] and not member(m[:i] + (m[i] + 1,) + m[i + 1:j] + (m[j] - 1,) + m[j + 1:]):
+                    return False
+    return True
+
+
 def box_antichains(dim, side):
     """Every divisibility antichain inside the box, via the maximal cells
     of box complements of downward-closed sets."""

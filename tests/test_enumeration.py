@@ -1,7 +1,9 @@
 import hashlib
 import json
+from functools import reduce
 from itertools import islice, zip_longest
 from math import comb
+from operator import or_
 
 import pytest
 
@@ -373,6 +375,23 @@ def test_walking_a_set_that_is_not_strongly_stable_raises(monkeypatch, counter):
         counter(3, 3)
 
 
+@pytest.mark.parametrize("predicate", ["all", "strongly_stable", "totally_symmetric"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_walk_carries_each_nodes_mask(dim, predicate):
+    # Every node's mask is the OR of its indices' bits, its indices
+    # increase, and in the cell tables (graded order) its last cell has
+    # the largest coordinate sum, which the stable transfer reads as the
+    # state's rank.
+    for side in range(5):
+        order, requires, bits, _, _ = borelbox.enumeration._mode(dim, side, predicate)
+        rank = [sum(cell) + 1 for cell in order]
+        for idxs, mask in borelbox.enumeration._walk(requires, bits, lambda: None):
+            assert mask == reduce(or_, map(bits.__getitem__, idxs), 0)
+            assert all(map(int.__lt__, idxs, idxs[1:]))
+            if idxs and predicate != "totally_symmetric":
+                assert rank[idxs[-1]] == max(map(rank.__getitem__, idxs))
+
+
 @pytest.mark.parametrize("dim, side, predicate", [
     (2, 6, "all"), (3, 3, "all"), (4, 2, "all"), (3, 4, "strongly_stable")])
 def test_carried_cells_are_the_canonical_cells(dim, side, predicate):
@@ -388,9 +407,9 @@ def test_carried_cells_are_the_canonical_cells(dim, side, predicate):
     ((3, 4, "strongly_stable"), (3, 3, "totally_symmetric")),
 ])
 def test_interleaved_listings_keep_their_own_state(first, second):
-    # Each listing carries its parents' cells and masks: two of them
-    # advanced alternately, one of them a few nodes ahead, list what each
-    # lists on its own.
+    # Each listing's walk carries its parents' masks and its `partition`
+    # their sorted cells: two of them advanced alternately, one of them a
+    # few nodes ahead, list what each lists on its own.
     alone = [[p.cells for p in enumerate_partitions(*box)] for box in (first, second)]
     streams = [enumerate_partitions(*box) for box in (first, second)]
     got = [[p.cells for p in islice(streams[0], 7)], []]

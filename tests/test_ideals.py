@@ -221,6 +221,21 @@ def _stable_ideal_universe():
     return universe
 
 
+@pytest.mark.parametrize("dim, side", [(2, 4), (3, 3)])
+def test_is_strongly_stable_matches_every_move_on_every_antichain(dim, side):
+    # The adjacent moves on the generators against every move on every
+    # member in a box; the antichains are the minimal cells outside each
+    # downward-closed set of the box, grown by the brute-force oracle.
+    box = set(bruteforce.box_cells(dim, side))
+    verdicts = set()
+    for cells in bruteforce.grown_partitions(dim, side):
+        gens = bruteforce.naive_minimalize(box - cells)
+        verdict = bruteforce.naive_ideal_strongly_stable(gens, dim, side)
+        assert MonomialIdeal(dim, gens).is_strongly_stable() == verdict, sorted(gens)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def test_borel_closure_minimality_against_universe():
     universe = _stable_ideal_universe()
     assert len(universe) > 40
