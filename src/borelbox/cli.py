@@ -147,15 +147,22 @@ def _pretty_partition(partition: Partition) -> str:
     return " ".join(str(cell) for cell in partition.cells)
 
 
+def _emit_partition(partition: Partition) -> None:
+    """Print a partition's JSON form as it is: a cell with coordinate m has
+    m cells below it along that axis, so no coordinate reaches 2^53 and
+    none needs `_jsonify`."""
+    print(json.dumps(partition.to_json_dict()))
+
+
 def _emit(args, result) -> None:
     """Print a conversion's result: its JSON form, or under `--format
     pretty` a partition's drawing or the object's own `pretty()`."""
-    if args.format != "pretty":
-        _emit_json(result.to_json_dict())
+    if args.format == "pretty":
+        print(_pretty_partition(result) if isinstance(result, Partition) else result.pretty())
     elif isinstance(result, Partition):
-        print(_pretty_partition(result))
+        _emit_partition(result)
     else:
-        print(result.pretty())
+        _emit_json(result.to_json_dict())
 
 
 def _cmd_check_partition(args) -> None:
@@ -219,12 +226,14 @@ def _cmd_convert(args) -> None:
 
 
 def _cmd_count(args) -> None:
+    if args.list and args.format == "pretty":
+        _usage_error("count: --list prints JSON lines; --format pretty applies to counts")
     from .enumeration import cumulative_counts, enumerate_partitions
     if args.list:
         predicate = _PREDICATE_NAMES[args.predicate]
         for partition in enumerate_partitions(args.d, args.n, predicate,
                                               budget=args.budget):
-            _emit_json(partition.to_json_dict())
+            _emit_partition(partition)
         return
     payload: dict = {"d": args.d, "n": args.n}
     for key, name in (("B", "ss"), ("T", "ts")):

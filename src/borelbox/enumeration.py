@@ -27,11 +27,11 @@ set, kept on the walk's stack, and the check keeps no state of its own.
   predecessors along axis j, the set shifted one step back along j
   without carries, must lie inside it.  A strongly stable one is also
   checked for increasing hooks (see :func:`_hooks_increase`): the cells
-  whose arm along axis j is at least k are the set shifted k steps back
-  along j, so the hooks increase exactly when, for every k, each axis's
-  shifted set lies inside the next axis's.  Together that is
-  O(d * side) operations on a side^d-bit int per candidate, not a
-  dictionary step per cell and axis.
+  with an arm of at least one along axis j are the set shifted one step
+  back along j and kept inside the set, and the hooks increase exactly
+  when each axis's shifted set lies inside the next axis's (longer arms
+  then follow).  Together that is O(d) operations on a side^d-bit int
+  per candidate, not a dictionary step per cell and axis.
 * A set of whole orbits has one bit per orbit representative (see
   :func:`_orbit_layout`).  Such a union is always totally symmetric, so
   what is checked is downward closure (see :func:`_orbits_closed`): it
@@ -219,31 +219,27 @@ def _down_closed(mask: int, steps: list[int], inboxes: list[int]) -> bool:
 
 def _hooks_increase(mask: int, steps: list[int], inboxes: list[int]) -> bool:
     """Whether every hook vector of the cell set `mask` (in the layout of
-    :func:`_layout`) is weakly increasing, in O(d * side) operations on
+    :func:`_layout`) is weakly increasing, in O(d) operations on
     side^d-bit ints.
 
     R_k(j), the cells c with c, c + e_j, ..., c + k e_j all in the set, are
-    the cells with arm_j(c) >= k.  R_0(j) is the set, and R_k(j) is
-    R_(k-1)(j) shifted down one step along j, kept where c_j < side - 1
-    (no carry) and c is in the set.  Hooks increase exactly when
-    R_k(j) <= R_k(j+1) for every k >= 1 and j < d - 1.  Arms are below
-    side, so the rounds stop, after at most side - 1, once every R_k(j)
-    with j < d - 1 is empty (R_k(d-1) is only ever the larger side)."""
-    if len(steps) < 2:  # no pair of axes to compare
-        return True
-    inside = [mask & inbox for inbox in inboxes]
-    runs = [mask] * len(steps)
-    axes = range(1, len(steps))
-    longer = mask
-    while longer:
-        longer = 0
-        runs[0] = low = (runs[0] >> steps[0]) & inside[0]
-        for j in axes:
-            run = runs[j] = (runs[j] >> steps[j]) & inside[j]
-            if low & ~run:
-                return False
-            longer = longer or low
-            low = run
+    the cells with arm_j(c) >= k, and the hooks increase exactly when
+    R_k(j) <= R_k(j+1) for every k >= 1 and j < d - 1.  The first round
+    implies every later one, on any cell set, closed or not: let c be in
+    R_k(j) with k >= 2.  Each c + i e_j with i < k is in R_1(j), so in
+    R_1(j+1), which puts c + e_(j+1) + i e_j in the set for every i < k:
+    c + e_(j+1) is in R_(k-1)(j), so by induction in R_(k-1)(j+1), and
+    with c in the set, c is in R_k(j+1).  So one round is checked:
+    R_1(j) is the set shifted one step back along j, kept where
+    c_j < side - 1 (no carry) and where c itself is in the set.  That
+    last AND is what keeps the check exact on sets that are not downward
+    closed."""
+    low = 0
+    for step, inbox in zip(steps, inboxes):
+        run = (mask >> step) & inbox & mask
+        if low & ~run:
+            return False
+        low = run
     return True
 
 

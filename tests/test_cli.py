@@ -72,6 +72,20 @@ def test_count_list_streams_partitions(monkeypatch, capsys):
     ]
 
 
+def test_count_list_refuses_the_pretty_format(monkeypatch, capsys):
+    """A listing is JSON lines only; `--format pretty` applies to counts, so
+    with `--list` it is a usage error: exit 2, one `error:` line, and no
+    partition printed."""
+    argv = ["count", "--d", "2", "--n", "2", "--list", "--format", "pretty"]
+    assert _exit_code(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+    assert "--list" in err and "--format pretty" in err
+    code, out, _ = invoke(["count", "--d", "2", "--n", "2", "--format", "pretty"],
+                          None, monkeypatch, capsys)
+    assert code == 0 and out == "B: 1 2 4\nT: 1 2 4\n"
+
+
 def test_check_partition_rejects_closure_violation(monkeypatch, capsys):
     code, out, err = invoke(["check-partition"], {"dim": 2, "cells": [[1, 0]]},
                             monkeypatch, capsys)

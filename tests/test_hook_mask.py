@@ -6,6 +6,7 @@ against the brute-force closure test; and the closure check of sets of
 whole orbits on their masks (`enumeration._orbits_closed`), against the
 same test on their cells."""
 
+import random
 from itertools import combinations, product
 
 import pytest
@@ -48,6 +49,37 @@ def test_mask_check_matches_the_references_on_every_cell_set(dim, side):
     for size in range(len(box) + 1):
         for cells in combinations(box, size):
             assert mask_check(dim, side, cells) == reference(dim, cells), cells
+
+
+def random_cell_sets(dim, side, rng):
+    """4,000 sets of box cells, each cell drawn at a density in 0.3-0.9,
+    and 1,000 unions of one to three strongly stable partitions of the
+    box one smaller, each shifted by 0 or 1 along every axis: the first
+    kind almost never passes in the larger boxes, the second often does
+    without being downward closed."""
+    box = list(product(range(side), repeat=dim))
+    for _ in range(4000):
+        density = rng.uniform(0.3, 0.9)
+        yield [cell for cell in box if rng.random() < density]
+    stable = [p.cells for p in enumerate_partitions(dim, side - 1, "strongly_stable") if p]
+    for _ in range(1000):
+        cells = set()
+        for _ in range(rng.randint(1, 3)):
+            shift = [rng.randrange(2) for _ in range(dim)]
+            cells.update(tuple(map(sum, zip(cell, shift))) for cell in rng.choice(stable))
+        yield sorted(cells)
+
+
+@pytest.mark.parametrize("dim, side", [(2, 5), (3, 3), (3, 4), (4, 3)])
+def test_mask_check_matches_the_references_on_random_cell_sets(dim, side):
+    # Boxes too large for every subset, where the check's one round of
+    # shifts has the most arms of length two and more to stand for.
+    verdicts = set()
+    for cells in random_cell_sets(dim, side, random.Random(f"hooks {dim} {side}")):
+        verdict = reference(dim, cells)
+        assert mask_check(dim, side, cells) == verdict, cells
+        verdicts.add((verdict, bruteforce.is_downward_closed(cells)))
+    assert {(True, False), (False, False), (True, True)} <= verdicts
 
 
 @pytest.mark.parametrize("side", [2, 3])
