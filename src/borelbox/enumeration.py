@@ -65,9 +65,11 @@ are all the transfers read:
   before it; the transfer sums over supersets (see
   :func:`_slice_transfer`).
 
-The two transfers share only the walk and the re-validation, and
-neither touches the bijection machinery, so equal stable and symmetric
-counts are a genuine cross-check of the side-preserving bijection.
+Both sum with passes of one shape, one bit pass over a slice's state
+masks per cell or representative, but they share no code beyond the
+walk and the re-validation, and neither touches the bijection
+machinery, so equal stable and symmetric counts are a genuine
+cross-check of the side-preserving bijection.
 
 The triple product formula for totally symmetric plane partitions, and
 the q-analogue evaluated by exact polynomial division, round out the
@@ -422,14 +424,19 @@ def _stable_transfer(dim: int, side: int, weight: Callable[[int], object], *,
     inside T_m come first and T_m, which holds each of them, is the last.
     That m is one more than the coordinate sum of the state's last cell:
     the walk adds cells in increasing graded order, so the last has the
-    largest sum.  Summing F_a over the states inside each state is one
-    pass per cell in lexicographic (increasing bit) order, a linear
-    extension of the cell order: Z[mask] += Z[mask ^ b] whenever mask ^ b
-    is a state (a zeta transform on the lattice of order ideals).  These pairs of states
-    are listed once; the slice a = side - m uses those inside T_m.
+    largest sum.  A state's cell count is its mask's bit count.
+
+    For m < side, Z_(side-m) on the states inside T_m is one bit pass
+    over those states per cell of T_m, in lexicographic (increasing bit)
+    order, a linear extension of the cell order: each state holding the
+    cell's bit b adds Z[mask ^ b] whenever mask ^ b is a state (a zeta
+    transform on the lattice of order ideals).  That is O(states x cells)
+    per slice, the shape of the symmetric transfer's passes over
+    supersets.  Entry `side` needs no pass: Z_0(T_side) is the sum of F_0
+    over every state, and no later slice reads Z.
 
     The budget is charged one per walk node, one per state of each slice
-    and one per zeta step.
+    and one per (cell, state) step tried.
     """
     _check_box_args(dim, side, "strongly_stable")
     limiter = _Budget(budget)
@@ -437,19 +444,12 @@ def _stable_transfer(dim: int, side: int, weight: Callable[[int], object], *,
     order, requires, bits, _, finalize = _mode(dim - 1, side, "strongly_stable")
     shift = side ** (dim - 2) if dim > 1 else 0
     rank = [sum(cell) + 1 for cell in order]
-    found = sorted((rank[idxs[-1]] if idxs else 0, finalize(idxs, mask), idxs)
-                   for idxs, mask in _walk(requires, bits, limiter.tick))
-    ranks, masks, states = zip(*found)
+    ranks, masks = zip(*sorted((rank[idxs[-1]] if idxs else 0, finalize(idxs, mask))
+                               for idxs, mask in _walk(requires, bits, limiter.tick)))
     index = {mask: s for s, mask in enumerate(masks)}
-    weights = [weight(len(idxs)) for idxs in states]
+    weights = [weight(mask.bit_count()) for mask in masks]
     inner = [index[mask & (mask >> shift)] for mask in masks]
-    removals: list[list[tuple[int, int]]] = [[] for _ in order]
-    for s, (mask, idxs) in enumerate(zip(masks, states)):
-        for i in idxs:
-            t = index.get(mask ^ bits[i])
-            if t is not None:
-                removals[i].append((s, t))
-    passes = [removals[i] for i in sorted(range(len(order)), key=bits.__getitem__)]
+    cells = sorted(zip(bits, rank))  # (bit, coordinate sum + 1), by bit
 
     limiter.phase = "transfer"
     sums = [weight(0)] * len(masks)  # Z_side: the empty chain
@@ -458,11 +458,18 @@ def _stable_transfer(dim: int, side: int, weight: Callable[[int], object], *,
         size = bisect_left(ranks, m + 1)  # the states inside T_m
         limiter.charge(size)
         sums = [sums[inner[s]] * weights[s] for s in range(size)]
-        for pairs in passes:
-            tried = bisect_left(pairs, (size,))
-            limiter.charge(tried)
-            for s, t in pairs[:tried]:
-                sums[s] += sums[t]
+        if m == side:
+            totals.append(reduce(add, sums))
+            break
+        domain = masks[:size]
+        for b, r in cells:
+            if r <= m:
+                limiter.charge(size)
+                for s, mask in enumerate(domain):
+                    if mask & b:
+                        t = index.get(mask ^ b)
+                        if t is not None:
+                            sums[s] += sums[t]
         totals.append(sums[size - 1])  # T_m, the last state inside it
     return totals
 

@@ -229,18 +229,34 @@ class MonomialIdeal:
                 degrees[support[0]] = g[support[0]]
         return tuple(degrees)
 
+    def _first_without_pure_power(self) -> int | None:
+        """The first variable (0-based) with no pure power among the
+        generators, or None when every variable has one, in O(size of the
+        generators) whatever the dimension: the pure powers name at most
+        len(gens) variables, so the first one missing is among the first
+        len(gens) + 1."""
+        powers = set()
+        for g in self.gens:
+            support = [j for j, e in enumerate(g) if e]
+            if not support:
+                return None
+            if len(support) == 1:
+                powers.add(support[0])
+        first = next(j for j in range(len(powers) + 1) if j not in powers)
+        return first if first < self.dim else None
+
     def is_artinian(self) -> bool:
         """True iff the ideal contains a pure power of every variable."""
-        return all(k is not None for k in self.pure_power_degrees())
+        return self._first_without_pure_power() is None
 
     def artinian_side(self) -> int:
         """Largest pure power degree; raises :class:`NotArtinian` if some
-        variable has no pure power among the generators."""
-        degrees = self.pure_power_degrees()
-        for j, k in enumerate(degrees):
-            if k is None:
-                raise NotArtinian(f"no pure power of x{j + 1} among the generators")
-        return max(degrees)
+        variable has no pure power among the generators, before anything
+        of the ideal's dimension is built."""
+        j = self._first_without_pure_power()
+        if j is not None:
+            raise NotArtinian(f"no pure power of x{j + 1} among the generators")
+        return max(self.pure_power_degrees())
 
     def is_strongly_stable(self) -> bool:
         """Exchange condition: for every member divisible by x_j and every

@@ -32,6 +32,10 @@ from .errors import (
 
 Cell = tuple[int, ...]
 
+# The largest `dim` a JSON input may give: a larger one is malformed input,
+# refused before anything of that length is built.
+MAX_DIM = 4096
+
 
 def _as_vector(dim: int, raw, noun: str = "cell") -> Cell:
     """`raw` as a tuple of `dim` nonnegative integers (a cell, or the
@@ -52,7 +56,8 @@ def _as_vector(dim: int, raw, noun: str = "cell") -> Cell:
 def _json_fields(data, what: str, **kinds: type) -> list:
     """The values of the named fields of the JSON object `data`, in the
     order given, each of its kind (`int` or `list`; a boolean is not an
-    integer).  Raises :class:`InputError` naming `what` or the field."""
+    integer), and a `dim` at most `MAX_DIM`.  Raises :class:`InputError`
+    naming `what` or the field."""
     if not isinstance(data, dict):
         raise InputError(f"{what} JSON must be an object")
     values = []
@@ -62,6 +67,8 @@ def _json_fields(data, what: str, **kinds: type) -> list:
         value = data[key]
         if not isinstance(value, kind) or isinstance(value, bool):
             raise InputError(f"{key!r} must be {'an integer' if kind is int else 'a list'}")
+        if key == "dim" and value > MAX_DIM:
+            raise InputError(f"'dim' must be at most {MAX_DIM}")
         values.append(value)
     return values
 
@@ -202,6 +209,8 @@ class Partition:
         cell-level because a partition has no box: 41 cells in d = 40
         would need a 2^40-bit mask.
         """
+        if not self.cells:
+            return True
         base = max(chain.from_iterable(self.cells), default=0) + 2
         steps = [base ** j for j in reversed(range(self.dim))]
         axes = [(step, {}) for step in steps]
@@ -222,6 +231,8 @@ class Partition:
         symmetric group, and a set closed under generators is closed under
         the group.
         """
+        if not self.cells:
+            return True
         members = self._members
         for j in range(self.dim - 1):
             swap = itemgetter(*range(j), j + 1, j, *range(j + 2, self.dim))

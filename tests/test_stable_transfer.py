@@ -70,11 +70,13 @@ def test_stable_box_transposition():
 
 def test_stable_budget_covers_walk_and_transfer():
     # 16 slice states walked, 2 + 4 + 8 + 16 = 30 (slice, state) pairs and
-    # 1 + 3 + 8 + 20 = 32 zeta steps; the table has 4^2 = 16 entries.
-    assert count_ss(3, 4, budget=78) == 66
-    assert cell_gf_ss(3, 4, budget=78) == qtspp(4)
+    # 1·2 + 3·4 + 6·8 = 62 (cell, state) steps: slice m < 4 takes one pass
+    # over its states per cell with coordinate sum below m, and the last
+    # slice none.  The table has 4^2 = 16 entries.
+    assert count_ss(3, 4, budget=108) == 66
+    assert cell_gf_ss(3, 4, budget=108) == qtspp(4)
     with pytest.raises(ResourceLimit, match="transfer"):
-        count_ss(3, 4, budget=77)
+        count_ss(3, 4, budget=107)
     with pytest.raises(ValueError):
         count_ss(3, 4, budget=0)
 
