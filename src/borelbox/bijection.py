@@ -127,9 +127,9 @@ class FSet:
                 raise InvalidFSet(f"element {mono} is not weakly increasing")
             if max(mono) > self.side:
                 raise InvalidFSet(f"element {mono} exceeds the box side {self.side}")
-        if pure not in set(elements):
+        if pure not in elements:
             raise InvalidFSet(f"missing the pure power {pure}")
-        if set(minimalize(elements)) != set(elements):
+        if minimalize(elements) != elements:
             raise InvalidFSet("elements are not an antichain under divisibility")
 
     def to_json_dict(self) -> dict:
@@ -163,11 +163,11 @@ def bgens_via_psi(ideal: MonomialIdeal) -> tuple[Monomial, ...]:
 def _artinian_top(ideal: MonomialIdeal) -> int:
     """Largest pure power degree n, with the explicit check that the pure
     power of the last variable realizes it."""
-    n = ideal.artinian_side()
-    pure = (0,) * (ideal.dim - 1) + (n,)
-    if pure not in set(ideal.gens):
+    powers = ideal._pure_powers()
+    n = ideal._side(powers)
+    if powers is not None and powers[ideal.dim - 1] != n:
         raise MissingPurePower(
-            f"expected the pure power {pure} among the generators")
+            f"expected the pure power {(0,) * (ideal.dim - 1) + (n,)} among the generators")
     return n
 
 

@@ -46,9 +46,9 @@ kept per depth (the walk yields a node right after its parent's earlier
 subtrees, so a child inserts its cell, found by bisection, into its
 parent's), and a symmetric listing expands its orbits, sorts them and
 also runs :meth:`Partition.is_totally_symmetric`.
-:meth:`Partition.is_strongly_stable` stays cell-level and is the tests'
-reference: its input has no box, and a 41-cell partition in d = 40
-would need a 2^40-bit mask.
+:meth:`Partition.is_strongly_stable` runs the same one round of hooks
+on a set of integer keys instead, since its input has no box: a 41-cell
+partition in d = 40 would need a 2^40-bit mask.
 
 Strongly stable and totally symmetric counts and generating functions
 do not list the partitions (only the cumulative counts of all partitions
@@ -224,15 +224,10 @@ def _hooks_increase(mask: int, steps: list[int], inboxes: list[int]) -> bool:
     :func:`_layout`) is weakly increasing, in O(d) operations on
     side^d-bit ints.
 
-    R_k(j), the cells c with c, c + e_j, ..., c + k e_j all in the set, are
-    the cells with arm_j(c) >= k, and the hooks increase exactly when
-    R_k(j) <= R_k(j+1) for every k >= 1 and j < d - 1.  The first round
-    implies every later one, on any cell set, closed or not: let c be in
-    R_k(j) with k >= 2.  Each c + i e_j with i < k is in R_1(j), so in
-    R_1(j+1), which puts c + e_(j+1) + i e_j in the set for every i < k:
-    c + e_(j+1) is in R_(k-1)(j), so by induction in R_(k-1)(j+1), and
-    with c in the set, c is in R_k(j+1).  So one round is checked:
-    R_1(j) is the set shifted one step back along j, kept where
+    As in :meth:`Partition.is_strongly_stable`, whose docstring proves
+    that one round decides it on any cell set, closed or not, it checks
+    that R_1(j), the cells c with c and c + e_j in the set, lies inside
+    R_1(j+1).  R_1(j) is the set shifted one step back along j, kept where
     c_j < side - 1 (no carry) and where c itself is in the set.  That
     last AND is what keeps the check exact on sets that are not downward
     closed."""

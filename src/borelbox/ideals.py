@@ -23,7 +23,7 @@ from .errors import (
     NotStronglyStable,
     _Budget,
 )
-from .partitions import _as_vector, _distinct_permutations, _json_fields
+from .partitions import _as_vector, _distinct_permutations, _fixed_by_permutations, _json_fields
 
 Monomial = tuple[int, ...]
 
@@ -216,47 +216,52 @@ class MonomialIdeal:
             self._outside = frozenset(_graded_complement(self.dim, self.gens, limiter))
         return self._outside
 
-    def pure_power_degrees(self) -> tuple[int | None, ...]:
-        """Per variable, the degree of its pure power among the generators,
-        or None when there is none.  The unit ideal reports degree 0 for
-        every variable."""
-        degrees: list[int | None] = [None] * self.dim
-        for g in self.gens:
-            support = [j for j, e in enumerate(g) if e]
-            if not support:
-                return (0,) * self.dim
-            if len(support) == 1:
-                degrees[support[0]] = g[support[0]]
-        return tuple(degrees)
-
-    def _first_without_pure_power(self) -> int | None:
-        """The first variable (0-based) with no pure power among the
-        generators, or None when every variable has one, in O(size of the
-        generators) whatever the dimension: the pure powers name at most
-        len(gens) variables, so the first one missing is among the first
-        len(gens) + 1."""
-        powers = set()
+    def _pure_powers(self) -> dict[int, int] | None:
+        """Each variable's (0-based) pure power degree among the generators,
+        for the variables that have one, in one scan; None for the unit ideal."""
+        powers = {}
         for g in self.gens:
             support = [j for j, e in enumerate(g) if e]
             if not support:
                 return None
             if len(support) == 1:
-                powers.add(support[0])
+                powers[support[0]] = g[support[0]]
+        return powers
+
+    def pure_power_degrees(self) -> tuple[int | None, ...]:
+        """Per variable, the degree of its pure power among the generators,
+        or None when there is none.  The unit ideal reports degree 0 for
+        every variable."""
+        powers = self._pure_powers()
+        if powers is None:
+            return (0,) * self.dim
+        return tuple(map(powers.get, range(self.dim)))
+
+    def _first_without_pure_power(self, powers: dict[int, int] | None) -> int | None:
+        """The first variable (0-based) missing from `powers` (see
+        `_pure_powers`), or None when none is, in O(len(powers)) whatever
+        the dimension: it is among the first len(powers) + 1."""
+        if powers is None:
+            return None
         first = next(j for j in range(len(powers) + 1) if j not in powers)
         return first if first < self.dim else None
 
     def is_artinian(self) -> bool:
         """True iff the ideal contains a pure power of every variable."""
-        return self._first_without_pure_power() is None
+        return self._first_without_pure_power(self._pure_powers()) is None
 
     def artinian_side(self) -> int:
         """Largest pure power degree; raises :class:`NotArtinian` if some
         variable has no pure power among the generators, before anything
         of the ideal's dimension is built."""
-        j = self._first_without_pure_power()
+        return self._side(self._pure_powers())
+
+    def _side(self, powers: dict[int, int] | None) -> int:
+        # `artinian_side` on the ideal's `_pure_powers()`.
+        j = self._first_without_pure_power(powers)
         if j is not None:
             raise NotArtinian(f"no pure power of x{j + 1} among the generators")
-        return max(self.pure_power_degrees())
+        return max(powers.values()) if powers else 0
 
     def is_strongly_stable(self) -> bool:
         """Exchange condition: for every member divisible by x_j and every
@@ -273,14 +278,8 @@ class MonomialIdeal:
 
     def is_symmetric(self) -> bool:
         """True iff the generator set is fixed by coordinate permutations
-        (adjacent transpositions generate them all)."""
-        gens = set(self.gens)
-        for g in self.gens:
-            for j in range(self.dim - 1):
-                swapped = g[:j] + (g[j + 1], g[j]) + g[j + 2:]
-                if swapped not in gens:
-                    return False
-        return True
+        (see :func:`partitions._fixed_by_permutations`)."""
+        return _fixed_by_permutations(set(self.gens), self.gens, self.dim)
 
     def bgens(self) -> tuple[Monomial, ...]:
         """Minimal Borel generators, ordered by degree then lexicographically.

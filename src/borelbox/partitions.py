@@ -103,6 +103,22 @@ def _orbit_size(rep: Cell) -> int:
     return size
 
 
+def _fixed_by_permutations(members, items, dim: int) -> bool:
+    """Whether the set `members` of `dim`-tuples contains every coordinate
+    permutation of each of `items`, its elements.  Only the swap (0 1) and
+    the cycle (1, ..., d-1, 0) are tested, one pass each (one pass at
+    d = 2, where they agree): they generate the symmetric group, and a
+    permutation that maps a finite set into itself maps it onto itself,
+    so the set is fixed by its inverse too, and by every product.  An
+    empty set builds no getter of its (maybe huge) dimension."""
+    if dim < 2 or not items:
+        return True
+    swap = itemgetter(1, 0, *range(2, dim))
+    cycle = itemgetter(*range(1, dim), 0)
+    return members.issuperset(map(swap, items)) and (
+        dim == 2 or members.issuperset(map(cycle, items)))
+
+
 class Partition:
     """Canonical immutable partition.
 
@@ -199,46 +215,36 @@ class Partition:
     def is_strongly_stable(self) -> bool:
         """True iff every cell's hook vector is weakly increasing.
 
-        Arms follow arm_j(c) = arm_j(c + e_j) + 1 (0 when c + e_j is not a
-        cell), over the cells in reverse lexicographic order, which meets
-        c + e_j first.  Keys read cells as digits in a base above every
-        coordinate, so c + e_j is one addition away.
-
-        The enumerators re-validate strongly stable candidates on a
-        bitmask of the box instead (``enumeration._hooks_increase``).  This check stays
-        cell-level because a partition has no box: 41 cells in d = 40
-        would need a 2^40-bit mask.
+        R_k(j), the cells c with c, c + e_j, ..., c + k e_j all in the set,
+        are the cells with arm_j(c) >= k, and the hooks increase exactly
+        when R_k(j) lies inside R_k(j+1) for every k >= 1 and j < d - 1.
+        The first round implies every later one, on any cell set, closed or
+        not: let c be in R_k(j) with k >= 2.  Each c + i e_j with i < k is
+        in R_1(j), so in R_1(j+1), which puts c + e_(j+1) + i e_j in the
+        set for every i < k: c + e_(j+1) is in R_(k-1)(j), so by induction
+        in R_(k-1)(j+1), and with c in the set, c is in R_k(j+1).  So only
+        R_1(j) is built, on keys that read cells as digits in a base above
+        every coordinate, so c + e_j is one addition away.  (The enumerators
+        run it on a bitmask of the box, ``enumeration._hooks_increase``; a
+        partition has none: 41 cells in d = 40 would need 2^40 bits.)
         """
         if not self.cells:
             return True
         base = max(chain.from_iterable(self.cells), default=0) + 2
         steps = [base ** j for j in reversed(range(self.dim))]
-        axes = [(step, {}) for step in steps]
-        for cell in reversed(self.cells):
-            key = sum(map(mul, cell, steps))
-            low = 0
-            for step, arms in axes:
-                arm = arms.get(key + step, -1) + 1
-                if arm < low:
-                    return False
-                arms[key] = low = arm
+        keys = {sum(map(mul, cell, steps)) for cell in self.cells}
+        low = set()
+        for step in steps:
+            run = {key for key in keys if key + step in keys}
+            if not low <= run:
+                return False
+            low = run
         return True
 
     def is_totally_symmetric(self) -> bool:
-        """True iff the cell set is fixed by every coordinate permutation.
-
-        Only adjacent transpositions are tested; they generate the whole
-        symmetric group, and a set closed under generators is closed under
-        the group.
-        """
-        if not self.cells:
-            return True
-        members = self._members
-        for j in range(self.dim - 1):
-            swap = itemgetter(*range(j), j + 1, j, *range(j + 2, self.dim))
-            if not members.issuperset(map(swap, self.cells)):
-                return False
-        return True
+        """True iff the cell set is fixed by every coordinate permutation
+        (see :func:`_fixed_by_permutations`)."""
+        return _fixed_by_permutations(self._members, self.cells, self.dim)
 
     def orbit_count(self) -> int:
         """Number of cell classes under coordinate permutation, i.e. the

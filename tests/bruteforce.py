@@ -243,3 +243,22 @@ def bucket_by_side(cell_sets, side):
     orbits = Counter(len({tuple(sorted(c)) for c in cells}) for cells in cell_sets)
     coeffs = [orbits[k] for k in range(max(orbits) + 1)]
     return tuple(cumulative), tuple(coeffs)
+
+
+def near_symmetric_tops(rng, dim, side):
+    """A few random cells of the side-`side` box, each with all of its
+    coordinate permutations, all but one of them, or only its cyclic
+    shifts: a union that is sometimes totally symmetric and often nearly
+    so, as generators or as the maximal cells of a partition."""
+    tops = set()
+    for _ in range(rng.randint(1, 3)):
+        cell = tuple(rng.randrange(side) for _ in range(dim))
+        orbit = sorted(set(permutations(cell)))
+        kind = rng.randrange(3)
+        if kind == 0:
+            tops.update(orbit)
+        elif kind == 1:
+            tops.update(rng.sample(orbit, max(1, len(orbit) - 1)))
+        else:
+            tops.update(cell[k:] + cell[:k] for k in range(dim))
+    return tops

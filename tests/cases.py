@@ -54,3 +54,10 @@ TS_PARTITION_3D_CELLS = (
 
 # Cumulative side-by-side counts expected for d=3 (product formula values).
 T3_VALUES = (1, 2, 5, 16, 66)
+
+# Sets in d=3 fixed by only one of the two permutations that generate the
+# symmetric group: the orbit of (0,1,2) under the cycle (1, 2, 0) of its
+# coordinates, and (0,1,2) with its image under the swap of the first two.
+# Neither set, nor its downward closure, is totally symmetric.
+CYCLE_ONLY_3D = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+SWAP_ONLY_3D = ((0, 1, 2), (1, 0, 2))

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -21,12 +22,14 @@ from borelbox import (
 
 import bruteforce
 from cases import (
+    CYCLE_ONLY_3D,
     SS_IDEAL_2D_BGENS,
     SS_IDEAL_2D_GENS,
     SS_IDEAL_2D_PSI_GENS,
     SS_IDEAL_2D_PSI_MIN,
     SS_IDEAL_3D_BGENS,
     SS_IDEAL_3D_GENS,
+    SWAP_ONLY_3D,
 )
 
 
@@ -124,6 +127,28 @@ def test_symmetric_examples():
     assert sym.is_symmetric()
     assert MonomialIdeal(2, [(1, 0), (0, 1)]).is_symmetric()
     assert not MonomialIdeal(2, [(2, 0), (1, 1), (0, 3)]).is_symmetric()
+    assert not MonomialIdeal(2, [(2, 0), (0, 1)]).is_symmetric()
+    assert MonomialIdeal(1, [(3,)]).is_symmetric()
+
+
+@pytest.mark.parametrize("gens", [CYCLE_ONLY_3D, SWAP_ONLY_3D])
+def test_symmetry_needs_both_the_swap_and_the_cycle(gens):
+    ideal = MonomialIdeal(3, gens)
+    assert ideal.gens == tuple(sorted(gens))
+    assert not bruteforce.naive_totally_symmetric(gens)
+    assert not ideal.is_symmetric()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_is_symmetric_matches_naive_oracle_on_near_symmetric_unions(dim):
+    rng = random.Random(dim)
+    seen = set()
+    for _ in range(60):
+        ideal = MonomialIdeal(dim, bruteforce.near_symmetric_tops(rng, dim, 3))
+        symmetric = bruteforce.naive_totally_symmetric(ideal.gens)
+        assert ideal.is_symmetric() == symmetric
+        seen.add(symmetric)
+    assert seen == {True, False}
 
 
 def test_symmetric_means_membership_is_permutation_invariant():

@@ -66,6 +66,7 @@ def test_the_empty_partition_answers_its_predicates_at_once():
     empty = Partition(30000)
     start = time.perf_counter()
     assert empty.is_strongly_stable() and empty.is_totally_symmetric()
+    assert MonomialIdeal(HUGE).is_symmetric()
     assert time.perf_counter() - start < 2
 
 

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -14,7 +15,13 @@ from borelbox import (
 )
 
 import bruteforce
-from cases import SS_PARTITION_2D_CELLS, STAIRCASE_2D_CELLS, TS_PARTITION_2D_CELLS
+from cases import (
+    CYCLE_ONLY_3D,
+    SS_PARTITION_2D_CELLS,
+    STAIRCASE_2D_CELLS,
+    SWAP_ONLY_3D,
+    TS_PARTITION_2D_CELLS,
+)
 
 
 def test_staircase_is_valid():
@@ -81,6 +88,8 @@ def test_totally_symmetric_examples():
     assert Partition(2, TS_PARTITION_2D_CELLS).is_totally_symmetric()
     assert Partition(3, [(0, 0, 0)]).is_totally_symmetric()
     assert not Partition(2, [(0, 0), (0, 1)]).is_totally_symmetric()
+    assert Partition(2, [(0, 0), (1, 0), (0, 1)]).is_totally_symmetric()
+    assert not Partition(2, [(0, 0), (1, 0), (2, 0), (0, 1)]).is_totally_symmetric()
 
 
 def test_bounding_side_examples():
@@ -133,6 +142,37 @@ def test_predicates_match_naive_oracles_on_power_set(dim, side):
         p = Partition(dim, cells)
         assert p.is_strongly_stable() == bruteforce.naive_strongly_stable(cells)
         assert p.is_totally_symmetric() == bruteforce.naive_totally_symmetric(cells)
+
+
+@pytest.mark.parametrize("tops", [CYCLE_ONLY_3D, SWAP_ONLY_3D])
+def test_symmetry_needs_both_the_swap_and_the_cycle(tops):
+    # Each set is fixed by one of the two tested permutations only, so a
+    # check that skipped the other would call it symmetric.
+    cells = bruteforce.close_down(tops)
+    p = Partition(3, cells)
+    assert not bruteforce.naive_totally_symmetric(cells)
+    assert not p.is_totally_symmetric()
+    assert p.is_strongly_stable() == bruteforce.naive_strongly_stable(cells)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_predicates_match_naive_oracles_on_near_symmetric_unions(dim):
+    rng = random.Random(dim)
+    seen = set()
+    for _ in range(60):
+        cells = bruteforce.close_down(bruteforce.near_symmetric_tops(rng, dim, 3))
+        p = Partition(dim, cells)
+        symmetric = bruteforce.naive_totally_symmetric(cells)
+        assert p.is_totally_symmetric() == symmetric
+        assert p.is_strongly_stable() == bruteforce.naive_strongly_stable(cells)
+        seen.add(symmetric)
+    assert seen == {True, False}
+
+
+def test_a_zero_dimensional_state_passes_both_predicates():
+    point = Partition._trusted(0, ((),))
+    assert point.is_strongly_stable()
+    assert point.is_totally_symmetric()
 
 
 def test_orbit_count_at_most_cell_count():
