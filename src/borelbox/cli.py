@@ -154,6 +154,25 @@ def _emit_partition(partition: Partition) -> None:
     print(json.dumps(partition.to_json_dict()))
 
 
+class _CellTexts(dict):
+    """Each cell's JSON text, made on first use."""
+
+    def __missing__(self, cell):
+        text = self[cell] = json.dumps(list(cell))
+        return text
+
+
+def _emit_listing(dim: int, partitions) -> None:
+    """Print each partition as :func:`_emit_partition` does, byte for
+    byte, but joining cached cell texts: a listed partition is its
+    parent's cells plus one cell or orbit, so encoding every cell of every
+    line would cost most of the listing's time."""
+    texts = _CellTexts()
+    head = f'{{"dim": {json.dumps(dim)}, "cells": ['
+    for partition in partitions:
+        print(head + ", ".join(map(texts.__getitem__, partition.cells)) + "]}")
+
+
 def _emit(args, result) -> None:
     """Print a conversion's result: its JSON form, or under `--format
     pretty` a partition's drawing or the object's own `pretty()`."""
@@ -231,9 +250,8 @@ def _cmd_count(args) -> None:
     from .enumeration import cumulative_counts, enumerate_partitions
     if args.list:
         predicate = _PREDICATE_NAMES[args.predicate]
-        for partition in enumerate_partitions(args.d, args.n, predicate,
-                                              budget=args.budget):
-            _emit_partition(partition)
+        _emit_listing(args.d, enumerate_partitions(args.d, args.n, predicate,
+                                                   budget=args.budget))
         return
     payload: dict = {"d": args.d, "n": args.n}
     for key, name in (("B", "ss"), ("T", "ts")):

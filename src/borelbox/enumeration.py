@@ -19,19 +19,20 @@ before being yielded or counted; since the pruning guarantees that every
 candidate passes, one that fails raises.  A candidate is re-validated on
 its bitmask alone, which the walk yields with it: a walk node is its
 parent plus one cell or orbit, so its mask is its parent's with one bit
-set, kept on the walk's stack, and the check keeps no state of its own.
+set, kept in the walk's stack frame beside its frontier, and the check
+keeps no state of its own.  The walk yields its own list of the node's
+indices, valid until the next step, so no node costs a copy of them.
 
 * A set of box cells has cell c as bit number sum(c_j side^(d-1-j)),
-  which is also its lexicographic rank (see :func:`_layout`).  It is
-  checked for downward closure (see :func:`_down_closed`): its cells'
-  predecessors along axis j, the set shifted one step back along j
-  without carries, must lie inside it.  A strongly stable one is also
-  checked for increasing hooks (see :func:`_hooks_increase`): the cells
-  with an arm of at least one along axis j are the set shifted one step
-  back along j and kept inside the set, and the hooks increase exactly
-  when each axis's shifted set lies inside the next axis's (longer arms
-  then follow).  Together that is O(d) operations on a side^d-bit int
-  per candidate, not a dictionary step per cell and axis.
+  which is also its lexicographic rank (see :func:`_layout`).  One
+  function checks it (see :func:`_closed_and_stable`): per axis j, the
+  set shifted one step back along j without carries, s_j, is its cells'
+  predecessors along j, which must lie inside it (downward closure); on
+  a closed set s_j is also the cells with an arm of at least one along
+  j, and the hooks increase exactly when each axis's s_j lies inside the
+  next axis's (longer arms then follow).  That is one shift per axis,
+  O(d) operations on a side^d-bit int per candidate, not a dictionary
+  step per cell and axis.
 * A set of whole orbits has one bit per orbit representative (see
   :func:`_orbit_layout`).  Such a union is always totally symmetric, so
   what is checked is downward closure (see :func:`_orbits_closed`): it
@@ -39,13 +40,13 @@ set, kept on the walk's stack, and the check keeps no state of its own.
   sorted(r - e_j) is in it for every j with r_j > 0; one operation per
   representative, and no orbit is expanded.
 
-All three checks read the definitions, not the walk's predecessor and
-move rules, so the re-validation stays independent of the pruning.
-Cells are built only for a listing: a cell set's sorted cells are
-kept per depth (the walk yields a node right after its parent's earlier
-subtrees, so a child inserts its cell, found by bisection, into its
-parent's), and a symmetric listing expands its orbits, sorts them and
-also runs :meth:`Partition.is_totally_symmetric`.
+Both checks read the definitions, not the walk's predecessor and move
+rules, so the re-validation stays independent of the pruning.  Cells are
+built only for a listing, and kept per depth: the walk yields a node
+right after its parent's earlier subtrees, so a child's sorted cells are
+its parent's with its cell inserted, found by bisection, or with its
+orbit merged in, each orbit sorted once when it is first expanded.  A
+symmetric listing also runs :meth:`Partition.is_totally_symmetric`.
 :meth:`Partition.is_strongly_stable` runs the same one round of hooks
 on a set of integer keys instead, since its input has no box: a 41-cell
 partition in d = 40 would need a 2^40-bit mask.
@@ -78,7 +79,7 @@ module.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
@@ -142,45 +143,49 @@ def _orbit_requirements(dim: int, side: int):
 
 
 def _walk(requires, bits: list[int],
-          tick: Callable[[], None]) -> Iterator[tuple[tuple[int, ...], int]]:
+          tick: Callable[[], None]) -> Iterator[tuple[list[int], int]]:
     """Depth-first over admissible index sets, each yielded once with its
     bitmask, the OR of bits[i] over its indices; children in increasing
-    order of the added index, so a set's indices increase.  Each index
-    counts its missing requirements, so a node extends only through its
-    frontier (indices above its last with none missing, kept in
-    decreasing order): the rest of its parent's frontier plus the indices
-    its own index unlocked.  A node's mask is its parent's OR its own
-    index's bit, kept on a stack beside the chosen indices."""
+    order of the added index, so a set's indices increase.  The indices
+    come as the walk's own list, valid until the next step: a consumer
+    reads it at once or copies it.
+
+    Each index counts its missing requirements, so a node extends only
+    through its frontier (indices above its last with none missing, kept
+    in decreasing order): a copy of the rest of its parent's frontier plus
+    the indices its own index unlocked, sorted only when there are any.  A
+    stack frame is a node's frontier and mask, and a child's mask is its
+    parent's OR its own index's bit."""
     missing = [len(need) for need in requires]
     dependents: list[list[int]] = [[] for _ in requires]
     for i, need in enumerate(requires):
         for k in need:
             dependents[k].append(i)
     chosen: list[int] = []
-    masks = [0]
     tick()
-    yield (), 0
-    stack = [[i for i in reversed(range(len(missing))) if missing[i] == 0]]
+    yield chosen, 0
+    stack = [([i for i in reversed(range(len(missing))) if missing[i] == 0], 0)]
     while stack:
-        frontier = stack[-1]
+        frontier, mask = stack[-1]
         if not frontier:
             stack.pop()
             if chosen:
-                masks.pop()
                 for j in dependents[chosen.pop()]:
                     missing[j] += 1
             continue
         i = frontier.pop()
         chosen.append(i)
-        masks.append(masks[-1] | bits[i])
-        unlocked = []
+        mask |= bits[i]
+        child = frontier[:]
         for j in dependents[i]:
             missing[j] -= 1
-            if missing[j] == 0:
-                unlocked.append(j)
+            if not missing[j]:
+                child.append(j)
+        if len(child) > len(frontier):
+            child.sort(reverse=True)
         tick()
-        yield tuple(chosen), masks[-1]
-        stack.append(sorted(frontier + unlocked, reverse=True))
+        yield chosen, mask
+        stack.append((child, mask))
 
 
 def _rejected(cells, failed: str) -> ArithmeticSelfCheck:
@@ -208,36 +213,33 @@ def _inboxes(side: int, steps: list[int]) -> list[int]:
             for j, step in enumerate(steps)]
 
 
-def _down_closed(mask: int, steps: list[int], inboxes: list[int]) -> bool:
-    """Whether the cell set `mask` (in the layout of :func:`_layout`) holds
-    c whenever it holds c + e_j, in O(d) operations on side^d-bit ints:
-    shifted one step back along j and kept where c_j < side - 1, the set
-    is its cells' predecessors along j, which must lie inside it."""
-    for step, inbox in zip(steps, inboxes):
-        if (mask >> step) & inbox & ~mask:
-            return False
-    return True
+def _closed_and_stable(mask: int, steps: list[int],
+                       inboxes: list[int]) -> tuple[bool, bool]:
+    """Whether the cell set `mask` (in the layout of :func:`_layout`) is
+    downward closed, and whether its hook vectors are weakly increasing,
+    from one shift per axis: O(d) operations on side^d-bit ints, exact on
+    any cell set.
 
-
-def _hooks_increase(mask: int, steps: list[int], inboxes: list[int]) -> bool:
-    """Whether every hook vector of the cell set `mask` (in the layout of
-    :func:`_layout`) is weakly increasing, in O(d) operations on
-    side^d-bit ints.
-
-    As in :meth:`Partition.is_strongly_stable`, whose docstring proves
-    that one round decides it on any cell set, closed or not, it checks
-    that R_1(j), the cells c with c and c + e_j in the set, lies inside
-    R_1(j+1).  R_1(j) is the set shifted one step back along j, kept where
-    c_j < side - 1 (no carry) and where c itself is in the set.  That
-    last AND is what keeps the check exact on sets that are not downward
-    closed."""
+    Shifted one step back along j and kept where c_j < side - 1 (no
+    carry), the set becomes s_j = (mask >> step_j) & inbox_j, its cells'
+    predecessors along j, and the set is closed exactly when every s_j
+    lies inside it.  As in :meth:`Partition.is_strongly_stable`, whose
+    docstring proves that one round decides it on any cell set, closed or
+    not, the hooks increase exactly when R_1(j), the cells c with c and
+    c + e_j in the set, lies inside R_1(j+1).  R_1(j) is s_j & mask, so
+    one AND per axis gives both: s_j lies inside the set exactly when
+    R_1(j) = s_j, as it is on every closed set."""
+    closed = stable = True
     low = 0
     for step, inbox in zip(steps, inboxes):
-        run = (mask >> step) & inbox & mask
+        below = (mask >> step) & inbox
+        run = below & mask
+        if run != below:
+            closed = False
         if low & ~run:
-            return False
+            stable = False
         low = run
-    return True
+    return closed, stable
 
 
 def _orbit_layout(order: list[Cell]) -> tuple[list[int], list[int]]:
@@ -273,35 +275,43 @@ def _orbits_closed(mask: int, reps, below: list[int]) -> bool:
 
 def _mode(dim: int, side: int, predicate: str):
     """The walk's table and bit layout for the predicate, and two callables
-    on a walked index set: (order, requires, bits, partition, finalize).
+    on a walked node's index list (the walk's own, valid until its next
+    step): (order, requires, bits, partition, finalize).
     `finalize(idxs, mask)` re-validates the set on the bitmask the walk
     carries and returns the mask, which is all the transfers read; it
     keeps no state.  `partition(idxs)` builds its Partition for a listing.
     `finalize` comes last, where the benchmark's tracer times the
     re-validation.
 
-    A cell set's `partition` keeps, per depth, the sorted cells of the
-    last node walked there.  The walk yields each node right after its
-    parent's earlier subtrees, so depth len(idxs) - 1 holds the node's
-    parent, and the node's cells are its parent's with one cell inserted.
-    So it must be called on every node, in walk order."""
+    `partition` keeps, per depth, the sorted cells of the last node walked
+    there.  The walk yields each node right after its parent's earlier
+    subtrees, so depth len(idxs) - 1 holds the node's parent, and the
+    node's cells are its parent's with one cell inserted, or with one
+    orbit merged in.  So it must be called on every node, in walk
+    order."""
     if predicate == "totally_symmetric":
         order, requires = _orbit_requirements(dim, side)
         bits, below = _orbit_layout(order)
-        # Orbits are expanded on first use, by the listing only.
+        # Orbits are expanded on first use, by the listing only, in
+        # lexicographic order, so each is sorted once.
         orbits: list[tuple[Cell, ...] | None] = [None] * len(order)
+        sorted_cells: list[tuple[Cell, ...]] = [()] * (len(order) + 1)
 
-        def finalize(idxs: tuple[int, ...], mask: int) -> int:
+        def finalize(idxs: list[int], mask: int) -> int:
             if not _orbits_closed(mask, idxs, below):
                 cells = (cell for i in idxs for cell in _distinct_permutations(order[i]))
                 raise _rejected(cells, "downward closed")
             return mask
 
-        def partition(idxs: tuple[int, ...]) -> Partition:
-            if idxs and orbits[idxs[-1]] is None:
-                orbits[idxs[-1]] = tuple(_distinct_permutations(order[idxs[-1]]))
-            cells = sorted([cell for i in idxs for cell in orbits[i]])
-            part = Partition._trusted(dim, tuple(cells))
+        def partition(idxs: list[int]) -> Partition:
+            depth = len(idxs)
+            if depth:
+                orbit = orbits[idxs[-1]]
+                if orbit is None:
+                    orbit = orbits[idxs[-1]] = tuple(_distinct_permutations(order[idxs[-1]]))
+                # Two sorted runs, which one sort merges.
+                sorted_cells[depth] = tuple(sorted(sorted_cells[depth - 1] + orbit))
+            part = Partition._trusted(dim, sorted_cells[depth])
             if not part.is_totally_symmetric():
                 raise _rejected(part.cells, "totally symmetric")
             return part
@@ -313,19 +323,20 @@ def _mode(dim: int, side: int, predicate: str):
         inboxes = _inboxes(side, steps)
         sorted_cells: list[tuple[Cell, ...]] = [()] * (len(order) + 1)
 
-        def finalize(idxs: tuple[int, ...], mask: int) -> int:
-            if not _down_closed(mask, steps, inboxes):
+        def finalize(idxs: list[int], mask: int) -> int:
+            closed, hooks = _closed_and_stable(mask, steps, inboxes)
+            if not closed:
                 raise _rejected(map(order.__getitem__, idxs), "downward closed")
-            if stable and not _hooks_increase(mask, steps, inboxes):
+            if stable and not hooks:
                 raise _rejected(map(order.__getitem__, idxs), "strongly stable")
             return mask
 
-        def partition(idxs: tuple[int, ...]) -> Partition:
+        def partition(idxs: list[int]) -> Partition:
             depth = len(idxs)
             if depth:
-                parent, cell = sorted_cells[depth - 1], order[idxs[-1]]
-                k = bisect_left(parent, cell)
-                sorted_cells[depth] = parent[:k] + (cell,) + parent[k:]
+                cells = list(sorted_cells[depth - 1])
+                insort(cells, order[idxs[-1]])
+                sorted_cells[depth] = tuple(cells)
             return Partition._trusted(dim, sorted_cells[depth])
     return order, requires, bits, partition, finalize
 
@@ -352,8 +363,8 @@ def enumerate_partitions(dim: int, side: int, predicate: str = "all", *,
     one on the bitmask of its orbits for downward closure by
     :func:`_orbits_closed` and, once its cells are built, for symmetry by
     :meth:`Partition.is_totally_symmetric`; any other on the bitmask of
-    its cells for downward closure by :func:`_down_closed`, and a
-    strongly stable one for increasing hooks by :func:`_hooks_increase`.
+    its cells by :func:`_closed_and_stable`, for downward closure and, a
+    strongly stable one, for increasing hooks.
     One that fails raises :class:`ArithmeticSelfCheck`, since the pruned
     walk cannot produce it.
     """

@@ -225,7 +225,7 @@ class Partition:
         in R_(k-1)(j+1), and with c in the set, c is in R_k(j+1).  So only
         R_1(j) is built, on keys that read cells as digits in a base above
         every coordinate, so c + e_j is one addition away.  (The enumerators
-        run it on a bitmask of the box, ``enumeration._hooks_increase``; a
+        run it on a bitmask of the box, ``enumeration._closed_and_stable``; a
         partition has none: 41 cells in d = 40 would need 2^40 bits.)
         """
         if not self.cells:

@@ -72,6 +72,23 @@ def test_count_list_streams_partitions(monkeypatch, capsys):
     ]
 
 
+@pytest.mark.parametrize("dim, side", [(1, 3), (2, 3), (3, 3)])
+@pytest.mark.parametrize("predicate", ["ss", "ts", "all"])
+def test_count_list_prints_each_partitions_json_form(monkeypatch, capsys, dim, side, predicate):
+    # The listing joins cached cell texts; its raw lines must be the bytes
+    # json.dumps gives each partition's JSON form, the empty partition's
+    # included.
+    code, out, _ = invoke(["count", "--d", str(dim), "--n", str(side), "--list",
+                           "--predicate", predicate], None, monkeypatch, capsys)
+    assert code == 0
+    name = {"ss": "strongly_stable", "ts": "totally_symmetric", "all": "all"}[predicate]
+    expected = [json.dumps(p.to_json_dict())
+                for p in borelbox.enumeration.enumerate_partitions(dim, side, name)]
+    assert out.split("\n") == expected + [""]
+    assert expected[0] == f'{{"dim": {dim}, "cells": []}}'
+    assert len(expected) > side
+
+
 def test_count_list_refuses_the_pretty_format(monkeypatch, capsys):
     """A listing is JSON lines only; `--format pretty` applies to counts, so
     with `--list` it is a usage error: exit 2, one `error:` line, and no

@@ -301,18 +301,21 @@ def list_ts(dim, side):
 ])
 def test_failed_revalidation_raises(monkeypatch, predicate, counter):
     # Stable candidates are re-validated on their bitmask by
-    # `_hooks_increase`, symmetric ones on their orbit mask by
-    # `_orbits_closed`; a symmetric listing also runs the Partition
-    # predicate on the cells it builds.
+    # `_closed_and_stable`, here forced to a closed set whose hooks fail,
+    # symmetric ones on their orbit mask by `_orbits_closed`; a symmetric
+    # listing also runs the Partition predicate on the cells it builds.
     if predicate == "is_strongly_stable":
-        monkeypatch.setattr(borelbox.enumeration, "_hooks_increase",
-                            lambda mask, steps, inboxes: False)
+        monkeypatch.setattr(borelbox.enumeration, "_closed_and_stable",
+                            lambda mask, steps, inboxes: (True, False))
+        failed = "strongly stable"
     elif counter is count_ts:
         monkeypatch.setattr(borelbox.enumeration, "_orbits_closed",
                             lambda mask, reps, below: False)
+        failed = "downward closed"
     else:
         monkeypatch.setattr(Partition, predicate, lambda self: False)
-    with pytest.raises(ArithmeticSelfCheck, match="enumerated candidate"):
+        failed = "totally symmetric"
+    with pytest.raises(ArithmeticSelfCheck, match=f"enumerated candidate .* is not {failed}"):
         counter(2, 2)
 
 

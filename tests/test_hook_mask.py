@@ -1,10 +1,10 @@
-"""The bitmask checks that re-validate candidates in the walk: the hook
-check of strongly stable ones (`enumeration._hooks_increase`), against the
-cell-level `Partition.is_strongly_stable` and the brute-force oracle; the
-closure check of every cell-level candidate (`enumeration._down_closed`),
-against the brute-force closure test; and the closure check of sets of
-whole orbits on their masks (`enumeration._orbits_closed`), against the
-same test on their cells."""
+"""The bitmask checks that re-validate candidates in the walk: the closure
+and hook check of every cell-level candidate
+(`enumeration._closed_and_stable`), whose two verdicts must be exactly
+the brute-force closure test's and the cell-level
+`Partition.is_strongly_stable`'s, which agrees with the brute-force
+oracle; and the closure check of sets of whole orbits on their masks
+(`enumeration._orbits_closed`), against the same test on their cells."""
 
 import random
 from itertools import combinations, product
@@ -12,15 +12,16 @@ from itertools import combinations, product
 import pytest
 
 from borelbox import Partition, enumerate_partitions
-from borelbox.enumeration import (_down_closed, _hooks_increase, _inboxes, _layout,
-                                  _orbit_layout, _orbit_requirements, _orbits_closed)
+from borelbox.enumeration import (_closed_and_stable, _inboxes, _layout, _orbit_layout,
+                                  _orbit_requirements, _orbits_closed)
 
 import bruteforce
 
 
-def mask_check(dim, side, cells, check=_hooks_increase):
+def mask_check(dim, side, cells):
+    """The merged check's (closed, stable) verdicts on the cells' mask."""
     steps, numbers = _layout(dim, side, cells)
-    return check(sum(1 << k for k in numbers), steps, _inboxes(side, steps))
+    return _closed_and_stable(sum(1 << k for k in numbers), steps, _inboxes(side, steps))
 
 
 def reference(dim, cells):
@@ -30,12 +31,17 @@ def reference(dim, cells):
     return verdict
 
 
+def references(dim, cells):
+    """The brute-force (closed, stable) verdicts."""
+    return bruteforce.is_downward_closed(cells), reference(dim, cells)
+
+
 @pytest.mark.parametrize("dim, side", [(1, 6), (2, 6), (3, 3), (4, 2), (5, 2)])
 def test_mask_check_matches_the_references_on_every_partition(dim, side):
     verdicts = []
     for part in enumerate_partitions(dim, side, "all"):
         verdict = reference(dim, part.cells)
-        assert mask_check(dim, side, part.cells) == verdict, part
+        assert mask_check(dim, side, part.cells) == (True, verdict), part
         verdicts.append(verdict)
     # Both verdicts occur, except in d = 1, where every partition is stable.
     assert set(verdicts) == ({True} if dim == 1 else {True, False})
@@ -44,11 +50,16 @@ def test_mask_check_matches_the_references_on_every_partition(dim, side):
 @pytest.mark.parametrize("dim, side", [(2, 3), (3, 2)])
 def test_mask_check_matches_the_references_on_every_cell_set(dim, side):
     # Arms are runs of cells along an axis, so the definition also reads
-    # on sets that are not downward closed.
+    # on sets that are not downward closed, and both verdicts must be
+    # exact on those too.
     box = list(product(range(side), repeat=dim))
+    verdicts = set()
     for size in range(len(box) + 1):
         for cells in combinations(box, size):
-            assert mask_check(dim, side, cells) == reference(dim, cells), cells
+            verdict = references(dim, cells)
+            assert mask_check(dim, side, cells) == verdict, cells
+            verdicts.add(verdict)
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def random_cell_sets(dim, side, rng):
@@ -76,10 +87,10 @@ def test_mask_check_matches_the_references_on_random_cell_sets(dim, side):
     # shifts has the most arms of length two and more to stand for.
     verdicts = set()
     for cells in random_cell_sets(dim, side, random.Random(f"hooks {dim} {side}")):
-        verdict = reference(dim, cells)
+        verdict = references(dim, cells)
         assert mask_check(dim, side, cells) == verdict, cells
-        verdicts.add((verdict, bruteforce.is_downward_closed(cells)))
-    assert {(True, False), (False, False), (True, True)} <= verdicts
+        verdicts.add(verdict)
+    assert {(False, True), (False, False), (True, True)} <= verdicts
 
 
 @pytest.mark.parametrize("side", [2, 3])
@@ -89,12 +100,12 @@ def test_shifts_do_not_carry_into_the_next_digit(side):
     # axis does not reach.
     cells = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
     assert reference(3, cells)
-    assert mask_check(3, side, cells)
+    assert mask_check(3, side, cells) == (True, True)
     # Not strongly stable ((0, side - 1) has arms (1, 0)), but a carry
     # along the second axis would give (0, side - 1) an arm of 1 there.
     square = list(product(range(side), repeat=2))
     assert not reference(2, square)
-    assert not mask_check(2, side, square)
+    assert mask_check(2, side, square) == (True, False)
 
 
 @pytest.mark.parametrize("dim, side", [(1, 4), (2, 3), (3, 2)])
@@ -105,9 +116,9 @@ def test_closure_check_matches_the_oracle_on_every_cell_set(dim, side):
     verdicts = set()
     for size in range(len(box) + 1):
         for cells in combinations(box, size):
-            verdict = bruteforce.is_downward_closed(cells)
-            assert mask_check(dim, side, cells, _down_closed) == verdict, cells
-            verdicts.add(verdict)
+            closed, _ = mask_check(dim, side, cells)
+            assert closed == bruteforce.is_downward_closed(cells), cells
+            verdicts.add(closed)
     assert verdicts == {True, False}
 
 
