@@ -34,19 +34,22 @@ indices, valid until the next step, so no node costs a copy of them.
   O(d) operations on a side^d-bit int per candidate, not a dictionary
   step per cell and axis.
 * A set of whole orbits has one bit per orbit representative (see
-  :func:`_orbit_layout`).  Such a union is always totally symmetric, so
-  what is checked is downward closure (see :func:`_orbits_closed`): it
-  holds exactly when, for each representative r in it, the orbit of
-  sorted(r - e_j) is in it for every j with r_j > 0; one operation per
-  representative, and no orbit is expanded.
+  :func:`_orbit_layout`).  Such a union is totally symmetric once each
+  of its orbits is, so what is checked is downward closure (see
+  :func:`_orbits_closed`): it holds exactly when, for each
+  representative r in it, the orbit of sorted(r - e_j) is in it for
+  every j with r_j > 0; one operation per representative, and no orbit
+  is expanded.
 
 Both checks read the definitions, not the walk's predecessor and move
 rules, so the re-validation stays independent of the pruning.  Cells are
 built only for a listing, and kept per depth: the walk yields a node
 right after its parent's earlier subtrees, so a child's sorted cells are
-its parent's with its cell inserted, found by bisection, or with its
-orbit merged in, each orbit sorted once when it is first expanded.  A
-symmetric listing also runs :meth:`Partition.is_totally_symmetric`.
+its parent's with its piece's cells inserted, each found by bisection:
+its one cell, or its orbit.  A symmetric listing expands each orbit once,
+when it is first used, and checks it then for symmetry with the test
+:meth:`Partition.is_totally_symmetric` runs; a union of symmetric orbits
+is symmetric, so no node's cells are checked again.
 :meth:`Partition.is_strongly_stable` runs the same one round of hooks
 on a set of integer keys instead, since its input has no box: a 41-cell
 partition in d = 40 would need a 2^40-bit mask.
@@ -90,7 +93,7 @@ from typing import Callable, Iterator
 
 from .errors import (ArithmeticSelfCheck, NonIntegerProduct, ResourceLimit, _Budget,
                      _checked_budget)
-from .partitions import Cell, Partition, _distinct_permutations
+from .partitions import Cell, Partition, _distinct_permutations, _fixed_by_permutations
 from .qpoly import QPolynomial, _div_one_minus_q_power, _mul_one_minus_q_power
 
 PREDICATES = ("all", "strongly_stable", "totally_symmetric")
@@ -286,16 +289,15 @@ def _mode(dim: int, side: int, predicate: str):
     `partition` keeps, per depth, the sorted cells of the last node walked
     there.  The walk yields each node right after its parent's earlier
     subtrees, so depth len(idxs) - 1 holds the node's parent, and the
-    node's cells are its parent's with one cell inserted, or with one
-    orbit merged in.  So it must be called on every node, in walk
-    order."""
+    node's cells are its parent's with the cells of its piece inserted:
+    its one cell, or the orbit of its representative.  So it must be
+    called on every node, in walk order.  An orbit is expanded on first
+    use and checked then, once, for symmetry: a union of sets that every
+    coordinate permutation fixes is fixed by them too."""
     if predicate == "totally_symmetric":
         order, requires = _orbit_requirements(dim, side)
         bits, below = _orbit_layout(order)
-        # Orbits are expanded on first use, by the listing only, in
-        # lexicographic order, so each is sorted once.
         orbits: list[tuple[Cell, ...] | None] = [None] * len(order)
-        sorted_cells: list[tuple[Cell, ...]] = [()] * (len(order) + 1)
 
         def finalize(idxs: list[int], mask: int) -> int:
             if not _orbits_closed(mask, idxs, below):
@@ -303,25 +305,19 @@ def _mode(dim: int, side: int, predicate: str):
                 raise _rejected(cells, "downward closed")
             return mask
 
-        def partition(idxs: list[int]) -> Partition:
-            depth = len(idxs)
-            if depth:
-                orbit = orbits[idxs[-1]]
-                if orbit is None:
-                    orbit = orbits[idxs[-1]] = tuple(_distinct_permutations(order[idxs[-1]]))
-                # Two sorted runs, which one sort merges.
-                sorted_cells[depth] = tuple(sorted(sorted_cells[depth - 1] + orbit))
-            part = Partition._trusted(dim, sorted_cells[depth])
-            if not part.is_totally_symmetric():
-                raise _rejected(part.cells, "totally symmetric")
-            return part
+        def piece(i: int) -> tuple[Cell, ...]:
+            orbit = orbits[i]
+            if orbit is None:
+                orbit = orbits[i] = tuple(_distinct_permutations(order[i]))
+                if not _fixed_by_permutations(frozenset(orbit), orbit, dim):
+                    raise _rejected(orbit, "totally symmetric")
+            return orbit
     else:
         stable = predicate == "strongly_stable"
         order, requires = _cell_requirements(dim, side, stable)
         steps, numbers = _layout(dim, side, order)
         bits = [1 << k for k in numbers]
         inboxes = _inboxes(side, steps)
-        sorted_cells: list[tuple[Cell, ...]] = [()] * (len(order) + 1)
 
         def finalize(idxs: list[int], mask: int) -> int:
             closed, hooks = _closed_and_stable(mask, steps, inboxes)
@@ -331,13 +327,17 @@ def _mode(dim: int, side: int, predicate: str):
                 raise _rejected(map(order.__getitem__, idxs), "strongly stable")
             return mask
 
-        def partition(idxs: list[int]) -> Partition:
-            depth = len(idxs)
-            if depth:
-                cells = list(sorted_cells[depth - 1])
-                insort(cells, order[idxs[-1]])
-                sorted_cells[depth] = tuple(cells)
-            return Partition._trusted(dim, sorted_cells[depth])
+        piece = [(cell,) for cell in order].__getitem__
+    sorted_cells: list[tuple[Cell, ...]] = [()] * (len(order) + 1)
+
+    def partition(idxs: list[int]) -> Partition:
+        depth = len(idxs)
+        if depth:
+            cells = list(sorted_cells[depth - 1])
+            for cell in piece(idxs[-1]):
+                insort(cells, cell)
+            sorted_cells[depth] = tuple(cells)
+        return Partition._trusted(dim, sorted_cells[depth])
     return order, requires, bits, partition, finalize
 
 
@@ -361,10 +361,11 @@ def enumerate_partitions(dim: int, side: int, predicate: str = "all", *,
     is built when the table is the larger.  Every candidate is
     re-validated against the predicate's definition: a totally symmetric
     one on the bitmask of its orbits for downward closure by
-    :func:`_orbits_closed` and, once its cells are built, for symmetry by
-    :meth:`Partition.is_totally_symmetric`; any other on the bitmask of
-    its cells by :func:`_closed_and_stable`, for downward closure and, a
-    strongly stable one, for increasing hooks.
+    :func:`_orbits_closed`, and for symmetry orbit by orbit, each orbit
+    once, when it is first expanded, by the test
+    :meth:`Partition.is_totally_symmetric` runs; any other on the bitmask
+    of its cells by :func:`_closed_and_stable`, for downward closure and,
+    a strongly stable one, for increasing hooks.
     One that fails raises :class:`ArithmeticSelfCheck`, since the pruned
     walk cannot produce it.
     """

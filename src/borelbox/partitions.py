@@ -223,8 +223,10 @@ class Partition:
         in R_1(j), so in R_1(j+1), which puts c + e_(j+1) + i e_j in the
         set for every i < k: c + e_(j+1) is in R_(k-1)(j), so by induction
         in R_(k-1)(j+1), and with c in the set, c is in R_k(j+1).  So only
-        R_1(j) is built, on keys that read cells as digits in a base above
-        every coordinate, so c + e_j is one addition away.  (The enumerators
+        R_1(j) is tested, one key at a time, returning at the first key of
+        R_1(j) outside R_1(j+1).  Keys read cells as digits in a base above
+        every coordinate, so c + e_j is one addition away; building them
+        comes first, and a reject costs at least that.  (The enumerators
         run it on a bitmask of the box, ``enumeration._closed_and_stable``; a
         partition has none: 41 cells in d = 40 would need 2^40 bits.)
         """
@@ -233,12 +235,10 @@ class Partition:
         base = max(chain.from_iterable(self.cells), default=0) + 2
         steps = [base ** j for j in reversed(range(self.dim))]
         keys = {sum(map(mul, cell, steps)) for cell in self.cells}
-        low = set()
-        for step in steps:
-            run = {key for key in keys if key + step in keys}
-            if not low <= run:
-                return False
-            low = run
+        for step, nxt in zip(steps, steps[1:]):
+            for key in keys:
+                if key + step in keys and key + nxt not in keys:
+                    return False
         return True
 
     def is_totally_symmetric(self) -> bool:

@@ -8,6 +8,7 @@ permutation group, enumeration by filtering the power set of the box.
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
+from math import factorial, prod
 
 
 def box_cells(dim, side):
@@ -98,6 +99,16 @@ def naive_totally_symmetric(cells):
         return True
     d = len(next(iter(s)))
     return all(tuple(c[i] for i in p) in s for c in s for p in permutations(range(d)))
+
+
+def counted_totally_symmetric(cells):
+    """Symmetry by counting, for dimensions whose d! permutations per cell
+    are out of reach: a set is a union of whole orbits exactly when, for
+    each orbit it meets, it holds as many of its cells as the orbit has,
+    d! / prod(m!) over the multiplicities m of the coordinate values."""
+    met = Counter(tuple(sorted(c)) for c in {tuple(c) for c in cells})
+    return all(n == factorial(len(rep)) // prod(map(factorial, Counter(rep).values()))
+               for rep, n in met.items())
 
 
 def naive_ideal_members(gens, dim, side):

@@ -303,7 +303,7 @@ def test_failed_revalidation_raises(monkeypatch, predicate, counter):
     # Stable candidates are re-validated on their bitmask by
     # `_closed_and_stable`, here forced to a closed set whose hooks fail,
     # symmetric ones on their orbit mask by `_orbits_closed`; a symmetric
-    # listing also runs the Partition predicate on the cells it builds.
+    # listing also checks each orbit for symmetry when it expands it.
     if predicate == "is_strongly_stable":
         monkeypatch.setattr(borelbox.enumeration, "_closed_and_stable",
                             lambda mask, steps, inboxes: (True, False))
@@ -313,7 +313,8 @@ def test_failed_revalidation_raises(monkeypatch, predicate, counter):
                             lambda mask, reps, below: False)
         failed = "downward closed"
     else:
-        monkeypatch.setattr(Partition, predicate, lambda self: False)
+        monkeypatch.setattr(borelbox.enumeration, "_fixed_by_permutations",
+                            lambda members, items, dim: False)
         failed = "totally symmetric"
     with pytest.raises(ArithmeticSelfCheck, match=f"enumerated candidate .* is not {failed}"):
         counter(2, 2)
@@ -396,12 +397,43 @@ def test_walk_carries_each_nodes_mask(dim, predicate):
 
 
 @pytest.mark.parametrize("dim, side, predicate", [
-    (2, 6, "all"), (3, 3, "all"), (4, 2, "all"), (3, 4, "strongly_stable")])
+    (2, 6, "all"), (3, 3, "all"), (4, 2, "all"), (3, 4, "strongly_stable"),
+    (2, 6, "totally_symmetric"), (3, 4, "totally_symmetric"), (4, 3, "totally_symmetric"),
+    (5, 2, "totally_symmetric"), (10, 2, "totally_symmetric")])
 def test_carried_cells_are_the_canonical_cells(dim, side, predicate):
     # Each listed partition's cells, built from its parent's, are those
-    # the validating constructor sorts from scratch.
+    # the validating constructor sorts from scratch.  A symmetric one is
+    # only ever checked orbit by orbit, so the merged cells are checked
+    # here: by the full permutation group, or by counting at d = 10.
+    symmetric = (bruteforce.naive_totally_symmetric if dim <= 5
+                 else bruteforce.counted_totally_symmetric)
     for part in enumerate_partitions(dim, side, predicate):
         assert part.cells == Partition(dim, part.cells).cells
+        if predicate == "totally_symmetric":
+            assert symmetric(part.cells)
+
+
+def test_symmetric_listing_checks_each_orbit_once(monkeypatch):
+    # A symmetric listing checks symmetry on each orbit once, when it is
+    # first expanded, and never on a node's cells: at (3,4) that is the
+    # C(6,3) = 20 orbits of the box, against 66 listed partitions.
+    checked = []
+    real = borelbox.enumeration._fixed_by_permutations
+
+    def check(members, items, dim):
+        checked.append(frozenset(items))
+        return real(members, items, dim)
+
+    def never(self):
+        raise AssertionError("a listing re-checks a partition's cells")
+
+    monkeypatch.setattr(borelbox.enumeration, "_fixed_by_permutations", check)
+    monkeypatch.setattr(Partition, "is_totally_symmetric", never)
+    listing = list(enumerate_partitions(3, 4, "totally_symmetric"))
+    assert len(listing) == 66
+    orbits = {frozenset(bruteforce.naive_symmetrize([cell])) for part in listing for cell in part}
+    assert len(checked) == len(set(checked)) == len(orbits) == comb(6, 3)
+    assert set(checked) == orbits
 
 
 @pytest.mark.parametrize("first, second", [

@@ -134,6 +134,7 @@ def test_predicates_match_naive_oracles_in_3_box():
     for p in enumerate_partitions(3, 3, "all"):
         assert p.is_strongly_stable() == bruteforce.naive_strongly_stable(p.cells)
         assert p.is_totally_symmetric() == bruteforce.naive_totally_symmetric(p.cells)
+        assert bruteforce.counted_totally_symmetric(p.cells) == p.is_totally_symmetric()
 
 
 @pytest.mark.parametrize("dim, side", [(2, 4), (3, 2), (4, 2)])
