@@ -50,9 +50,10 @@ its one cell, or its orbit.  A symmetric listing expands each orbit once,
 when it is first used, and checks it then for symmetry with the test
 :meth:`Partition.is_totally_symmetric` runs; a union of symmetric orbits
 is symmetric, so no node's cells are checked again.
-:meth:`Partition.is_strongly_stable` runs the same one round of hooks
-on a set of integer keys instead, since its input has no box: a 41-cell
-partition in d = 40 would need a 2^40-bit mask.
+:meth:`Partition.is_strongly_stable` has no box (a 41-cell partition in
+d = 40 would need a 2^40-bit mask) but is only asked of downward-closed
+sets, where the same round of hooks is one move per cell and axis: c_j > 0
+puts c - e_j + e_(j+1) in the set.
 
 Strongly stable and totally symmetric counts and generating functions
 do not list the partitions (only the cumulative counts of all partitions
@@ -135,13 +136,11 @@ def _orbit_requirements(dim: int, side: int):
     index = {r: i for i, r in enumerate(order)}
     requires = []
     for rep in order:
-        need = set()
-        for value in set(rep):
-            if value > 0:
-                pos = rep.index(value)
-                below = tuple(sorted(rep[:pos] + (value - 1,) + rep[pos + 1:]))
-                need.add(index[below])
-        requires.append(tuple(sorted(need)))
+        # Lowering the first entry of each run of equal values, as in
+        # :func:`_orbit_layout`, keeps the tuple sorted and gives each
+        # predecessor orbit once, in increasing graded order.
+        requires.append(tuple(index[rep[:j] + (v - 1,) + rep[j + 1:]]
+                              for j, v in enumerate(rep) if v and (j == 0 or rep[j - 1] < v)))
     return order, requires
 
 
@@ -226,12 +225,20 @@ def _closed_and_stable(mask: int, steps: list[int],
     Shifted one step back along j and kept where c_j < side - 1 (no
     carry), the set becomes s_j = (mask >> step_j) & inbox_j, its cells'
     predecessors along j, and the set is closed exactly when every s_j
-    lies inside it.  As in :meth:`Partition.is_strongly_stable`, whose
-    docstring proves that one round decides it on any cell set, closed or
-    not, the hooks increase exactly when R_1(j), the cells c with c and
-    c + e_j in the set, lies inside R_1(j+1).  R_1(j) is s_j & mask, so
-    one AND per axis gives both: s_j lies inside the set exactly when
-    R_1(j) = s_j, as it is on every closed set."""
+    lies inside it.
+
+    R_k(j), the cells c with c, c + e_j, ..., c + k e_j all in the set,
+    are the cells with arm_j(c) >= k, and the hooks increase exactly when
+    R_k(j) lies inside R_k(j+1) for every k >= 1 and j < d - 1.  The
+    first round implies every later one, on any cell set, closed or not,
+    which matters here since a candidate is checked before it is known to
+    be closed: let c be in R_k(j) with k >= 2.  Each c + i e_j with i < k
+    is in R_1(j), so in R_1(j+1), which puts c + e_(j+1) + i e_j in the
+    set for every i < k: c + e_(j+1) is in R_(k-1)(j), so by induction in
+    R_(k-1)(j+1), and with c in the set, c is in R_k(j+1).  So only R_1(j)
+    is tested.  R_1(j) is s_j & mask, so one AND per axis gives both
+    verdicts: s_j lies inside the set exactly when R_1(j) = s_j, as it is
+    on every closed set."""
     closed = stable = True
     low = 0
     for step, inbox in zip(steps, inboxes):

@@ -19,8 +19,7 @@ and one reader for JSON objects with typed fields.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import chain
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from .errors import (
     CellNotInPartition,
@@ -215,29 +214,20 @@ class Partition:
     def is_strongly_stable(self) -> bool:
         """True iff every cell's hook vector is weakly increasing.
 
-        R_k(j), the cells c with c, c + e_j, ..., c + k e_j all in the set,
-        are the cells with arm_j(c) >= k, and the hooks increase exactly
-        when R_k(j) lies inside R_k(j+1) for every k >= 1 and j < d - 1.
-        The first round implies every later one, on any cell set, closed or
-        not: let c be in R_k(j) with k >= 2.  Each c + i e_j with i < k is
-        in R_1(j), so in R_1(j+1), which puts c + e_(j+1) + i e_j in the
-        set for every i < k: c + e_(j+1) is in R_(k-1)(j), so by induction
-        in R_(k-1)(j+1), and with c in the set, c is in R_k(j+1).  So only
-        R_1(j) is tested, one key at a time, returning at the first key of
-        R_1(j) outside R_1(j+1).  Keys read cells as digits in a base above
-        every coordinate, so c + e_j is one addition away; building them
-        comes first, and a reject costs at least that.  (The enumerators
-        run it on a bitmask of the box, ``enumeration._closed_and_stable``; a
-        partition has none: 41 cells in d = 40 would need 2^40 bits.)
+        R_1(j), the cells c with c and c + e_j both in the set, are the
+        cells with an arm of at least one along j, and the hooks increase
+        exactly when R_1(j) lies inside R_1(j+1) for every j < d - 1
+        (longer arms follow; see ``enumeration._closed_and_stable``).  On
+        a downward-closed set, R_1(j) is c - e_j over the cells c with
+        c_j > 0, and c - e_j is in R_1(j+1) exactly when c - e_j + e_(j+1)
+        is a cell.  So the test is one move per cell and axis, the adjacent
+        exchange ``MonomialIdeal.is_strongly_stable`` makes on generators,
+        returning at the first move that leaves the set.
         """
-        if not self.cells:
-            return True
-        base = max(chain.from_iterable(self.cells), default=0) + 2
-        steps = [base ** j for j in reversed(range(self.dim))]
-        keys = {sum(map(mul, cell, steps)) for cell in self.cells}
-        for step, nxt in zip(steps, steps[1:]):
-            for key in keys:
-                if key + step in keys and key + nxt not in keys:
+        members = self._members
+        for c in self.cells:
+            for j in range(self.dim - 1):
+                if c[j] and c[:j] + (c[j] - 1, c[j + 1] + 1) + c[j + 2:] not in members:
                     return False
         return True
 

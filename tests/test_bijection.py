@@ -7,6 +7,7 @@ from borelbox import (
     EmptyInput,
     FSet,
     InvalidFSet,
+    MissingPurePower,
     MonomialIdeal,
     NotStronglyStable,
     NotSymmetric,
@@ -214,6 +215,12 @@ def test_partition_bijection_worked_examples():
 def test_partition_bijection_rejections():
     with pytest.raises(EmptyInput):
         ss_to_ts_partition(Partition(2))
+    with pytest.raises(EmptyInput):
+        ts_to_ss_partition(Partition(2))
+    # Artinian, but the largest pure power is x^3, and y^3 is not a generator.
+    with pytest.raises(MissingPurePower,
+                       match=r"expected the pure power \(0, 3\) among the generators"):
+        lambda_map(MonomialIdeal(2, [(3, 0), (0, 2)]))
     with pytest.raises(NotStronglyStable):
         ss_to_ts_partition(Partition(2, [(0, 0), (1, 0)]))
     with pytest.raises(NotTotallySymmetric):

@@ -190,6 +190,13 @@ def test_lambda_and_omega(monkeypatch, capsys):
     assert [0, 7] in sym["gens"] and [7, 0] in sym["gens"]
 
 
+def test_lambda_needs_the_pure_power_of_the_last_variable(monkeypatch, capsys):
+    code, out, err = invoke(["lambda"], {"dim": 2, "gens": [[3, 0], [0, 2]]},
+                            monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: expected the pure power (0, 3) among the generators\n"
+
+
 def test_gf_subcommand(monkeypatch, capsys):
     code, out, _ = invoke(["gf", "--d", "3", "--n", "2", "--predicate", "ss"],
                           None, monkeypatch, capsys)
@@ -324,11 +331,20 @@ def test_booleans_and_deep_nesting_are_malformed_input(monkeypatch, capsys, argv
 
 
 def test_pretty_format(monkeypatch, capsys):
-    payload = {"dim": 2, "gens": [[4, 0], [3, 1], [2, 3], [1, 4], [0, 7]]}
-    code, out, _ = invoke(["bgens", "--format", "pretty"], payload,
-                          monkeypatch, capsys)
-    assert code == 0
-    assert out.strip() == "{x^3y, xy^4, y^7}"
+    cases = [
+        (["bgens"], {"dim": 2, "gens": [[4, 0], [3, 1], [2, 3], [1, 4], [0, 7]]},
+         "{x^3y, xy^4, y^7}\n"),
+        (["check-partition"], {"dim": 3, "cells": [[0, 0, 0], [1, 0, 0]]},
+         "dim: 3\nbounding_side: 2\ncell_count: 2\norbit_count: 2\n"
+         "strongly_stable: False\ntotally_symmetric: False\n"),
+        (["check-ideal"], {"dim": 2, "gens": [[2, 0], [1, 1], [0, 2]]},
+         "(y^2, xy, x^2)\nartinian: True\npure_power_degrees: [2, 2]\n"
+         "strongly_stable: True\nsymmetric: True\n"),
+        (["gf", "--d", "2", "--n", "2"], None, "1 1 1 1\n"),
+    ]
+    for argv, payload, text in cases:
+        code, out, err = invoke(argv + ["--format", "pretty"], payload, monkeypatch, capsys)
+        assert (code, out, err) == (0, text, ""), argv
 
 
 def test_every_library_error_has_a_documented_exit_code():

@@ -19,6 +19,7 @@ from borelbox import (
     count_ss,
     count_table,
     count_ts,
+    cumulative_counts,
     enumerate_partitions,
     hawkes_check,
     hawkes_counts,
@@ -144,6 +145,21 @@ def test_budget_exhaustion_raises():
     assert info.value.budget == 5
     # a generous budget does not trigger
     assert sum(1 for _ in enumerate_partitions(2, 2, "all", budget=10_000)) == 6
+
+
+def test_cumulative_counts_of_all_partitions():
+    # Entry k counts the partitions in the box of side k: lattice paths
+    # through a k x k square in d = 2, and in d = 3 the 20 plane
+    # partitions of the 2-box.
+    for n in range(7):
+        assert cumulative_counts(2, n, "all") == tuple(comb(2 * k, k) for k in range(n + 1))
+    assert cumulative_counts(3, 2, "all") == (1, 2, 20)
+    cumulative, _ = bruteforce.bucket_by_side(list(bruteforce.powerset_partitions(4, 2)), 2)
+    assert cumulative_counts(4, 2, "all") == cumulative
+    # The listing walks 20 nodes at (3, 2).
+    assert cumulative_counts(3, 2, "all", budget=20) == (1, 2, 20)
+    with pytest.raises(ResourceLimit):
+        cumulative_counts(3, 2, "all", budget=19)
 
 
 def test_closed_forms():
