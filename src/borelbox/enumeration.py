@@ -17,43 +17,40 @@ constrained streams small:
 Completed candidates are still re-validated against the definitions
 before being yielded or counted; since the pruning guarantees that every
 candidate passes, one that fails raises.  A candidate is re-validated on
-its bitmask alone, which the walk yields with it: a walk node is its
-parent plus one cell or orbit, so its mask is its parent's with one bit
-set, kept in the walk's stack frame beside its frontier, and the check
-keeps no state of its own.  The walk yields its own list of the node's
-indices, valid until the next step, so no node costs a copy of them.
+its bitmask, which the walk yields with it: a walk node is its parent
+plus one cell or orbit, so its mask is its parent's with one bit set,
+kept in the walk's stack frame beside its frontier.  The walk yields its
+own list of the node's indices, valid until the next step, so no node
+costs a copy of them.
 
-* A set of box cells has cell c as bit number sum(c_j side^(d-1-j)),
-  which is also its lexicographic rank (see :func:`_layout`).  One
-  function checks it (see :func:`_closed_and_stable`): per axis j, the
-  set shifted one step back along j without carries, s_j, is its cells'
-  predecessors along j, which must lie inside it (downward closure); on
-  a closed set s_j is also the cells with an arm of at least one along
-  j, and the hooks increase exactly when each axis's s_j lies inside the
-  next axis's (longer arms then follow).  That is one shift per axis,
-  O(d) operations on a side^d-bit int per candidate, not a dictionary
-  step per cell and axis.
+Every index has a requirement mask, the bits of what its piece needs by
+the definition, and a set passes exactly when the OR of its indices'
+requirement masks lies inside its own mask: one AND per candidate, with
+the OR kept per depth, a node's being its parent's with its own index's
+mask (see :func:`_mode`).
+
+* A set of cells has bit i for the walk's index i (see
+  :func:`_cell_layout`).  A cell requires its predecessors c - e_j,
+  which is downward closure, and in the strongly stable table also its
+  adjacent moves c - e_j + e_(j+1), which on a closed set is exactly
+  increasing hooks (see :meth:`Partition.is_strongly_stable`).  The
+  stable table lists only the cells with coordinate sum below the side,
+  so a mask has one bit per cell of that simplex, not of the box.
 * A set of whole orbits has one bit per orbit representative (see
   :func:`_orbit_layout`).  Such a union is totally symmetric once each
-  of its orbits is, so what is checked is downward closure (see
-  :func:`_orbits_closed`): it holds exactly when, for each
-  representative r in it, the orbit of sorted(r - e_j) is in it for
-  every j with r_j > 0; one operation per representative, and no orbit
-  is expanded.
+  of its orbits is, so what is checked is downward closure: a
+  representative r requires the orbit of sorted(r - e_j) for every j
+  with r_j > 0, and no orbit is expanded.
 
-Both checks read the definitions, not the walk's predecessor and move
-rules, so the re-validation stays independent of the pruning.  Cells are
-built only for a listing, and kept per depth: the walk yields a node
-right after its parent's earlier subtrees, so a child's sorted cells are
-its parent's with its piece's cells inserted, each found by bisection:
-its one cell, or its orbit.  A symmetric listing expands each orbit once,
-when it is first used, and checks it then for symmetry with the test
+The requirement masks are built from the definitions, not from the
+walk's predecessor and move tables, so the re-validation stays
+independent of the pruning.  Cells are built only for a listing, and
+kept per depth the same way: a child's sorted cells are its parent's
+with its piece's cells inserted, each found by bisection: its one cell,
+or its orbit.  A symmetric listing expands each orbit once, when it is
+first used, and checks it then for symmetry with the test
 :meth:`Partition.is_totally_symmetric` runs; a union of symmetric orbits
 is symmetric, so no node's cells are checked again.
-:meth:`Partition.is_strongly_stable` has no box (a 41-cell partition in
-d = 40 would need a 2^40-bit mask) but is only asked of downward-closed
-sets, where the same round of hooks is one move per cell and axis: c_j > 0
-puts c - e_j + e_(j+1) in the set.
 
 Strongly stable and totally symmetric counts and generating functions
 do not list the partitions (only the cumulative counts of all partitions
@@ -89,7 +86,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, combinations_with_replacement, compress
 from math import comb, isqrt, prod
-from operator import add, mul, or_
+from operator import add, or_
 from typing import Callable, Iterator
 
 from .errors import (ArithmeticSelfCheck, NonIntegerProduct, ResourceLimit, _Budget,
@@ -195,61 +192,25 @@ def _rejected(cells, failed: str) -> ArithmeticSelfCheck:
         f"enumerated candidate {[list(c) for c in sorted(cells)]} is not {failed}")
 
 
-def _layout(dim: int, side: int, cells) -> tuple[list[int], list[int]]:
-    """The bit layout of box cells that the cell listings and the stable
-    transfer share: cell c is bit number sum(c_j side^(d-1-j)), its
-    base-side digits with c_1 most significant, which is also its rank in
-    lexicographic order.  Returns each axis's step side^(d-1-j) and the
-    bit numbers of `cells`."""
-    steps = [side ** j for j in reversed(range(dim))]
-    return steps, [sum(map(mul, cell, steps)) for cell in cells]
-
-
-def _inboxes(side: int, steps: list[int]) -> list[int]:
-    """Per axis j, the mask of the box cells with c_j < side - 1.  From
-    those cells a shift by steps[j] is one step along axis j; from the
-    others it would carry into the next digit."""
-    # Most significant bit first: each of the side^j blocks of digit j is
-    # `step` zeros (c_j = side - 1) above step * (side - 1) ones.
-    return [int(("0" * step + "1" * (step * (side - 1))) * side ** j or "0", 2)
-            for j, step in enumerate(steps)]
-
-
-def _closed_and_stable(mask: int, steps: list[int],
-                       inboxes: list[int]) -> tuple[bool, bool]:
-    """Whether the cell set `mask` (in the layout of :func:`_layout`) is
-    downward closed, and whether its hook vectors are weakly increasing,
-    from one shift per axis: O(d) operations on side^d-bit ints, exact on
-    any cell set.
-
-    Shifted one step back along j and kept where c_j < side - 1 (no
-    carry), the set becomes s_j = (mask >> step_j) & inbox_j, its cells'
-    predecessors along j, and the set is closed exactly when every s_j
-    lies inside it.
-
-    R_k(j), the cells c with c, c + e_j, ..., c + k e_j all in the set,
-    are the cells with arm_j(c) >= k, and the hooks increase exactly when
-    R_k(j) lies inside R_k(j+1) for every k >= 1 and j < d - 1.  The
-    first round implies every later one, on any cell set, closed or not,
-    which matters here since a candidate is checked before it is known to
-    be closed: let c be in R_k(j) with k >= 2.  Each c + i e_j with i < k
-    is in R_1(j), so in R_1(j+1), which puts c + e_(j+1) + i e_j in the
-    set for every i < k: c + e_(j+1) is in R_(k-1)(j), so by induction in
-    R_(k-1)(j+1), and with c in the set, c is in R_k(j+1).  So only R_1(j)
-    is tested.  R_1(j) is s_j & mask, so one AND per axis gives both
-    verdicts: s_j lies inside the set exactly when R_1(j) = s_j, as it is
-    on every closed set."""
-    closed = stable = True
-    low = 0
-    for step, inbox in zip(steps, inboxes):
-        below = (mask >> step) & inbox
-        run = below & mask
-        if run != below:
-            closed = False
-        if low & ~run:
-            stable = False
-        low = run
-    return closed, stable
+def _cell_layout(order: list[Cell], stable: bool) -> tuple[list[int], list[int]]:
+    """The bit layout of the cell listings and the stable transfer: bit i
+    of a cell set's mask is order[i], the walk's own index.  Returns each
+    cell's bit and its requirement mask, the bits of its predecessors
+    c - e_j for each j with c_j > 0 and, when `stable`, of its moves
+    c - e_j + e_(j+1), built from those rules and not from the walk's
+    table, so the re-validation stays independent of the pruning.  A
+    requirement that is not in `order` is bit len(order), which no set
+    holds."""
+    bit = {cell: 1 << i for i, cell in enumerate(order)}
+    outside = 1 << len(order)
+    below = []
+    for cell in order:
+        need = [cell[:j] + (v - 1,) + cell[j + 1:] for j, v in enumerate(cell) if v]
+        if stable:
+            need += [cell[:j] + (v - 1, cell[j + 1] + 1) + cell[j + 2:]
+                     for j, v in enumerate(cell[:-1]) if v]
+        below.append(reduce(or_, (bit.get(c, outside) for c in need), 0))
+    return list(bit.values()), below
 
 
 def _orbit_layout(order: list[Cell]) -> tuple[list[int], list[int]]:
@@ -274,43 +235,35 @@ def _orbit_layout(order: list[Cell]) -> tuple[list[int], list[int]]:
     return bit, below
 
 
-def _orbits_closed(mask: int, reps, below: list[int]) -> bool:
-    """Whether the union of the orbits of the representatives `reps`,
-    whose bitmask is `mask` (in the layout of :func:`_orbit_layout`), is
-    downward closed: exactly when it holds each one's predecessor orbits,
-    those of sorted(r - e_j) for each j with r_j > 0, whose mask is
-    below[r].  One operation per representative, and no cell is built."""
-    return not reduce(or_, map(below.__getitem__, reps), 0) & ~mask
-
-
 def _mode(dim: int, side: int, predicate: str):
     """The walk's table and bit layout for the predicate, and two callables
     on a walked node's index list (the walk's own, valid until its next
     step): (order, requires, bits, partition, finalize).
     `finalize(idxs, mask)` re-validates the set on the bitmask the walk
-    carries and returns the mask, which is all the transfers read; it
-    keeps no state.  `partition(idxs)` builds its Partition for a listing.
-    `finalize` comes last, where the benchmark's tracer times the
-    re-validation.
+    carries and returns the mask, which is all the transfers read.
+    `partition(idxs)` builds its Partition for a listing.  `finalize`
+    comes last, where the benchmark's tracer times the re-validation.
 
-    `partition` keeps, per depth, the sorted cells of the last node walked
-    there.  The walk yields each node right after its parent's earlier
-    subtrees, so depth len(idxs) - 1 holds the node's parent, and the
-    node's cells are its parent's with the cells of its piece inserted:
-    its one cell, or the orbit of its representative.  So it must be
-    called on every node, in walk order.  An orbit is expanded on first
-    use and checked then, once, for symmetry: a union of sets that every
-    coordinate permutation fixes is fixed by them too."""
+    Each index has a requirement mask, the bits of what its piece needs
+    by the predicate's definition (see :func:`_cell_layout` and
+    :func:`_orbit_layout`), and a set passes exactly when the OR of its
+    indices' requirement masks lies inside its own mask: one AND.  A
+    requirement one member lacks stays in the OR of every set that holds
+    that member, so each verdict covers the whole set.
+    `finalize` keeps that OR per depth and `partition` the sorted cells,
+    each of the last node walked there.  The walk yields each node right
+    after its parent's earlier subtrees, so depth len(idxs) - 1 holds the
+    node's parent, and the node's OR is its parent's with its last
+    index's mask, its cells its parent's with the cells of its piece
+    inserted: its one cell, or the orbit of its representative.  So each
+    must be called on every node, in walk order.  An orbit is expanded on
+    first use and checked then, once, for symmetry: a union of sets that
+    every coordinate permutation fixes is fixed by them too."""
+    stable = predicate == "strongly_stable"
     if predicate == "totally_symmetric":
         order, requires = _orbit_requirements(dim, side)
         bits, below = _orbit_layout(order)
         orbits: list[tuple[Cell, ...] | None] = [None] * len(order)
-
-        def finalize(idxs: list[int], mask: int) -> int:
-            if not _orbits_closed(mask, idxs, below):
-                cells = (cell for i in idxs for cell in _distinct_permutations(order[i]))
-                raise _rejected(cells, "downward closed")
-            return mask
 
         def piece(i: int) -> tuple[Cell, ...]:
             orbit = orbits[i]
@@ -320,22 +273,23 @@ def _mode(dim: int, side: int, predicate: str):
                     raise _rejected(orbit, "totally symmetric")
             return orbit
     else:
-        stable = predicate == "strongly_stable"
         order, requires = _cell_requirements(dim, side, stable)
-        steps, numbers = _layout(dim, side, order)
-        bits = [1 << k for k in numbers]
-        inboxes = _inboxes(side, steps)
-
-        def finalize(idxs: list[int], mask: int) -> int:
-            closed, hooks = _closed_and_stable(mask, steps, inboxes)
-            if not closed:
-                raise _rejected(map(order.__getitem__, idxs), "downward closed")
-            if stable and not hooks:
-                raise _rejected(map(order.__getitem__, idxs), "strongly stable")
-            return mask
-
+        bits, below = _cell_layout(order, stable)
         piece = [(cell,) for cell in order].__getitem__
+    need = [0] * (len(order) + 1)
     sorted_cells: list[tuple[Cell, ...]] = [()] * (len(order) + 1)
+
+    def finalize(idxs: list[int], mask: int) -> int:
+        depth = len(idxs)
+        if depth:
+            need[depth] = need[depth - 1] | below[idxs[-1]]
+        if need[depth] & ~mask:
+            # A stable set that holds its predecessors lacks a move.
+            closed = stable and not reduce(
+                or_, map(_cell_layout(order, False)[1].__getitem__, idxs)) & ~mask
+            raise _rejected((c for i in idxs for c in piece(i)),
+                            "strongly stable" if closed else "downward closed")
+        return mask
 
     def partition(idxs: list[int]) -> Partition:
         depth = len(idxs)
@@ -366,13 +320,14 @@ def enumerate_partitions(dim: int, side: int, predicate: str = "all", *,
     `budget` caps the number of search nodes and of requirement table
     entries; exceeding it raises :class:`ResourceLimit`, before the table
     is built when the table is the larger.  Every candidate is
-    re-validated against the predicate's definition: a totally symmetric
-    one on the bitmask of its orbits for downward closure by
-    :func:`_orbits_closed`, and for symmetry orbit by orbit, each orbit
-    once, when it is first expanded, by the test
-    :meth:`Partition.is_totally_symmetric` runs; any other on the bitmask
-    of its cells by :func:`_closed_and_stable`, for downward closure and,
-    a strongly stable one, for increasing hooks.
+    re-validated against the predicate's definition on its bitmask, which
+    must hold the OR of its members' requirement masks (see
+    :func:`_mode`): a cell's predecessors, and for a strongly stable one
+    also its adjacent moves, which on a closed set are increasing hooks;
+    an orbit's predecessor orbits.  A totally symmetric one is also
+    checked for symmetry orbit by orbit, each orbit once, when it is
+    first expanded, by the test :meth:`Partition.is_totally_symmetric`
+    runs.
     One that fails raises :class:`ArithmeticSelfCheck`, since the pruned
     walk cannot produce it.
     """
@@ -430,20 +385,21 @@ def _stable_transfer(dim: int, side: int, weight: Callable[[int], object], *,
     The states are the (d-1)-dimensional strongly stable partitions of
     side at most `side`, listed by one run of the stable walk and
     re-validated there on their bitmasks, which the walk yields with them
-    and which key the states here; no cell set is built.  A cell y is bit
-    number sum(y_j side^(d-2-j)), its base-side digits with y_1 most
-    significant (the layout of :func:`_layout`, which :func:`_mode`
-    builds), so g(mask) = mask & (mask >> side^(d-2)).  States are sorted
-    by the smallest m with S inside T_m, then by mask, so the states
-    inside T_m come first and T_m, which holds each of them, is the last.
-    That m is one more than the coordinate sum of the state's last cell:
-    the walk adds cells in increasing graded order, so the last has the
-    largest sum.  A state's cell count is its mask's bit count.
+    and which key the states here; no cell set is built.  Bit i of a mask
+    is the walk's cell i, in graded order over the cells with coordinate
+    sum below `side` (see :func:`_cell_layout`).  g(S) is the OR, over
+    the cells y of S with y_1 > 0, of the bit of y - e_1, kept per depth
+    of the walk as :func:`_mode` keeps its requirement masks: a node's is
+    its parent's with its last cell's.  The cells with coordinate sum
+    below m are the first k_m in graded order, so with the states sorted
+    by mask, those inside T_m are the masks below 2^(k_m), and T_m, which
+    holds each of them, is the last.  A state's cell count is its mask's
+    bit count.
 
     For m < side, Z_(side-m) on the states inside T_m is one bit pass
-    over those states per cell of T_m, in lexicographic (increasing bit)
-    order, a linear extension of the cell order: each state holding the
-    cell's bit b adds Z[mask ^ b] whenever mask ^ b is a state (a zeta
+    over those states per cell of T_m, in increasing graded (bit) order,
+    a linear extension of the cell order: each state holding the cell's
+    bit b adds Z[mask ^ b] whenever mask ^ b is a state (a zeta
     transform on the lattice of order ideals).  That is O(states x cells)
     per slice, the shape of the symmetric transfer's passes over
     supersets.  Entry `side` needs no pass: Z_0(T_side) is the sum of F_0
@@ -456,34 +412,45 @@ def _stable_transfer(dim: int, side: int, weight: Callable[[int], object], *,
     limiter = _Budget(budget)
     limiter.refuse_table(dim - 1, side, "strongly_stable")
     order, requires, bits, _, finalize = _mode(dim - 1, side, "strongly_stable")
-    shift = side ** (dim - 2) if dim > 1 else 0
-    rank = [sum(cell) + 1 for cell in order]
-    ranks, masks = zip(*sorted((rank[idxs[-1]] if idxs else 0, finalize(idxs, mask))
-                               for idxs, mask in _walk(requires, bits, limiter.tick)))
+    # Each cell's share of g: the bit of y - e_1, none when y_1 = 0, and in
+    # dimension 0, whose one cell () has no first coordinate, its own.
+    bit = dict(zip(order, bits))
+    down = bits if dim == 1 else [bit.get((y[0] - 1,) + y[1:], 0) for y in order]
+    g = [0] * (len(order) + 1)  # g of the last node walked at each depth
+    states = []
+    for idxs, mask in _walk(requires, bits, limiter.tick):
+        depth = len(idxs)
+        if depth:
+            g[depth] = g[depth - 1] | down[idxs[-1]]
+        states.append((finalize(idxs, mask), g[depth]))
+    masks, images = zip(*sorted(states))
     index = {mask: s for s, mask in enumerate(masks)}
     weights = [weight(mask.bit_count()) for mask in masks]
-    inner = [index[mask & (mask >> shift)] for mask in masks]
-    cells = sorted(zip(bits, rank))  # (bit, coordinate sum + 1), by bit
+    inner = [index[image] for image in images]
+    # Cells with coordinate sum below m, and the states made of them.
+    levels = [sum(cell) for cell in order]
+    cells_below = [bisect_left(levels, m) for m in range(side + 1)]
+    states_below = [bisect_left(masks, 1 << k) for k in cells_below]
 
     limiter.phase = "transfer"
     sums = [weight(0)] * len(masks)  # Z_side: the empty chain
     totals = [sums[0]]
     for m in range(1, side + 1):
-        size = bisect_left(ranks, m + 1)  # the states inside T_m
+        size = states_below[m]
         limiter.charge(size)
         sums = [sums[inner[s]] * weights[s] for s in range(size)]
         if m == side:
             totals.append(reduce(add, sums))
             break
         domain = masks[:size]
-        for b, r in cells:
-            if r <= m:
-                limiter.charge(size)
-                for s, mask in enumerate(domain):
-                    if mask & b:
-                        t = index.get(mask ^ b)
-                        if t is not None:
-                            sums[s] += sums[t]
+        for k in range(cells_below[m]):
+            limiter.charge(size)
+            b = 1 << k
+            for s, mask in enumerate(domain):
+                if mask & b:
+                    t = index.get(mask ^ b)
+                    if t is not None:
+                        sums[s] += sums[t]
         totals.append(sums[size - 1])  # T_m, the last state inside it
     return totals
 
@@ -526,8 +493,8 @@ def _slice_transfer(dim: int, side: int, weight: Callable[[int], object], *,
     The states are the (d-1)-dimensional partitions of side at most
     `side`, listed by one run of the symmetric walk, each an int bitmask
     over orbit representatives that the walk yields with it, re-validated
-    for downward closure (see :func:`_orbits_closed`);
-    no orbit is expanded into cells.  Bits follow the representatives by
+    for downward closure on its requirement masks (see :func:`_mode`); no
+    orbit is expanded into cells.  Bits follow the representatives by
     (largest value, graded order) (see :func:`_orbit_layout`), so the
     states inside [0, c)^(d-1) are the masks below 2^(the number of
     representatives there).  Summing the previous slice over the
@@ -537,8 +504,8 @@ def _slice_transfer(dim: int, side: int, weight: Callable[[int], object], *,
     O(states x representatives) per slice.
 
     The budget is charged one per walk node, one per representative of
-    each state before it is re-validated (what the check costs), one per
-    state of each slice and one per (representative, state) step tried.
+    each state as it is walked, one per state of each slice and one per
+    (representative, state) step tried.
     """
     _check_box_args(dim, side, "totally_symmetric")
     limiter = _Budget(budget)

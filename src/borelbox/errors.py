@@ -152,18 +152,16 @@ class _Budget:
 
     def refuse_table(self, dim: int, side: int, predicate: str) -> None:
         """Raise before a requirement table larger than the budget is
-        built: side^d cells, or C(side+d-1, d) orbit representatives (one,
-        the empty tuple, in dimension 0).  The strongly stable table lists
-        only the C(side+d-1, d) cells with coordinate sum below side, but
-        its candidates are still side^d-bit masks, and the in-box masks of
-        their checks are built as side^d-character strings, so side^d is
-        what it is measured by."""
+        built: side^d cells for all partitions; the C(side+d-1, d) cells
+        with coordinate sum below side for strongly stable ones, whose
+        masks have one bit per table cell; or C(side+d-1, d) orbit
+        representatives.  Dimension 0 has one entry, the empty tuple."""
         if self.limit is None:
             return
-        if predicate == "totally_symmetric":
-            entries = comb(max(side + dim - 1, 0), dim)
-        else:
+        if predicate == "all":
             entries = side ** dim
+        else:
+            entries = comb(max(side + dim - 1, 0), dim)
         if entries > self.limit:
             raise ResourceLimit(self.limit, f"the requirement table of {entries} "
                                             f"entries exceeds the node budget "

@@ -214,15 +214,22 @@ class Partition:
     def is_strongly_stable(self) -> bool:
         """True iff every cell's hook vector is weakly increasing.
 
-        R_1(j), the cells c with c and c + e_j both in the set, are the
-        cells with an arm of at least one along j, and the hooks increase
-        exactly when R_1(j) lies inside R_1(j+1) for every j < d - 1
-        (longer arms follow; see ``enumeration._closed_and_stable``).  On
-        a downward-closed set, R_1(j) is c - e_j over the cells c with
-        c_j > 0, and c - e_j is in R_1(j+1) exactly when c - e_j + e_(j+1)
-        is a cell.  So the test is one move per cell and axis, the adjacent
-        exchange ``MonomialIdeal.is_strongly_stable`` makes on generators,
-        returning at the first move that leaves the set.
+        R_k(j), the cells c with c, c + e_j, ..., c + k e_j all in the
+        set, are the cells with arm_j(c) >= k, and the hooks increase
+        exactly when R_k(j) lies inside R_k(j+1) for every k >= 1 and
+        j < d - 1.  The first round implies every later one, on any cell
+        set: let c be in R_k(j) with k >= 2.  Each c + i e_j with i < k is
+        in R_1(j), so in R_1(j+1), which puts c + e_(j+1) + i e_j in the
+        set for every i < k: c + e_(j+1) is in R_(k-1)(j), so by induction
+        in R_(k-1)(j+1), and with c in the set, c is in R_k(j+1).  So only
+        R_1(j) is tested.  On a downward-closed set, R_1(j) is c - e_j
+        over the cells c with c_j > 0, and c - e_j is in R_1(j+1) exactly
+        when c - e_j + e_(j+1) is a cell.  So on such a set the hooks
+        increase exactly when every adjacent move of every cell stays in
+        it: the test is one move per cell and axis, the exchange
+        ``MonomialIdeal.is_strongly_stable`` makes on generators, returning
+        at the first move that leaves the set.  The walk's re-validation
+        reads the same moves on its masks (see ``enumeration._cell_layout``).
         """
         members = self._members
         for c in self.cells:

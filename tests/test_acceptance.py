@@ -110,13 +110,13 @@ def test_criterion_4_central_identity_and_perfect_matching():
 
 def test_criterion_5_q_analogue_identities():
     def checks():
-        for n in range(5):
+        for n in range(11):
             poly = qtspp(n)
             assert poly == orbit_gf_ts(3, n)
             assert poly == cell_gf_ss(3, n)
             assert poly.evaluate(1) == stembridge_t3(n)
 
-    _report(5, "q-series equals both generating functions up to n=4", checks)
+    _report(5, "q-series equals both generating functions up to n=10", checks)
 
 
 def test_criterion_6_box_transposition_identity():

@@ -97,8 +97,7 @@ def test_grown_oracle_matches_powerset_oracle():
 @pytest.mark.parametrize("predicate", sorted(ORACLE_FILTERS))
 def test_budget_raises_exactly_below_nodes_or_table_entries(dim, side, predicate):
     nodes = sum(1 for _ in enumerate_partitions(dim, side, predicate))
-    entries = (comb(side + dim - 1, dim) if predicate == "totally_symmetric"
-               else side ** dim)
+    entries = side ** dim if predicate == "all" else comb(side + dim - 1, dim)
     need = max(nodes, entries)
     assert sum(1 for _ in enumerate_partitions(dim, side, predicate,
                                                budget=need)) == nodes
@@ -316,17 +315,23 @@ def list_ts(dim, side):
     ("is_totally_symmetric", list_ts),
 ])
 def test_failed_revalidation_raises(monkeypatch, predicate, counter):
-    # Stable candidates are re-validated on their bitmask by
-    # `_closed_and_stable`, here forced to a closed set whose hooks fail,
-    # symmetric ones on their orbit mask by `_orbits_closed`; a symmetric
-    # listing also checks each orbit for symmetry when it expands it.
+    # Candidates are re-validated on their bitmask against the OR of
+    # their members' requirement masks, here forced to hold a bit no set
+    # holds: for stable ones a move (`_cell_layout` with moves), while
+    # every predecessor is held, for symmetric ones a predecessor orbit
+    # (`_orbit_layout`); a symmetric listing also checks each orbit for
+    # symmetry when it expands it.
     if predicate == "is_strongly_stable":
-        monkeypatch.setattr(borelbox.enumeration, "_closed_and_stable",
-                            lambda mask, steps, inboxes: (True, False))
+        def unheld_move(order, stable):
+            bits, _ = _real_cell_layout(order, stable)
+            return bits, [1 << len(order) if stable else 0] * len(order)
+        monkeypatch.setattr(borelbox.enumeration, "_cell_layout", unheld_move)
         failed = "strongly stable"
     elif counter is count_ts:
-        monkeypatch.setattr(borelbox.enumeration, "_orbits_closed",
-                            lambda mask, reps, below: False)
+        def unheld_orbit(order):
+            bits, _ = _real_orbit_layout(order)
+            return bits, [1 << len(order)] * len(order)
+        monkeypatch.setattr(borelbox.enumeration, "_orbit_layout", unheld_orbit)
         failed = "downward closed"
     else:
         monkeypatch.setattr(borelbox.enumeration, "_fixed_by_permutations",
@@ -336,6 +341,8 @@ def test_failed_revalidation_raises(monkeypatch, predicate, counter):
         counter(2, 2)
 
 
+_real_cell_layout = borelbox.enumeration._cell_layout
+_real_orbit_layout = borelbox.enumeration._orbit_layout
 _real_requirements = borelbox.enumeration._cell_requirements
 _real_orbit_requirements = borelbox.enumeration._orbit_requirements
 

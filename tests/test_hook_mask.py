@@ -1,28 +1,53 @@
-"""The bitmask checks that re-validate candidates in the walk: the closure
-and hook check of every cell-level candidate
-(`enumeration._closed_and_stable`), whose two verdicts must be exactly
-the brute-force closure test's and stability oracle's on every cell set,
-and on partitions also the cell-level `Partition.is_strongly_stable`'s,
-which is only defined on downward-closed sets; and the closure check of
-sets of whole orbits on their masks (`enumeration._orbits_closed`),
-against the same test on their cells."""
+"""The requirement-mask check that re-validates candidates in the walk: a
+set passes when the OR of its members' requirement masks lies inside its
+own mask.  For cells (`enumeration._cell_layout`) the requirements are
+the predecessors and, for the strongly stable table, the adjacent moves;
+run over the full box, where moves out of the box are never held, the
+verdict must be exactly the brute-force closure test's, and with moves
+that test and the stability oracle's together, on every cell set, and on
+partitions also the cell-level `Partition.is_strongly_stable`'s.  For
+orbits (`enumeration._orbit_layout`) the requirements are the
+predecessor orbits, checked against the closure test on their cells.
+`finalize`, which carries the OR per depth along the walk, must give the
+same verdicts on every set of table cells and name the failed
+predicate."""
 
 import random
+from functools import cache, reduce
 from itertools import combinations, product
+from operator import or_
 
 import pytest
 
-from borelbox import Partition, enumerate_partitions
-from borelbox.enumeration import (_closed_and_stable, _inboxes, _layout, _orbit_layout,
-                                  _orbit_requirements, _orbits_closed)
+from borelbox import ArithmeticSelfCheck, Partition, enumerate_partitions
+from borelbox.enumeration import (_cell_layout, _mode, _orbit_layout,
+                                  _orbit_requirements)
 
 import bruteforce
 
 
+def held(below, idxs, bits=None):
+    """Whether the OR of the members' requirement masks lies inside the
+    set's mask; bit i is index i unless `bits` says otherwise."""
+    mask = sum(bits[i] for i in idxs) if bits else sum(1 << i for i in idxs)
+    return not reduce(or_, map(below.__getitem__, idxs), 0) & ~mask
+
+
+@cache
+def box_layout(dim, side):
+    """The full box in lexicographic order: each cell's index, and the
+    requirement masks without and with moves."""
+    box = list(product(range(side), repeat=dim))
+    return ({cell: i for i, cell in enumerate(box)},
+            _cell_layout(box, False)[1], _cell_layout(box, True)[1])
+
+
 def mask_check(dim, side, cells):
-    """The merged check's (closed, stable) verdicts on the cells' mask."""
-    steps, numbers = _layout(dim, side, cells)
-    return _closed_and_stable(sum(1 << k for k in numbers), steps, _inboxes(side, steps))
+    """The check's (closed, closed and stable) verdicts on a set of box
+    cells, over the full box."""
+    index, closure, stability = box_layout(dim, side)
+    idxs = sorted(map(index.__getitem__, cells))
+    return held(closure, idxs), held(stability, idxs)
 
 
 def reference(dim, cells):
@@ -34,11 +59,12 @@ def reference(dim, cells):
 
 
 def references(dim, cells):
-    """The brute-force (closed, stable) verdicts on any cell set, the
-    stable one also from the cell-level predicate when the set is closed."""
+    """The brute-force (closed, closed and stable) verdicts on any cell
+    set, the stable one also from the cell-level predicate when the set
+    is closed."""
     if bruteforce.is_downward_closed(cells):
         return True, reference(dim, cells)
-    return False, bruteforce.naive_strongly_stable(cells)
+    return False, False
 
 
 @pytest.mark.parametrize("dim, side", [(1, 6), (2, 6), (3, 3), (4, 2), (5, 2)])
@@ -54,16 +80,17 @@ def test_mask_check_matches_the_references_on_every_partition(dim, side):
 
 @pytest.mark.parametrize("dim, side", [(2, 3), (3, 2)])
 def test_mask_check_matches_the_references_on_every_cell_set(dim, side):
-    # Arms are runs of cells along an axis, so the definition also reads
-    # on sets that are not downward closed, and both verdicts must be
-    # exact on those too.
+    # Arms are runs of cells along an axis, so the stability oracle also
+    # reads on sets that are not downward closed; the check's one verdict
+    # there must be that they fail.
     box = list(product(range(side), repeat=dim))
     verdicts = set()
     for size in range(len(box) + 1):
         for cells in combinations(box, size):
-            verdict = references(dim, cells)
-            assert mask_check(dim, side, cells) == verdict, cells
-            verdicts.add(verdict)
+            closed = bruteforce.is_downward_closed(cells)
+            stable = bruteforce.naive_strongly_stable(cells)
+            assert mask_check(dim, side, cells) == (closed, closed and stable), cells
+            verdicts.add((closed, stable))
     assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
@@ -88,26 +115,26 @@ def random_cell_sets(dim, side, rng):
 
 @pytest.mark.parametrize("dim, side", [(2, 5), (3, 3), (3, 4), (4, 3)])
 def test_mask_check_matches_the_references_on_random_cell_sets(dim, side):
-    # Boxes too large for every subset, where the check's one round of
-    # shifts has the most arms of length two and more to stand for.
+    # Boxes too large for every subset, where the check's adjacent moves
+    # have the most arms of length two and more to stand for.
     verdicts = set()
     for cells in random_cell_sets(dim, side, random.Random(f"hooks {dim} {side}")):
         verdict = references(dim, cells)
         assert mask_check(dim, side, cells) == verdict, cells
-        verdicts.add(verdict)
+        verdicts.add((bruteforce.is_downward_closed(cells),
+                      bruteforce.naive_strongly_stable(cells)))
     assert {(False, True), (False, False), (True, True)} <= verdicts
 
 
 @pytest.mark.parametrize("side", [2, 3])
-def test_shifts_do_not_carry_into_the_next_digit(side):
-    # Strongly stable, but a shift along the second axis without the
-    # in-box bound carries (1, 0, 0) onto (0, side - 1, 0), which the third
-    # axis does not reach.
+def test_moves_out_of_the_box_are_never_held(side):
+    # Strongly stable, and no move leaves the box.
     cells = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
     assert reference(3, cells)
     assert mask_check(3, side, cells) == (True, True)
-    # Not strongly stable ((0, side - 1) has arms (1, 0)), but a carry
-    # along the second axis would give (0, side - 1) an arm of 1 there.
+    # Not strongly stable ((0, side - 1) has arms (1, 0)): the move from
+    # (1, side - 1) to (0, side) leaves the box, so it is a requirement
+    # no set holds.
     square = list(product(range(side), repeat=2))
     assert not reference(2, square)
     assert mask_check(2, side, square) == (True, False)
@@ -115,8 +142,7 @@ def test_shifts_do_not_carry_into_the_next_digit(side):
 
 @pytest.mark.parametrize("dim, side", [(1, 4), (2, 3), (3, 2)])
 def test_closure_check_matches_the_oracle_on_every_cell_set(dim, side):
-    # Every set, so also those where a shift without the in-box bound
-    # would carry: (1, 0) is not the successor of (0, side - 1).
+    # Every set, so also those that hold a cell without its predecessor.
     box = list(product(range(side), repeat=dim))
     verdicts = set()
     for size in range(len(box) + 1):
@@ -138,7 +164,39 @@ def test_orbit_closure_check_matches_the_oracle_on_every_set_of_orbits(dim, side
         for reps in combinations(range(len(order)), size):
             cells = bruteforce.naive_symmetrize(order[i] for i in reps)
             verdict = bruteforce.is_downward_closed(cells)
-            mask = sum(bit[i] for i in reps)
-            assert _orbits_closed(mask, reps, below) == verdict, reps
+            assert held(below, reps, bit) == verdict, reps
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def finalize_verdict(finalize, idxs):
+    """Feed `finalize` the set's prefixes, as the walk would, going on
+    past a prefix that fails, and return None when the whole set passes
+    or the predicate its error names."""
+    for depth in range(len(idxs) + 1):
+        try:
+            finalize(idxs[:depth], sum(1 << i for i in idxs[:depth]))
+            verdict = None
+        except ArithmeticSelfCheck as failed:
+            verdict = str(failed).rsplit(" is not ", 1)[1]
+    return verdict
+
+
+@pytest.mark.parametrize("dim, side, predicate", [
+    (2, 3, "all"), (3, 2, "all"), (2, 4, "strongly_stable"), (3, 3, "strongly_stable"),
+    (4, 2, "strongly_stable")])
+def test_finalize_matches_the_references_on_every_set_of_table_cells(dim, side, predicate):
+    # The verdict is on the whole set, whatever its prefixes gave: a
+    # requirement one member lacks fails every later set that holds it.
+    order, _, _, _, finalize = _mode(dim, side, predicate)
+    verdicts = set()
+    for size in range(len(order) + 1):
+        for idxs in combinations(range(len(order)), size):
+            closed, stable = references(dim, [order[i] for i in idxs])
+            expected = ("downward closed" if not closed else
+                        "strongly stable" if predicate == "strongly_stable" and not stable
+                        else None)
+            assert finalize_verdict(finalize, list(idxs)) == expected, idxs
+            verdicts.add(expected)
+    assert verdicts == ({None, "downward closed"} if predicate == "all"
+                        else {None, "downward closed", "strongly stable"})

@@ -72,7 +72,8 @@ def test_stable_budget_covers_walk_and_transfer():
     # 16 slice states walked, 2 + 4 + 8 + 16 = 30 (slice, state) pairs and
     # 1·2 + 3·4 + 6·8 = 62 (cell, state) steps: slice m < 4 takes one pass
     # over its states per cell with coordinate sum below m, and the last
-    # slice none.  The table has 4^2 = 16 entries.
+    # slice none.  The table has C(5, 2) = 10 entries, the cells with
+    # coordinate sum below 4.
     assert count_ss(3, 4, budget=108) == 66
     assert cell_gf_ss(3, 4, budget=108) == qtspp(4)
     with pytest.raises(ResourceLimit, match="transfer"):
@@ -81,11 +82,24 @@ def test_stable_budget_covers_walk_and_transfer():
         count_ss(3, 4, budget=0)
 
 
+def test_stable_budget_measures_the_table_by_its_cells():
+    # The 29-dimensional slice table holds the C(30, 29) = 30 cells with
+    # coordinate sum below 2, and each state is a 30-bit mask.  The run
+    # takes 31 walk nodes, 2 + 31 (slice, state) pairs and 2 (cell, state)
+    # steps: 66.
+    assert count_ss(30, 2, budget=100) == 32
+    assert count_ss(30, 2, budget=66) == 32
+    for budget in (60, 65):
+        with pytest.raises(ResourceLimit, match="transfer"):
+            count_ss(30, 2, budget=budget)
+
+
 def test_stable_budget_message_names_the_phase(monkeypatch):
     def unbuilt(*args):
         raise AssertionError("the requirement table was built")
 
-    # 25 table entries pass, then the 26th of the 32 slice states is refused.
+    # The C(6, 2) = 15 table entries pass, then the 26th of the 32 slice
+    # states is refused.
     with pytest.raises(ResourceLimit, match="walk"):
         count_ss(3, 5, budget=25)
     with pytest.raises(ResourceLimit, match="transfer"):
@@ -95,6 +109,16 @@ def test_stable_budget_message_names_the_phase(monkeypatch):
         count_ss(3, 60, budget=1)
     with pytest.raises(ResourceLimit, match="table"):
         cumulative_counts(3, 60, "strongly_stable", budget=1)
+
+
+def test_stable_counts_in_high_dimension():
+    # Box transposition and the bijection give count_ss(d, 2) = d + 2 and
+    # count_ss(d, 3) = 2^(d+1); the slice states have one bit per cell of
+    # the simplex, not of the box, so these take well under a second.
+    assert [count_ss(d, 2) for d in range(1, 41)] == [d + 2 for d in range(1, 41)]
+    assert [count_ss(d, 3) for d in range(1, 15)] == [2 ** (d + 1) for d in range(1, 15)]
+    listing = list(enumerate_partitions(30, 2, "strongly_stable"))
+    assert len(listing) == len(set(listing)) == 32
 
 
 def test_import_does_not_load_fractions():
