@@ -1,11 +1,11 @@
 """Boxed partitions: listings, counts by transfers over slices, and exact
 cross-checks.
 
-The enumerators extend cell sets depth-first in graded lexicographic
-order: every downward-closed set, listed in that order, has downward
-closed prefixes, so a cell may be appended exactly when all of its
-coordinate predecessors are already present.  Two refinements keep the
-constrained streams small:
+The enumerators extend cell sets depth-first in lexicographic order:
+every downward-closed set, listed in that order, has downward closed
+prefixes, so a cell may be appended exactly when all of its coordinate
+predecessors are already present.  Two refinements keep the constrained
+streams small:
 
 * strongly stable partitions are additionally closed under moving one
   unit of a coordinate to any later position, and that condition also
@@ -29,13 +29,14 @@ requirement masks lies inside its own mask: one AND per candidate, with
 the OR kept per depth, a node's being its parent's with its own index's
 mask (see :func:`_mode`).
 
-* A set of cells has bit i for the walk's index i (see
-  :func:`_cell_layout`).  A cell requires its predecessors c - e_j,
-  which is downward closure, and in the strongly stable table also its
-  adjacent moves c - e_j + e_(j+1), which on a closed set is exactly
-  increasing hooks (see :meth:`Partition.is_strongly_stable`).  The
-  stable table lists only the cells with coordinate sum below the side,
-  so a mask has one bit per cell of that simplex, not of the box.
+* A set of cells has one bit per table cell, ranked in graded order
+  apart from the walk's lexicographic index (see :func:`_cell_layout`).
+  A cell requires its predecessors c - e_j, which is downward closure,
+  and in the strongly stable table also its adjacent moves
+  c - e_j + e_(j+1), which on a closed set is exactly increasing hooks
+  (see :meth:`Partition.is_strongly_stable`).  The stable table lists
+  only the cells with coordinate sum below the side, so a mask has one
+  bit per cell of that simplex, not of the box.
 * A set of whole orbits has one bit per orbit representative (see
   :func:`_orbit_layout`).  Such a union is totally symmetric once each
   of its orbits is, so what is checked is downward closure: a
@@ -45,12 +46,14 @@ mask (see :func:`_mode`).
 The requirement masks are built from the definitions, not from the
 walk's predecessor and move tables, so the re-validation stays
 independent of the pruning.  Cells are built only for a listing, and
-kept per depth the same way: a child's sorted cells are its parent's
-with its piece's cells inserted, each found by bisection: its one cell,
-or its orbit.  A symmetric listing expands each orbit once, when it is
-first used, and checks it then for symmetry with the test
-:meth:`Partition.is_totally_symmetric` runs; a union of symmetric orbits
-is symmetric, so no node's cells are checked again.
+kept per depth the same way.  A node's cell indices increase along the
+walk, so its one new cell is its largest, and its sorted cells are its
+parent's with that cell appended; an orbit's cells are inserted into
+its parent's, each at the place bisection finds.  A symmetric listing
+expands each orbit once, when it is first used, and checks it then for
+symmetry with the test :meth:`Partition.is_totally_symmetric` runs; a
+union of symmetric orbits is symmetric, so no node's cells are checked
+again.
 
 Strongly stable and totally symmetric counts and generating functions
 do not list the partitions (only the cumulative counts of all partitions
@@ -102,18 +105,20 @@ def _graded(cells) -> list[Cell]:
 
 
 def _cell_requirements(dim: int, side: int, stable: bool):
-    """Box cells in graded lexicographic order, with the earlier cells
-    each one needs before it may be added.  A cell of a strongly stable
-    set in the box has coordinate sum below `side` (moving every unit to
-    the last coordinate stays in the set), and its predecessors and move
-    images stay in that simplex, so the stable table lists only those
-    C(side+d-1, d) cells.  Cells are built prefix by prefix, each prefix
-    extended by the values its bound leaves."""
-    cells = [()]
+    """Box cells in lexicographic order, with the earlier cells each one
+    needs before it may be added: its predecessors c - e_j and, when
+    `stable`, its moves c - e_j + e_(j+1), each lexicographically smaller
+    than c, so the order is a linear extension of both.  A cell of a
+    strongly stable set in the box has coordinate sum below `side`
+    (moving every unit to the last coordinate stays in the set), and its
+    predecessors and move images stay in that simplex, so the stable
+    table lists only those C(side+d-1, d) cells.  Cells are built prefix
+    by prefix, each prefix extended by the values its bound leaves, which
+    lists them in lexicographic order."""
+    order = [()]
     for _ in range(dim):
-        cells = [cell + (v,) for cell in cells
+        order = [cell + (v,) for cell in order
                  for v in range(side - sum(cell) if stable else side)]
-    order = _graded(cells)
     index = {c: i for i, c in enumerate(order)}
     requires = []
     for cell in order:
@@ -193,15 +198,17 @@ def _rejected(cells, failed: str) -> ArithmeticSelfCheck:
 
 
 def _cell_layout(order: list[Cell], stable: bool) -> tuple[list[int], list[int]]:
-    """The bit layout of the cell listings and the stable transfer: bit i
-    of a cell set's mask is order[i], the walk's own index.  Returns each
-    cell's bit and its requirement mask, the bits of its predecessors
-    c - e_j for each j with c_j > 0 and, when `stable`, of its moves
-    c - e_j + e_(j+1), built from those rules and not from the walk's
-    table, so the re-validation stays independent of the pruning.  A
-    requirement that is not in `order` is bit len(order), which no set
-    holds."""
-    bit = {cell: 1 << i for i, cell in enumerate(order)}
+    """The bit layout of the cell listings and the stable transfer: bit k
+    of a cell set's mask is the k-th cell of `order` by coordinate sum,
+    ties in the order given (graded order for the walk's lexicographic
+    tables), apart from the walk's index, so the cells with coordinate
+    sum below m are the lowest bits.  Returns each cell's bit
+    and its requirement mask, the bits of its predecessors c - e_j for
+    each j with c_j > 0 and, when `stable`, of its moves c - e_j + e_(j+1),
+    built from those rules and not from the walk's table, so the
+    re-validation stays independent of the pruning.  A requirement that
+    is not in `order` is bit len(order), which no set holds."""
+    bit = {cell: 1 << k for k, cell in enumerate(sorted(order, key=sum))}
     outside = 1 << len(order)
     below = []
     for cell in order:
@@ -210,7 +217,7 @@ def _cell_layout(order: list[Cell], stable: bool) -> tuple[list[int], list[int]]
             need += [cell[:j] + (v - 1, cell[j + 1] + 1) + cell[j + 2:]
                      for j, v in enumerate(cell[:-1]) if v]
         below.append(reduce(or_, (bit.get(c, outside) for c in need), 0))
-    return list(bit.values()), below
+    return list(map(bit.__getitem__, order)), below
 
 
 def _orbit_layout(order: list[Cell]) -> tuple[list[int], list[int]]:
@@ -254,11 +261,13 @@ def _mode(dim: int, side: int, predicate: str):
     each of the last node walked there.  The walk yields each node right
     after its parent's earlier subtrees, so depth len(idxs) - 1 holds the
     node's parent, and the node's OR is its parent's with its last
-    index's mask, its cells its parent's with the cells of its piece
-    inserted: its one cell, or the orbit of its representative.  So each
-    must be called on every node, in walk order.  An orbit is expanded on
-    first use and checked then, once, for symmetry: a union of sets that
-    every coordinate permutation fixes is fixed by them too."""
+    index's mask.  So each must be called on every node, in walk order.
+    A node's cells are its parent's and its piece's.  In the cell tables,
+    whose order is lexicographic, a node's indices increase, so its one
+    new cell is its largest and is appended.  An orbit's cells are
+    inserted into its parent's, each by bisection; the orbit is expanded
+    on first use and checked then, once, for symmetry: a union of sets
+    that every coordinate permutation fixes is fixed by them too."""
     stable = predicate == "strongly_stable"
     if predicate == "totally_symmetric":
         order, requires = _orbit_requirements(dim, side)
@@ -272,10 +281,20 @@ def _mode(dim: int, side: int, predicate: str):
                 if not _fixed_by_permutations(frozenset(orbit), orbit, dim):
                     raise _rejected(orbit, "totally symmetric")
             return orbit
+
+        def grow(cells: tuple[Cell, ...], i: int) -> tuple[Cell, ...]:
+            merged = list(cells)
+            for cell in piece(i):
+                insort(merged, cell)
+            return tuple(merged)
     else:
         order, requires = _cell_requirements(dim, side, stable)
         bits, below = _cell_layout(order, stable)
-        piece = [(cell,) for cell in order].__getitem__
+        pieces = [(cell,) for cell in order]
+        piece = pieces.__getitem__
+
+        def grow(cells: tuple[Cell, ...], i: int) -> tuple[Cell, ...]:
+            return cells + pieces[i]
     need = [0] * (len(order) + 1)
     sorted_cells: list[tuple[Cell, ...]] = [()] * (len(order) + 1)
 
@@ -294,10 +313,7 @@ def _mode(dim: int, side: int, predicate: str):
     def partition(idxs: list[int]) -> Partition:
         depth = len(idxs)
         if depth:
-            cells = list(sorted_cells[depth - 1])
-            for cell in piece(idxs[-1]):
-                insort(cells, cell)
-            sorted_cells[depth] = tuple(cells)
+            sorted_cells[depth] = grow(sorted_cells[depth - 1], idxs[-1])
         return Partition._trusted(dim, sorted_cells[depth])
     return order, requires, bits, partition, finalize
 
@@ -385,15 +401,15 @@ def _stable_transfer(dim: int, side: int, weight: Callable[[int], object], *,
     The states are the (d-1)-dimensional strongly stable partitions of
     side at most `side`, listed by one run of the stable walk and
     re-validated there on their bitmasks, which the walk yields with them
-    and which key the states here; no cell set is built.  Bit i of a mask
-    is the walk's cell i, in graded order over the cells with coordinate
-    sum below `side` (see :func:`_cell_layout`).  g(S) is the OR, over
-    the cells y of S with y_1 > 0, of the bit of y - e_1, kept per depth
-    of the walk as :func:`_mode` keeps its requirement masks: a node's is
-    its parent's with its last cell's.  The cells with coordinate sum
-    below m are the first k_m in graded order, so with the states sorted
-    by mask, those inside T_m are the masks below 2^(k_m), and T_m, which
-    holds each of them, is the last.  A state's cell count is its mask's
+    and which key the states here; no cell set is built.  A mask has one
+    bit per cell with coordinate sum below `side`, ranked in graded order
+    apart from the walk's lexicographic index (see :func:`_cell_layout`).
+    g(S) is the OR, over the cells y of S with y_1 > 0, of the bit of
+    y - e_1, kept per depth of the walk as :func:`_mode` keeps its
+    requirement masks: a node's is its parent's with its last cell's.  The cells with coordinate sum
+    below m are the k_m lowest bits, so with the states sorted by mask,
+    those inside T_m are the masks below 2^(k_m), and T_m, which holds
+    each of them, is the last.  A state's cell count is its mask's
     bit count.
 
     For m < side, Z_(side-m) on the states inside T_m is one bit pass
@@ -428,7 +444,7 @@ def _stable_transfer(dim: int, side: int, weight: Callable[[int], object], *,
     weights = [weight(mask.bit_count()) for mask in masks]
     inner = [index[image] for image in images]
     # Cells with coordinate sum below m, and the states made of them.
-    levels = [sum(cell) for cell in order]
+    levels = sorted(map(sum, order))
     cells_below = [bisect_left(levels, m) for m in range(side + 1)]
     states_below = [bisect_left(masks, 1 << k) for k in cells_below]
 
@@ -503,9 +519,8 @@ def _slice_transfer(dim: int, side: int, weight: Callable[[int], object], *,
     is one (a zeta transform on the lattice of order ideals):
     O(states x representatives) per slice.
 
-    The budget is charged one per walk node, one per representative of
-    each state as it is walked, one per state of each slice and one per
-    (representative, state) step tried.
+    The budget is charged one per walk node, one per state of each slice
+    and one per (representative, state) step tried.
     """
     _check_box_args(dim, side, "totally_symmetric")
     limiter = _Budget(budget)
@@ -513,7 +528,6 @@ def _slice_transfer(dim: int, side: int, weight: Callable[[int], object], *,
     order, requires, bits, _, finalize = _mode(dim - 1, side, "totally_symmetric")
     masks = []
     for idxs, mask in _walk(requires, bits, limiter.tick):
-        limiter.charge(len(idxs))
         masks.append(finalize(idxs, mask))
     masks.sort()
     index = {mask: s for s, mask in enumerate(masks)}
@@ -556,11 +570,10 @@ def count_ts(dim: int, side: int, *, budget: int | None = None) -> int:
     are counted by a transfer from slice to slice
     (:func:`_slice_transfer`).
 
-    `budget` caps the slice-state walk, with each state's orbit
-    representatives (what its re-validation costs), and the transfer
-    steps together; exceeding it raises :class:`ResourceLimit` naming the
-    phase (table, walk or transfer).  A slice state that is not downward
-    closed fails re-validation on its orbit mask and raises
+    `budget` caps the slice-state walk and the transfer steps together;
+    exceeding it raises :class:`ResourceLimit` naming the phase (table,
+    walk or transfer).  A slice state that is not downward closed fails
+    re-validation on its orbit mask and raises
     :class:`ArithmeticSelfCheck`.
     """
     return _slice_transfer(dim, side, _one, budget=budget)[-1]

@@ -70,6 +70,34 @@ def grown_partitions(dim, side):
     return seen
 
 
+def appended_listing(dim, side, stable=False):
+    """Every downward-closed subset of the box (with `stable`, every one
+    that also holds the adjacent moves c - e_j + e_(j+1) of its cells),
+    each as its cells in lexicographic order, listed depth-first from the
+    empty set: a set, then the sets grown from it by appending one box
+    cell above its last whose predecessors (and moves) it holds, in
+    increasing order of that cell."""
+    box = box_cells(dim, side)
+
+    def needs(c):
+        yield from (c[:j] + (v - 1,) + c[j + 1:] for j, v in enumerate(c) if v)
+        if stable:
+            yield from (c[:j] + (v - 1, c[j + 1] + 1) + c[j + 2:]
+                        for j, v in enumerate(c[:-1]) if v)
+
+    listing = []
+
+    def grow(cells):
+        listing.append(cells)
+        held = set(cells)
+        for c in box:
+            if (not cells or c > cells[-1]) and all(n in held for n in needs(c)):
+                grow(cells + (c,))
+
+    grow(())
+    return listing
+
+
 def arm_length(cells, cell, axis):
     s = set(cells)
     h = 0

@@ -57,14 +57,11 @@ def test_symmetric_stream_matches_filtered_oracle():
         assert got == expected
 
 
-# sha256 of json.dumps([p.cells for p in stream]): the listing order of the
+# sha256 of json.dumps([p.cells for p in stream]): the symmetric listing
+# order, orbit representatives in graded order, recorded from the
 # scan-the-table walk that the frontier walk replaced.
 RECORDED_LISTINGS = {
-    (3, 3, "all"): "6c02b63af6338b8c705c0c4a731c6db0bd1d18da0ea0d22349a5d82df8e73c02",
-    (3, 3, "strongly_stable"): "2563c3cd1c25144492edf85f88d5b46576b30f5f2cdf968b7fd57d0e8cde609e",
     (3, 3, "totally_symmetric"): "62aa8e55a871caf23c63d2b96f2d4f3f495af4bf2d9e3b71e1a759ea3b94537f",
-    (2, 4, "all"): "e10f438f556095caa03c6fe2c982faead40737f886f680bd4278b2124be99f3b",
-    (2, 4, "strongly_stable"): "9ab7b30e4c2e5c114073cc6fe689ae7a0c41fac23df6da531b66789905426b7f",
     (2, 4, "totally_symmetric"): "9294249e5c13d91d7ca4428bbc0ca7b4f0e57d673d1cbfe6e20e9bd542bff618",
 }
 
@@ -83,8 +80,19 @@ def test_streams_list_oracle_sets_once_in_recorded_order(dim, side, predicate):
                 if ORACLE_FILTERS[predicate](cells)}
     assert len(listing) == len(expected)
     assert {frozenset(cells) for cells in listing} == expected
-    digest = hashlib.sha256(json.dumps(listing).encode()).hexdigest()
-    assert digest == RECORDED_LISTINGS[dim, side, predicate]
+    if predicate == "totally_symmetric":
+        digest = hashlib.sha256(json.dumps(listing).encode()).hexdigest()
+        assert digest == RECORDED_LISTINGS[dim, side, predicate]
+    else:
+        assert listing == bruteforce.appended_listing(dim, side, predicate == "strongly_stable")
+
+
+@pytest.mark.parametrize("dim, side, predicate", [
+    (2, 6, "all"), (2, 6, "strongly_stable"), (4, 2, "all"), (4, 2, "strongly_stable"),
+    (3, 4, "strongly_stable")])
+def test_cell_listings_come_in_the_appending_oracles_order(dim, side, predicate):
+    listing = [p.cells for p in enumerate_partitions(dim, side, predicate)]
+    assert listing == bruteforce.appended_listing(dim, side, predicate == "strongly_stable")
 
 
 def test_grown_oracle_matches_powerset_oracle():
@@ -406,23 +414,40 @@ def test_walking_a_set_that_is_not_strongly_stable_raises(monkeypatch, counter):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_walk_carries_each_nodes_mask(dim, predicate):
     # Every node's mask is the OR of its indices' bits, its indices
-    # increase, and in the cell tables (graded order) its last cell has
-    # the largest coordinate sum, which the stable transfer reads as the
-    # state's rank.
+    # increase, and in the cell tables (lexicographic order) its last
+    # index is its lexicographically largest cell, which a listing
+    # appends to its parent's.
     for side in range(5):
         order, requires, bits, _, _ = borelbox.enumeration._mode(dim, side, predicate)
-        rank = [sum(cell) + 1 for cell in order]
         for idxs, mask in borelbox.enumeration._walk(requires, bits, lambda: None):
             assert mask == reduce(or_, map(bits.__getitem__, idxs), 0)
             assert all(map(int.__lt__, idxs, idxs[1:]))
             if idxs and predicate != "totally_symmetric":
-                assert rank[idxs[-1]] == max(map(rank.__getitem__, idxs))
+                assert order[idxs[-1]] == max(map(order.__getitem__, idxs))
+
+
+@pytest.mark.parametrize("dim, side, predicate", [
+    (2, 6, "all"), (3, 4, "strongly_stable"), (4, 2, "all"), (3, 3, "all")])
+def test_each_listed_partition_appends_one_cell_to_one_on_the_path(dim, side, predicate):
+    # Depth-first: after the empty partition, each one listed with k cells
+    # is the last one listed with k - 1, on the current path, plus one cell
+    # at its end.
+    path = []
+    for part in enumerate_partitions(dim, side, predicate):
+        size = len(part.cells)
+        if size:
+            assert path[size - 1] == part.cells[:-1], part
+        else:
+            assert not path
+        del path[size:]
+        path.append(part.cells)
 
 
 @pytest.mark.parametrize("dim, side, predicate", [
     (2, 6, "all"), (3, 3, "all"), (4, 2, "all"), (3, 4, "strongly_stable"),
-    (2, 6, "totally_symmetric"), (3, 4, "totally_symmetric"), (4, 3, "totally_symmetric"),
-    (5, 2, "totally_symmetric"), (10, 2, "totally_symmetric")])
+    (3, 5, "strongly_stable"), (2, 8, "all"), (2, 6, "totally_symmetric"),
+    (3, 4, "totally_symmetric"), (4, 3, "totally_symmetric"), (5, 2, "totally_symmetric"),
+    (10, 2, "totally_symmetric")])
 def test_carried_cells_are_the_canonical_cells(dim, side, predicate):
     # Each listed partition's cells, built from its parent's, are those
     # the validating constructor sorts from scratch.  A symmetric one is

@@ -26,28 +26,28 @@ from borelbox.enumeration import (_cell_layout, _mode, _orbit_layout,
 import bruteforce
 
 
-def held(below, idxs, bits=None):
+def held(below, idxs, bits):
     """Whether the OR of the members' requirement masks lies inside the
-    set's mask; bit i is index i unless `bits` says otherwise."""
-    mask = sum(bits[i] for i in idxs) if bits else sum(1 << i for i in idxs)
+    set's mask, the sum of its members' bits."""
+    mask = sum(bits[i] for i in idxs)
     return not reduce(or_, map(below.__getitem__, idxs), 0) & ~mask
 
 
 @cache
 def box_layout(dim, side):
-    """The full box in lexicographic order: each cell's index, and the
-    requirement masks without and with moves."""
+    """The full box in lexicographic order: each cell's index, each
+    index's bit, and the requirement masks without and with moves."""
     box = list(product(range(side), repeat=dim))
-    return ({cell: i for i, cell in enumerate(box)},
-            _cell_layout(box, False)[1], _cell_layout(box, True)[1])
+    bits, closure = _cell_layout(box, False)
+    return {cell: i for i, cell in enumerate(box)}, bits, closure, _cell_layout(box, True)[1]
 
 
 def mask_check(dim, side, cells):
     """The check's (closed, closed and stable) verdicts on a set of box
     cells, over the full box."""
-    index, closure, stability = box_layout(dim, side)
+    index, bits, closure, stability = box_layout(dim, side)
     idxs = sorted(map(index.__getitem__, cells))
-    return held(closure, idxs), held(stability, idxs)
+    return held(closure, idxs, bits), held(stability, idxs, bits)
 
 
 def reference(dim, cells):
@@ -169,13 +169,14 @@ def test_orbit_closure_check_matches_the_oracle_on_every_set_of_orbits(dim, side
     assert verdicts == {True, False}
 
 
-def finalize_verdict(finalize, idxs):
-    """Feed `finalize` the set's prefixes, as the walk would, going on
-    past a prefix that fails, and return None when the whole set passes
-    or the predicate its error names."""
+def finalize_verdict(finalize, bits, idxs):
+    """Feed `finalize` the set's prefixes with their masks built from
+    `bits`, as the walk would, going on past a prefix that fails, and
+    return None when the whole set passes or the predicate its error
+    names."""
     for depth in range(len(idxs) + 1):
         try:
-            finalize(idxs[:depth], sum(1 << i for i in idxs[:depth]))
+            finalize(idxs[:depth], sum(bits[i] for i in idxs[:depth]))
             verdict = None
         except ArithmeticSelfCheck as failed:
             verdict = str(failed).rsplit(" is not ", 1)[1]
@@ -188,7 +189,7 @@ def finalize_verdict(finalize, idxs):
 def test_finalize_matches_the_references_on_every_set_of_table_cells(dim, side, predicate):
     # The verdict is on the whole set, whatever its prefixes gave: a
     # requirement one member lacks fails every later set that holds it.
-    order, _, _, _, finalize = _mode(dim, side, predicate)
+    order, _, bits, _, finalize = _mode(dim, side, predicate)
     verdicts = set()
     for size in range(len(order) + 1):
         for idxs in combinations(range(len(order)), size):
@@ -196,7 +197,7 @@ def test_finalize_matches_the_references_on_every_set_of_table_cells(dim, side, 
             expected = ("downward closed" if not closed else
                         "strongly stable" if predicate == "strongly_stable" and not stable
                         else None)
-            assert finalize_verdict(finalize, list(idxs)) == expected, idxs
+            assert finalize_verdict(finalize, bits, list(idxs)) == expected, idxs
             verdicts.add(expected)
     assert verdicts == ({None, "downward closed"} if predicate == "all"
                         else {None, "downward closed", "strongly stable"})

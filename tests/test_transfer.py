@@ -65,13 +65,13 @@ def test_symmetric_box_transposition():
 
 def test_budget_covers_walk_and_transfer():
     with pytest.raises(ResourceLimit, match="transfer"):
-        orbit_gf_ts(3, 4, budget=150)
-    # 16 slice states walked and their 80 representatives re-validated,
-    # then 30 (slice, state) pairs and 62 zeta steps.
-    assert count_ts(3, 4, budget=188) == 66
-    assert orbit_gf_ts(3, 4, budget=188) == qtspp(4)
+        orbit_gf_ts(3, 4, budget=100)
+    # 16 slice states walked, then 30 (slice, state) pairs and 62 zeta
+    # steps.
+    assert count_ts(3, 4, budget=108) == 66
+    assert orbit_gf_ts(3, 4, budget=108) == qtspp(4)
     with pytest.raises(ResourceLimit):
-        count_ts(3, 4, budget=187)
+        count_ts(3, 4, budget=107)
     with pytest.raises(ValueError):
         count_ts(3, 4, budget=0)
 
@@ -85,7 +85,7 @@ def test_budget_message_names_the_phase(monkeypatch):
     with pytest.raises(ResourceLimit, match="walk"):
         list(enumerate_partitions(2, 3, "all", budget=9))
     with pytest.raises(ResourceLimit, match="transfer"):
-        count_ts(3, 4, budget=150)
+        count_ts(3, 4, budget=100)
     monkeypatch.setattr(borelbox.enumeration, "_orbit_requirements", unbuilt)
     with pytest.raises(ResourceLimit, match="table"):
         count_ts(3, 60, budget=1)
@@ -95,9 +95,9 @@ def test_budget_message_names_the_phase(monkeypatch):
 
 @pytest.mark.parametrize("dim", [10, 16, 17])
 def test_budget_charges_state_cells_before_expanding_them(monkeypatch, dim):
-    """A slice state is charged its representatives and re-validated on
-    its orbit mask, so the transfer expands no orbit into cells, and a
-    walk past the budget is refused there."""
+    """A slice state is re-validated on its orbit mask, so the transfer
+    expands no orbit into cells, and a walk past the budget is refused
+    there."""
     def unexpanded(rep):
         raise AssertionError(f"the orbit of {rep} was expanded")
 
