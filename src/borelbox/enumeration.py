@@ -16,18 +16,18 @@ streams small:
 
 Completed candidates are still re-validated against the definitions
 before being yielded or counted; since the pruning guarantees that every
-candidate passes, one that fails raises.  A candidate is re-validated on
-its bitmask, which the walk yields with it: a walk node is its parent
-plus one cell or orbit, so its mask is its parent's with one bit set,
-kept in the walk's stack frame beside its frontier.  The walk yields its
-own list of the node's indices, valid until the next step, so no node
-costs a copy of them.
+candidate passes, one that fails raises.  A walk node is its parent plus
+one cell or orbit, so all it derives from its parent is carried in the
+walk's stack frame (see :func:`_walk`): its frontier, its bitmask, the
+OR of its indices' requirement masks, and one folded value, a listing's
+sorted cells or the stable transfer's g.  The walk yields its own list
+of the node's indices, valid until the next step, so no node costs a
+copy of them.
 
 Every index has a requirement mask, the bits of what its piece needs by
 the definition, and a set passes exactly when the OR of its indices'
-requirement masks lies inside its own mask: one AND per candidate, with
-the OR kept per depth, a node's being its parent's with its own index's
-mask (see :func:`_mode`).
+requirement masks lies inside its own mask: one AND per candidate (see
+:func:`_mode`).
 
 * A set of cells has one bit per table cell, ranked in graded order
   apart from the walk's lexicographic index (see :func:`_cell_layout`).
@@ -46,14 +46,14 @@ mask (see :func:`_mode`).
 The requirement masks are built from the definitions, not from the
 walk's predecessor and move tables, so the re-validation stays
 independent of the pruning.  Cells are built only for a listing, and
-kept per depth the same way.  A node's cell indices increase along the
-walk, so its one new cell is its largest, and its sorted cells are its
-parent's with that cell appended; an orbit's cells are inserted into
-its parent's, each at the place bisection finds.  A symmetric listing
-expands each orbit once, when it is first used, and checks it then for
-symmetry with the test :meth:`Partition.is_totally_symmetric` runs; a
-union of symmetric orbits is symmetric, so no node's cells are checked
-again.
+carried in the stack frame the same way.  A node's cell indices
+increase along the walk, so its one new cell is its largest, and its
+sorted cells are its parent's with that cell appended; an orbit's cells
+are inserted into its parent's, each at the place bisection finds.  A
+symmetric listing expands each orbit once, when it is first used, and
+checks it then for symmetry with the test
+:meth:`Partition.is_totally_symmetric` runs; a union of symmetric orbits
+is symmetric, so no node's cells are checked again.
 
 Strongly stable and totally symmetric counts and generating functions
 do not list the partitions (only the cumulative counts of all partitions
@@ -146,20 +146,24 @@ def _orbit_requirements(dim: int, side: int):
     return order, requires
 
 
-def _walk(requires, bits: list[int],
-          tick: Callable[[], None]) -> Iterator[tuple[list[int], int]]:
-    """Depth-first over admissible index sets, each yielded once with its
-    bitmask, the OR of bits[i] over its indices; children in increasing
-    order of the added index, so a set's indices increase.  The indices
-    come as the walk's own list, valid until the next step: a consumer
-    reads it at once or copies it.
+def _walk(requires, bits: list[int], below: list[int], fold,
+          tick: Callable[[], None]) -> Iterator[tuple[list[int], int, int, object]]:
+    """Depth-first over admissible index sets, each yielded once as
+    (indices, mask, need, acc); children in increasing order of the added
+    index, so a set's indices increase.  The indices come as the walk's
+    own list, valid until the next step: a consumer reads it at once or
+    copies it.
 
     Each index counts its missing requirements, so a node extends only
     through its frontier (indices above its last with none missing, kept
     in decreasing order): a copy of the rest of its parent's frontier plus
     the indices its own index unlocked, sorted only when there are any.  A
-    stack frame is a node's frontier and mask, and a child's mask is its
-    parent's OR its own index's bit."""
+    stack frame holds all a node derives from its parent: its frontier,
+    its mask (the OR of bits[i] over its indices), its need (the OR of
+    below[i], its requirement masks) and its acc, which `fold` =
+    (pieces, join, empty) gives as join(parent's acc, pieces[i]), and as
+    `empty` at the root."""
+    pieces, join, acc = fold
     missing = [len(need) for need in requires]
     dependents: list[list[int]] = [[] for _ in requires]
     for i, need in enumerate(requires):
@@ -167,10 +171,10 @@ def _walk(requires, bits: list[int],
             dependents[k].append(i)
     chosen: list[int] = []
     tick()
-    yield chosen, 0
-    stack = [([i for i in reversed(range(len(missing))) if missing[i] == 0], 0)]
+    yield chosen, 0, 0, acc
+    stack = [([i for i in reversed(range(len(missing))) if missing[i] == 0], 0, 0, acc)]
     while stack:
-        frontier, mask = stack[-1]
+        frontier, mask, need, acc = stack[-1]
         if not frontier:
             stack.pop()
             if chosen:
@@ -178,8 +182,11 @@ def _walk(requires, bits: list[int],
                     missing[j] += 1
             continue
         i = frontier.pop()
+        tick()
         chosen.append(i)
         mask |= bits[i]
+        need |= below[i]
+        acc = join(acc, pieces[i])
         child = frontier[:]
         for j in dependents[i]:
             missing[j] -= 1
@@ -187,9 +194,8 @@ def _walk(requires, bits: list[int],
                 child.append(j)
         if len(child) > len(frontier):
             child.sort(reverse=True)
-        tick()
-        yield chosen, mask
-        stack.append((child, mask))
+        yield chosen, mask, need, acc
+        stack.append((child, mask, need, acc))
 
 
 def _rejected(cells, failed: str) -> ArithmeticSelfCheck:
@@ -243,31 +249,24 @@ def _orbit_layout(order: list[Cell]) -> tuple[list[int], list[int]]:
 
 
 def _mode(dim: int, side: int, predicate: str):
-    """The walk's table and bit layout for the predicate, and two callables
-    on a walked node's index list (the walk's own, valid until its next
-    step): (order, requires, bits, partition, finalize).
-    `finalize(idxs, mask)` re-validates the set on the bitmask the walk
-    carries and returns the mask, which is all the transfers read.
-    `partition(idxs)` builds its Partition for a listing.  `finalize`
-    comes last, where the benchmark's tracer times the re-validation.
+    """The walk's table, bit layout and listing fold for the predicate,
+    and its re-validation: (order, requires, bits, below, fold, finalize).
+    `below[i]` is index i's requirement mask, the bits of what its piece
+    needs by the predicate's definition (see :func:`_cell_layout` and
+    :func:`_orbit_layout`).  `finalize(idxs, need, mask)` passes a set
+    exactly when `need`, the OR of its indices' requirement masks, lies
+    inside its mask: one AND, a verdict on the whole set, which depends
+    on nothing else, so any set may be checked at any time.  It returns
+    the mask, which is all the transfers read, and comes last, where the
+    benchmark's tracer times the re-validation.
 
-    Each index has a requirement mask, the bits of what its piece needs
-    by the predicate's definition (see :func:`_cell_layout` and
-    :func:`_orbit_layout`), and a set passes exactly when the OR of its
-    indices' requirement masks lies inside its own mask: one AND.  A
-    requirement one member lacks stays in the OR of every set that holds
-    that member, so each verdict covers the whole set.
-    `finalize` keeps that OR per depth and `partition` the sorted cells,
-    each of the last node walked there.  The walk yields each node right
-    after its parent's earlier subtrees, so depth len(idxs) - 1 holds the
-    node's parent, and the node's OR is its parent's with its last
-    index's mask.  So each must be called on every node, in walk order.
-    A node's cells are its parent's and its piece's.  In the cell tables,
-    whose order is lexicographic, a node's indices increase, so its one
-    new cell is its largest and is appended.  An orbit's cells are
-    inserted into its parent's, each by bisection; the orbit is expanded
-    on first use and checked then, once, for symmetry: a union of sets
-    that every coordinate permutation fixes is fixed by them too."""
+    `fold` carries a listed node's sorted cells along the walk (see
+    :func:`_walk`).  In the cell tables, whose order is lexicographic, a
+    node's indices increase, so its one new cell is its largest and is
+    appended.  An orbit's cells are inserted into its parent's, each by
+    bisection; the orbit is expanded on first use and checked then, once,
+    for symmetry: a union of sets that every coordinate permutation fixes
+    is fixed by them too."""
     stable = predicate == "strongly_stable"
     if predicate == "totally_symmetric":
         order, requires = _orbit_requirements(dim, side)
@@ -287,35 +286,23 @@ def _mode(dim: int, side: int, predicate: str):
             for cell in piece(i):
                 insort(merged, cell)
             return tuple(merged)
+        fold = (range(len(order)), grow, ())
     else:
         order, requires = _cell_requirements(dim, side, stable)
         bits, below = _cell_layout(order, stable)
         pieces = [(cell,) for cell in order]
         piece = pieces.__getitem__
+        fold = (pieces, add, ())
 
-        def grow(cells: tuple[Cell, ...], i: int) -> tuple[Cell, ...]:
-            return cells + pieces[i]
-    need = [0] * (len(order) + 1)
-    sorted_cells: list[tuple[Cell, ...]] = [()] * (len(order) + 1)
-
-    def finalize(idxs: list[int], mask: int) -> int:
-        depth = len(idxs)
-        if depth:
-            need[depth] = need[depth - 1] | below[idxs[-1]]
-        if need[depth] & ~mask:
+    def finalize(idxs: list[int], need: int, mask: int) -> int:
+        if need & ~mask:
             # A stable set that holds its predecessors lacks a move.
             closed = stable and not reduce(
                 or_, map(_cell_layout(order, False)[1].__getitem__, idxs)) & ~mask
             raise _rejected((c for i in idxs for c in piece(i)),
                             "strongly stable" if closed else "downward closed")
         return mask
-
-    def partition(idxs: list[int]) -> Partition:
-        depth = len(idxs)
-        if depth:
-            sorted_cells[depth] = grow(sorted_cells[depth - 1], idxs[-1])
-        return Partition._trusted(dim, sorted_cells[depth])
-    return order, requires, bits, partition, finalize
+    return order, requires, bits, below, fold, finalize
 
 
 def _check_box_args(dim: int, side: int, predicate: str) -> None:
@@ -346,14 +333,21 @@ def enumerate_partitions(dim: int, side: int, predicate: str = "all", *,
     runs.
     One that fails raises :class:`ArithmeticSelfCheck`, since the pruned
     walk cannot produce it.
+
+    The arguments, and the table's size against the budget, are checked
+    at the call; the walk runs as partitions are drawn.
     """
     _check_box_args(dim, side, predicate)
     limiter = _Budget(budget)
     limiter.refuse_table(dim, side, predicate)
-    _, requires, bits, partition, finalize = _mode(dim, side, predicate)
-    for idxs, mask in _walk(requires, bits, limiter.tick):
-        finalize(idxs, mask)
-        yield partition(idxs)
+
+    def listing() -> Iterator[Partition]:
+        _, requires, bits, below, fold, finalize = _mode(dim, side, predicate)
+        trusted = Partition._trusted
+        for idxs, mask, need, cells in _walk(requires, bits, below, fold, limiter.tick):
+            finalize(idxs, need, mask)
+            yield trusted(dim, cells)
+    return listing()
 
 
 def _tally(dim: int, side: int, predicate: str, stat: Callable[[Partition], int],
@@ -405,12 +399,12 @@ def _stable_transfer(dim: int, side: int, weight: Callable[[int], object], *,
     bit per cell with coordinate sum below `side`, ranked in graded order
     apart from the walk's lexicographic index (see :func:`_cell_layout`).
     g(S) is the OR, over the cells y of S with y_1 > 0, of the bit of
-    y - e_1, kept per depth of the walk as :func:`_mode` keeps its
-    requirement masks: a node's is its parent's with its last cell's.  The cells with coordinate sum
-    below m are the k_m lowest bits, so with the states sorted by mask,
-    those inside T_m are the masks below 2^(k_m), and T_m, which holds
-    each of them, is the last.  A state's cell count is its mask's
-    bit count.
+    y - e_1, folded along the walk beside the requirement masks (see
+    :func:`_walk`): a node's is its parent's with its last cell's.  The
+    cells with coordinate sum below m are the k_m lowest bits, so with
+    the states sorted by mask, those inside T_m are the masks below
+    2^(k_m), and T_m, which holds each of them, is the last.  A state's
+    cell count is its mask's bit count.
 
     For m < side, Z_(side-m) on the states inside T_m is one bit pass
     over those states per cell of T_m, in increasing graded (bit) order,
@@ -427,19 +421,14 @@ def _stable_transfer(dim: int, side: int, weight: Callable[[int], object], *,
     _check_box_args(dim, side, "strongly_stable")
     limiter = _Budget(budget)
     limiter.refuse_table(dim - 1, side, "strongly_stable")
-    order, requires, bits, _, finalize = _mode(dim - 1, side, "strongly_stable")
+    order, requires, bits, below, _, finalize = _mode(dim - 1, side, "strongly_stable")
     # Each cell's share of g: the bit of y - e_1, none when y_1 = 0, and in
     # dimension 0, whose one cell () has no first coordinate, its own.
     bit = dict(zip(order, bits))
     down = bits if dim == 1 else [bit.get((y[0] - 1,) + y[1:], 0) for y in order]
-    g = [0] * (len(order) + 1)  # g of the last node walked at each depth
-    states = []
-    for idxs, mask in _walk(requires, bits, limiter.tick):
-        depth = len(idxs)
-        if depth:
-            g[depth] = g[depth - 1] | down[idxs[-1]]
-        states.append((finalize(idxs, mask), g[depth]))
-    masks, images = zip(*sorted(states))
+    masks, images = zip(*sorted(
+        (finalize(idxs, need, mask), g)
+        for idxs, mask, need, g in _walk(requires, bits, below, (down, or_, 0), limiter.tick)))
     index = {mask: s for s, mask in enumerate(masks)}
     weights = [weight(mask.bit_count()) for mask in masks]
     inner = [index[image] for image in images]
@@ -525,11 +514,11 @@ def _slice_transfer(dim: int, side: int, weight: Callable[[int], object], *,
     _check_box_args(dim, side, "totally_symmetric")
     limiter = _Budget(budget)
     limiter.refuse_table(dim - 1, side, "totally_symmetric")
-    order, requires, bits, _, finalize = _mode(dim - 1, side, "totally_symmetric")
-    masks = []
-    for idxs, mask in _walk(requires, bits, limiter.tick):
-        masks.append(finalize(idxs, mask))
-    masks.sort()
+    order, requires, bits, below, _, finalize = _mode(dim - 1, side, "totally_symmetric")
+    # Nothing to carry but the mask and the requirements.
+    nothing = ([0] * len(order), or_, 0)
+    masks = sorted(finalize(idxs, need, mask)
+                   for idxs, mask, need, _ in _walk(requires, bits, below, nothing, limiter.tick))
     index = {mask: s for s, mask in enumerate(masks)}
     weights = [weight(mask.bit_count()) for mask in masks]
     # Representatives inside [0, c)^(d-1), and the states made of them.

@@ -146,6 +146,19 @@ def test_enumerate_rejects_bad_arguments():
             call()
 
 
+def test_enumerate_refuses_at_the_call():
+    # Bad arguments and a requirement table over the budget raise when
+    # the listing is asked for, before any item is drawn.
+    for args, budget, error in (((0, 2), None, ValueError),
+                                ((2, -1, "all"), None, ValueError),
+                                ((2, 2, "ss"), None, ValueError),
+                                ((2, 2, "all"), 1.5, ValueError),
+                                ((3, 60, "totally_symmetric"), 1, ResourceLimit),
+                                ((2, 3, "all"), 8, ResourceLimit)):
+        with pytest.raises(error):
+            enumerate_partitions(*args, budget=budget)
+
+
 def test_budget_exhaustion_raises():
     with pytest.raises(ResourceLimit) as info:
         list(enumerate_partitions(2, 3, "all", budget=5))
@@ -410,20 +423,49 @@ def test_walking_a_set_that_is_not_strongly_stable_raises(monkeypatch, counter):
         counter(3, 3)
 
 
+def g_from_scratch(order, bits, idxs):
+    """g(S) = {y in S : y + e_1 in S} of the stable transfer, as a mask
+    over the table's bits, from the node's cells."""
+    cells = {order[i] for i in idxs}
+    return sum(b for y, b in zip(order, bits) if y in cells and (y[0] + 1,) + y[1:] in cells)
+
+
 @pytest.mark.parametrize("predicate", ["all", "strongly_stable", "totally_symmetric"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_walk_carries_each_nodes_mask(dim, predicate):
-    # Every node's mask is the OR of its indices' bits, its indices
+def test_walk_carries_each_nodes_mask(monkeypatch, dim, predicate):
+    # Every node's frame carries its mask, the OR of its indices' bits,
+    # and its need, the OR of their requirement masks; its indices
     # increase, and in the cell tables (lexicographic order) its last
     # index is its lexicographically largest cell, which a listing
-    # appends to its parent's.
+    # appends to its parent's.  The listing's fold carries the node's
+    # sorted cells, for orbits the sorted union of their cells, and the
+    # stable transfer's, walked here by count_ss(dim + 1, side), carries
+    # g of the node.
+    walk = borelbox.enumeration._walk
     for side in range(5):
-        order, requires, bits, _, _ = borelbox.enumeration._mode(dim, side, predicate)
-        for idxs, mask in borelbox.enumeration._walk(requires, bits, lambda: None):
+        order, requires, bits, below, fold, _ = borelbox.enumeration._mode(dim, side, predicate)
+        for idxs, mask, need, cells in walk(requires, bits, below, fold, lambda: None):
             assert mask == reduce(or_, map(bits.__getitem__, idxs), 0)
+            assert need == reduce(or_, map(below.__getitem__, idxs), 0)
             assert all(map(int.__lt__, idxs, idxs[1:]))
-            if idxs and predicate != "totally_symmetric":
-                assert order[idxs[-1]] == max(map(order.__getitem__, idxs))
+            if predicate == "totally_symmetric":
+                assert cells == tuple(sorted(bruteforce.naive_symmetrize(
+                    map(order.__getitem__, idxs))))
+            else:
+                assert cells == tuple(sorted(map(order.__getitem__, idxs)))
+                assert not idxs or order[idxs[-1]] == cells[-1]
+        if predicate == "strongly_stable":
+            nodes = []
+
+            def checked_walk(requires, bits, below, fold, tick):
+                for idxs, mask, need, g in walk(requires, bits, below, fold, tick):
+                    assert g == g_from_scratch(order, bits, idxs), idxs
+                    nodes.append(mask)
+                    yield idxs, mask, need, g
+            monkeypatch.setattr(borelbox.enumeration, "_walk", checked_walk)
+            count_ss(dim + 1, side)
+            monkeypatch.undo()
+            assert len(nodes) == len(set(nodes)) == count_ss(dim, side)
 
 
 @pytest.mark.parametrize("dim, side, predicate", [
@@ -490,9 +532,9 @@ def test_symmetric_listing_checks_each_orbit_once(monkeypatch):
     ((3, 4, "strongly_stable"), (3, 3, "totally_symmetric")),
 ])
 def test_interleaved_listings_keep_their_own_state(first, second):
-    # Each listing's walk carries its parents' masks and its `partition`
-    # their sorted cells: two of them advanced alternately, one of them a
-    # few nodes ahead, list what each lists on its own.
+    # Each listing's walk carries its nodes' masks and sorted cells in
+    # its own stack frames: two of them advanced alternately, one of them
+    # a few nodes ahead, list what each lists on its own.
     alone = [[p.cells for p in enumerate_partitions(*box)] for box in (first, second)]
     streams = [enumerate_partitions(*box) for box in (first, second)]
     got = [[p.cells for p in islice(streams[0], 7)], []]

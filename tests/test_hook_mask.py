@@ -8,9 +8,9 @@ that test and the stability oracle's together, on every cell set, and on
 partitions also the cell-level `Partition.is_strongly_stable`'s.  For
 orbits (`enumeration._orbit_layout`) the requirements are the
 predecessor orbits, checked against the closure test on their cells.
-`finalize`, which carries the OR per depth along the walk, must give the
-same verdicts on every set of table cells and name the failed
-predicate."""
+`finalize`, handed the OR that the walk carries beside the mask, must
+give the same verdicts on every set of table cells, in any order, and
+name the failed predicate."""
 
 import random
 from functools import cache, reduce
@@ -169,35 +169,53 @@ def test_orbit_closure_check_matches_the_oracle_on_every_set_of_orbits(dim, side
     assert verdicts == {True, False}
 
 
-def finalize_verdict(finalize, bits, idxs):
-    """Feed `finalize` the set's prefixes with their masks built from
-    `bits`, as the walk would, going on past a prefix that fails, and
-    return None when the whole set passes or the predicate its error
+def finalize_verdict(finalize, bits, below, idxs):
+    """Hand `finalize` the set with its mask and the OR of its
+    requirement masks, built from `bits` and `below` as the walk builds
+    them, and return None when it passes or the predicate its error
     names."""
-    for depth in range(len(idxs) + 1):
-        try:
-            finalize(idxs[:depth], sum(bits[i] for i in idxs[:depth]))
-            verdict = None
-        except ArithmeticSelfCheck as failed:
-            verdict = str(failed).rsplit(" is not ", 1)[1]
-    return verdict
+    try:
+        finalize(idxs, reduce(or_, map(below.__getitem__, idxs), 0),
+                 sum(bits[i] for i in idxs))
+    except ArithmeticSelfCheck as failed:
+        return str(failed).rsplit(" is not ", 1)[1]
+    return None
+
+
+def expected_verdict(dim, predicate, cells):
+    closed, stable = references(dim, cells)
+    return ("downward closed" if not closed else
+            "strongly stable" if predicate == "strongly_stable" and not stable else None)
 
 
 @pytest.mark.parametrize("dim, side, predicate", [
     (2, 3, "all"), (3, 2, "all"), (2, 4, "strongly_stable"), (3, 3, "strongly_stable"),
     (4, 2, "strongly_stable")])
 def test_finalize_matches_the_references_on_every_set_of_table_cells(dim, side, predicate):
-    # The verdict is on the whole set, whatever its prefixes gave: a
-    # requirement one member lacks fails every later set that holds it.
-    order, _, bits, _, finalize = _mode(dim, side, predicate)
+    # The verdict is on the whole set: a requirement one member lacks
+    # fails every set that holds it.
+    order, _, bits, below, _, finalize = _mode(dim, side, predicate)
     verdicts = set()
     for size in range(len(order) + 1):
         for idxs in combinations(range(len(order)), size):
-            closed, stable = references(dim, [order[i] for i in idxs])
-            expected = ("downward closed" if not closed else
-                        "strongly stable" if predicate == "strongly_stable" and not stable
-                        else None)
-            assert finalize_verdict(finalize, bits, list(idxs)) == expected, idxs
+            expected = expected_verdict(dim, predicate, [order[i] for i in idxs])
+            assert finalize_verdict(finalize, bits, below, list(idxs)) == expected, idxs
             verdicts.add(expected)
     assert verdicts == ({None, "downward closed"} if predicate == "all"
                         else {None, "downward closed", "strongly stable"})
+
+
+def test_finalize_keeps_no_state_between_calls():
+    # Out of walk order: every set of the (2,3) stable table, shuffled, so
+    # no set follows its prefixes and sets that fail come between sets
+    # that pass; each verdict is still the references'.
+    order, _, bits, below, _, finalize = _mode(2, 3, "strongly_stable")
+    sets = [list(idxs) for size in range(len(order) + 1)
+            for idxs in combinations(range(len(order)), size)]
+    random.Random("out of walk order").shuffle(sets)
+    verdicts = set()
+    for idxs in sets:
+        expected = expected_verdict(2, "strongly_stable", [order[i] for i in idxs])
+        assert finalize_verdict(finalize, bits, below, idxs) == expected, idxs
+        verdicts.add(expected)
+    assert verdicts == {None, "downward closed", "strongly stable"}
