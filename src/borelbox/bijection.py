@@ -27,12 +27,20 @@ and the cell count of P is the orbit count of its image; that is why
 `cell_gf_ss == orbit_gf_ts`.  The inverse reads each orbit's weakly
 increasing member back through ψ⁻¹.
 
-The forward map costs the size of its output: it groups the cells of P
-by the zero pattern of p[1:], which fixes the runs of equal entries of
-ψ(p), and expands each group by one index getter per rearrangement of
-its pattern, built once per call.  The inverse never scans T: it walks P
-itself, in lexicographic order from the origin, with at most d
-membership tests in T per cell of P, each hashing a d-tuple, so
+The forward map groups the cells of P by the zero pattern of p[1:],
+which fixes the runs of equal entries of ψ(p), and expands each group by
+one index getter per rearrangement of its pattern.  A pattern's getters
+are built on its first use and kept for the life of the process, the
+least recently used dropped first, while the kept tables hold at most
+`_KEPT_INDICES` = 2^18 indices (d per getter, and d for the pattern):
+every table through d = 6 fits, 31,149 indices in all, but not every
+one of d = 7 (331,051) or d = 8 (4,366,680).  A table past the bound on
+its own is built for its call and not kept.  So a call costs its output,
+plus the tables of the patterns the cache does not hold; threads share
+the cache under one lock.  The inverse checks that T is totally
+symmetric, one pass over T for each of two generating permutations,
+then walks P itself, in lexicographic order from the origin, with at
+most d membership tests in T per cell of P, each hashing a d-tuple, so
 O(d²·|P|) in the worst case; steps that would leave T's box are skipped
 untested.  The chain functions (`lambda_map`, `omega` and their
 inverses, with the complement maps in `correspondence`) stay public as
@@ -44,10 +52,12 @@ direct map needs neither.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter, le, sub
-from typing import TYPE_CHECKING, Iterator
+from threading import Lock
+from typing import TYPE_CHECKING
 
 from .errors import (
     EmptyInput,
@@ -121,14 +131,15 @@ class FSet:
         except InputError as exc:
             raise InvalidFSet(str(exc)) from None
         object.__setattr__(self, "elements", elements)
-        pure = (0,) * (self.dim - 1) + (self.side,)
         for mono in elements:
             if not _is_weakly_increasing(mono):
                 raise InvalidFSet(f"element {mono} is not weakly increasing")
             if max(mono) > self.side:
                 raise InvalidFSet(f"element {mono} exceeds the box side {self.side}")
-        if pure not in elements:
-            raise InvalidFSet(f"missing the pure power {pure}")
+        # The pure power is found among the elements, not built: the
+        # dimension may be far longer than the input.
+        if not any(mono[-1] == self.side and not any(mono[:-1]) for mono in elements):
+            raise InvalidFSet(f"missing the pure power x{self.dim}^{self.side}")
         if minimalize(elements) != elements:
             raise InvalidFSet("elements are not an antichain under divisibility")
 
@@ -221,14 +232,49 @@ def _run_starts(pattern: tuple[bool, ...]) -> tuple[int, ...]:
     return tuple(starts)
 
 
-def _rearrangements(starts: tuple[int, ...]) -> Iterator[itemgetter]:
+def _build_rearrangements(starts: tuple[int, ...]) -> tuple[itemgetter, ...]:
     """A getter for each rearrangement of the run starts but the first,
-    which is the identity.  p_k = 0 exactly when ψ(p) repeats its entry
-    at k, so the zero pattern of p[1:] fixes the runs of ψ(p), and these
-    getters serve every cell of P with that pattern."""
+    which is the identity, in lexicographic order.  p_k = 0 exactly when
+    ψ(p) repeats its entry at k, so the zero pattern of p[1:] fixes the
+    runs of ψ(p), and these getters serve every cell of P with that
+    pattern."""
     perms = _distinct_permutations(starts)
     next(perms)
-    return (itemgetter(*perm) for perm in perms)
+    return tuple(itemgetter(*perm) for perm in perms)
+
+
+# The getter tables kept for the life of the process, by zero pattern,
+# least recently used first, and the indices they hold in all: d for each
+# getter of dimension d, and d for the pattern, so the bound caps their
+# memory at any dimension, empty tables included.  With every table of
+# d = 7 looked up it keeps 36,527 getters, 6.1 MB by tracemalloc.  The
+# lock keeps the order and the count whole when threads share the cache.
+_KEPT_INDICES = 1 << 18
+_tables: OrderedDict[tuple[bool, ...], tuple[itemgetter, ...]] = OrderedDict()
+_kept = 0
+_lock = Lock()
+
+
+def _rearrangements(pattern: tuple[bool, ...]) -> tuple[itemgetter, ...]:
+    """The getters of a zero pattern (see :func:`_build_rearrangements`),
+    from the kept tables or built on a miss.  A built table is kept if it
+    fits the bound, after dropping the least recently used ones as needed;
+    a table larger than the bound serves its call only."""
+    global _kept
+    with _lock:
+        table = _tables.get(pattern)
+        if table is not None:
+            _tables.move_to_end(pattern)
+            return table
+        table = _build_rearrangements(_run_starts(pattern))
+        size = (len(table) + 1) * (len(pattern) + 1)
+        if size <= _KEPT_INDICES:
+            _kept += size
+            while _kept > _KEPT_INDICES:
+                dropped, getters = _tables.popitem(last=False)
+                _kept -= (len(getters) + 1) * (len(dropped) + 1)
+            _tables[pattern] = table
+        return table
 
 
 def ss_to_ts_partition(partition: Partition, *, budget: int | None = None) -> Partition:
@@ -243,10 +289,11 @@ def ss_to_ts_partition(partition: Partition, *, budget: int | None = None) -> Pa
     fills it.
 
     The cells are grouped by zero pattern, and each group is expanded by
-    its pattern's getters.  `budget` bounds the output cells; each group
+    its pattern's getters, kept across calls within a fixed bound (see
+    the module docstring).  `budget` bounds the output cells; each group
     is charged its cells times its orbit size before its getters are
-    built, so one more cell raises :class:`ResourceLimit` before the
-    group that would exceed it is expanded.
+    looked up or built, so one more cell raises :class:`ResourceLimit`
+    before the group that would exceed it is expanded.
     """
     if len(partition) == 0:
         raise EmptyInput("the empty partition has no box side to preserve")
@@ -259,11 +306,10 @@ def ss_to_ts_partition(partition: Partition, *, budget: int | None = None) -> Pa
         groups.setdefault(tuple(map(bool, cell[1:])), []).append(tuple(accumulate(cell)))
     cells: list[Cell] = []
     for pattern, reps in groups.items():
-        starts = _run_starts(pattern)
         if budget is not None:
-            limiter.charge(len(reps) * _orbit_size(starts))
+            limiter.charge(len(reps) * _orbit_size(_run_starts(pattern)))
         cells += reps
-        for getter in _rearrangements(starts):
+        for getter in _rearrangements(pattern):
             cells += map(getter, reps)
     cells.sort()
     return Partition._trusted(partition.dim, tuple(cells))

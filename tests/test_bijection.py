@@ -1,4 +1,8 @@
-from itertools import product
+import random
+import sys
+import threading
+from collections import OrderedDict
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -31,7 +35,7 @@ from borelbox import (
     ts_to_ss_partition,
 )
 from borelbox import bijection
-from borelbox.partitions import _distinct_permutations
+from borelbox.partitions import _distinct_permutations, _orbit_size
 
 from cases import (
     SS_IDEAL_2D_BGENS,
@@ -310,27 +314,106 @@ def test_the_inverse_lists_its_cells_in_order():
             assert cells == Partition(dim, cells).cells
 
 
-def test_an_over_budget_forward_map_builds_no_getters_for_the_group_past_it(monkeypatch):
+@pytest.fixture
+def cold_tables(monkeypatch):
+    """An empty getter cache for the test; the process's own is restored
+    after it."""
+    monkeypatch.setattr(bijection, "_tables", OrderedDict())
+    monkeypatch.setattr(bijection, "_kept", 0)
+    return bijection._tables
+
+
+def test_an_over_budget_forward_map_builds_no_getters_for_the_group_past_it(
+        monkeypatch, cold_tables):
     # {0, e_1, ..., e_12} in d = 12: 0 and e_1 share the constant pattern,
     # then e_12, e_11, ..., e_2 each have their own, with orbits of
     # C(12, 1), C(12, 2), ..., C(12, 11) cells; 4,096 in all.
     star = Partition(12, [(0,) * 12] + [(0,) * i + (1,) + (0,) * (11 - i)
                                         for i in range(12)])
-    build = bijection._rearrangements
-    built = []
+    lookup, build = bijection._rearrangements, bijection._build_rearrangements
+    looked, built = [], []
+
+    def looked_up(pattern):
+        looked.append(bijection._run_starts(pattern))
+        return lookup(pattern)
 
     def counted(starts):
         built.append(starts)
         return build(starts)
 
-    monkeypatch.setattr(bijection, "_rearrangements", counted)
+    monkeypatch.setattr(bijection, "_rearrangements", looked_up)
+    monkeypatch.setattr(bijection, "_build_rearrangements", counted)
     last = (0,) + (1,) * 11   # the run starts of ψ(e_2), the last group
-    for budget, passes in ((4096, True), (4095, False)):
-        built.clear()
-        if passes:
-            assert len(ss_to_ts_partition(star, budget=budget)) == 4096
-        else:
-            with pytest.raises(ResourceLimit):
-                ss_to_ts_partition(star, budget=budget)
-        assert len(built) == 12 - (not passes)
-        assert (last in built) == passes
+    with pytest.raises(ResourceLimit):
+        ss_to_ts_partition(star, budget=4095)
+    assert len(looked) == len(built) == 11
+    assert last not in looked and last not in built
+    built.clear()
+    assert len(ss_to_ts_partition(star, budget=4096)) == 4096
+    assert built == [last]
+    built.clear()
+    assert len(ss_to_ts_partition(star, budget=4096)) == 4096
+    assert built == []
+
+
+def test_each_kept_table_is_its_patterns_distinct_rearrangements(cold_tables):
+    for dim in range(1, 7):
+        for pattern in product((False, True), repeat=dim - 1):
+            starts = bijection._run_starts(pattern)
+            table = bijection._rearrangements(pattern)
+            assert cold_tables[pattern] is table
+            assert [getter(starts) for getter in table] == sorted(set(permutations(starts)))[1:]
+    assert bijection._kept == sum((len(table) + 1) * (len(pattern) + 1)
+                                  for pattern, table in cold_tables.items())
+
+
+def test_threads_sharing_the_cache_keep_its_count(cold_tables):
+    # Thread switches after every bytecode or so: unlocked, two threads
+    # drifted the count by tens of thousands of indices.
+    saved = sys.getswitchinterval()
+    patterns = list(product((False, True), repeat=6))
+
+    def look_up(seed):
+        rng = random.Random(seed)
+        for _ in range(400):
+            bijection._rearrangements(rng.choice(patterns))
+
+    threads = [threading.Thread(target=look_up, args=(seed,)) for seed in range(2)]
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(saved)
+    assert bijection._kept == sum((len(table) + 1) * 7 for table in cold_tables.values())
+    assert bijection._kept <= bijection._KEPT_INDICES
+
+
+def test_a_warm_cache_gives_the_images_of_a_cold_one(monkeypatch):
+    for dim, side in ((3, 5), (4, 4), (5, 3)):
+        stable = [p for p in enumerate_partitions(dim, side, "strongly_stable") if len(p)]
+        cold = []
+        for p in stable:
+            monkeypatch.setattr(bijection, "_tables", OrderedDict())
+            monkeypatch.setattr(bijection, "_kept", 0)
+            cold.append(ss_to_ts_partition(p))
+        assert [ss_to_ts_partition(p) for p in stable] == cold
+
+
+def test_the_kept_getters_stay_within_the_bound_at_d_8(cold_tables):
+    # The 128 tables of d = 8 hold 545,707 getters, and with their
+    # patterns 4,366,680 indices.
+    every = list(product((False, True), repeat=7))
+    for pattern in every:
+        table = bijection._rearrangements(pattern)
+        assert len(table) == _orbit_size(bijection._run_starts(pattern)) - 1
+    kept = sum(map(len, cold_tables.values()))
+    assert bijection._kept == 8 * (kept + len(cold_tables)) <= bijection._KEPT_INDICES
+    assert 0 < len(cold_tables) < len(every)
+    # The last pattern, eight runs, has 40,319 getters, past the bound on
+    # their own: it is built and not kept.  The one before, seven runs
+    # with 20,159 getters, was kept last.
+    assert every[-1] not in cold_tables
+    assert next(reversed(cold_tables)) == every[-2]

@@ -48,6 +48,20 @@ def test_a_huge_dimension_is_malformed_input(command, payload):
     assert "Traceback" not in proc.stderr
 
 
+def test_a_library_fset_of_huge_dimension_is_refused_at_once():
+    # The pure power has HUGE entries; it is looked for, never built.
+    script = ("from borelbox import FSet, InvalidFSet\n"
+              "try:\n"
+              f"    FSet({HUGE}, 1, ())\n"
+              "except InvalidFSet as exc:\n"
+              "    print(exc)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+        preexec_fn=_limit_address_space, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"missing the pure power x{HUGE}^1\n"
+
+
 def test_the_largest_dimension_checks_the_empty_partition_at_once():
     saved, out = sys.stdin, io.StringIO()
     sys.stdin = io.StringIO(json.dumps({"dim": 4096, "cells": []}))
