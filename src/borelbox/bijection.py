@@ -37,12 +37,24 @@ every table through d = 6 fits, 31,149 indices in all, but not every
 one of d = 7 (331,051) or d = 8 (4,366,680).  A table past the bound on
 its own is built for its call and not kept.  So a call costs its output,
 plus the tables of the patterns the cache does not hold; threads share
-the cache under one lock.  The inverse checks that T is totally
-symmetric, one pass over T for each of two generating permutations,
-then walks P itself, in lexicographic order from the origin, with at
-most d membership tests in T per cell of P, each hashing a d-tuple, so
-O(d²·|P|) in the worst case; steps that would leave T's box are skipped
-untested.  The chain functions (`lambda_map`, `omega` and their
+the cache under one lock.  The inverse walks P itself, in lexicographic
+order from the origin, with at most d membership tests in T per cell of
+P, each hashing a d-tuple, so O(d²·|P|) in the worst case; steps that
+would leave T's box are skipped untested.
+
+Each map tests its input's predicate, strongly stable or totally
+symmetric, unless the input carries the record that its producer built
+it to satisfy that predicate (`Partition._holds`).  Three producers set
+it, each on what its construction proves: the stable and symmetric
+listings of `enumerate_partitions`, once the walk's re-validation has
+passed the node; the forward map on its image, a union of whole orbits,
+so fixed by every coordinate permutation; and the inverse on its output.
+That output P = {q : ψ(q) in T} is strongly stable for any partition T:
+for q in P with q_j > 0, ψ(q - e_j) and ψ(q - e_j + e_(j+1)) lie
+coordinatewise below ψ(q), so in T.  So a partition from the
+constructor or from JSON is tested once, by the map it enters first,
+and neither half of a round trip of a listed partition tests anything.
+The chain functions (`lambda_map`, `omega` and their
 inverses, with the complement maps in `correspondence`) stay public as
 the paper's objects, and the tests check the direct map against their
 composition, the way the two Borel-generator algorithms check each
@@ -288,6 +300,11 @@ def ss_to_ts_partition(partition: Partition, *, budget: int | None = None) -> Pa
     the image fits the side-n box, and the cell (0, ..., 0, n-1) of P
     fills it.
 
+    The input is tested for strong stability unless it records it: the
+    stable listing and :func:`ts_to_ss_partition` build such partitions.
+    The image records that it is totally symmetric, so the inverse does
+    not test it again.
+
     The cells are grouped by zero pattern, and each group is expanded by
     its pattern's getters, kept across calls within a fixed bound (see
     the module docstring).  `budget` bounds the output cells; each group
@@ -297,7 +314,7 @@ def ss_to_ts_partition(partition: Partition, *, budget: int | None = None) -> Pa
     """
     if len(partition) == 0:
         raise EmptyInput("the empty partition has no box side to preserve")
-    if not partition.is_strongly_stable():
+    if partition._holds != "strongly_stable" and not partition.is_strongly_stable():
         raise NotStronglyStable("the partition is not strongly stable")
     limiter = _Budget(budget)
     limiter.phase = "bijection"
@@ -312,7 +329,7 @@ def ss_to_ts_partition(partition: Partition, *, budget: int | None = None) -> Pa
         for getter in _rearrangements(pattern):
             cells += map(getter, reps)
     cells.sort()
-    return Partition._trusted(partition.dim, tuple(cells))
+    return Partition._trusted(partition.dim, tuple(cells), None, "totally_symmetric")
 
 
 def ts_to_ss_partition(partition: Partition, *, budget: int | None = None) -> Partition:
@@ -320,6 +337,11 @@ def ts_to_ss_partition(partition: Partition, *, budget: int | None = None) -> Pa
     its weakly increasing cells; inverse of :func:`ss_to_ts_partition`.
     `budget` bounds the output cells, one per orbit of the input; one
     more raises :class:`ResourceLimit`.
+
+    The input is tested for total symmetry unless it records it: the
+    symmetric listing and :func:`ss_to_ts_partition` build such
+    partitions.  The output records that it is strongly stable (see the
+    module docstring), so the forward map does not test it again.
 
     The output P is walked in lexicographic order from the origin, with
     T as its membership test: q is in P exactly when ψ(q) is in T.  Every
@@ -333,7 +355,7 @@ def ts_to_ss_partition(partition: Partition, *, budget: int | None = None) -> Pa
     """
     if len(partition) == 0:
         raise EmptyInput("the empty partition has no box side to preserve")
-    if not partition.is_totally_symmetric():
+    if partition._holds != "totally_symmetric" and not partition.is_totally_symmetric():
         raise NotTotallySymmetric("the partition is not totally symmetric")
     limiter = _Budget(budget)
     limiter.phase = "bijection"
@@ -356,4 +378,4 @@ def ts_to_ss_partition(partition: Partition, *, budget: int | None = None) -> Pa
                     sums = padded
                     break
         else:
-            return Partition._trusted(dim, tuple(cells))
+            return Partition._trusted(dim, tuple(cells), None, "strongly_stable")

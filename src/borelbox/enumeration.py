@@ -332,7 +332,10 @@ def enumerate_partitions(dim: int, side: int, predicate: str = "all", *,
     first expanded, by the test :meth:`Partition.is_totally_symmetric`
     runs.
     One that fails raises :class:`ArithmeticSelfCheck`, since the pruned
-    walk cannot produce it.
+    walk cannot produce it.  So a stable or symmetric partition is yielded
+    with the record of its predicate, which spares the maps of
+    :mod:`borelbox.bijection` testing it again (see
+    :meth:`Partition._trusted`); the public predicates still test it.
 
     The arguments, and the table's size against the budget, are checked
     at the call; the walk runs as partitions are drawn.
@@ -344,9 +347,10 @@ def enumerate_partitions(dim: int, side: int, predicate: str = "all", *,
     def listing() -> Iterator[Partition]:
         _, requires, bits, below, fold, finalize = _mode(dim, side, predicate)
         trusted = Partition._trusted
+        holds = None if predicate == "all" else predicate
         for idxs, mask, need, cells in _walk(requires, bits, below, fold, limiter.tick):
             finalize(idxs, need, mask)
-            yield trusted(dim, cells)
+            yield trusted(dim, cells, None, holds)
     return listing()
 
 

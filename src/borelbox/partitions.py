@@ -130,7 +130,7 @@ class Partition:
     :class:`ClosureViolation` naming the offending cell and axis.
     """
 
-    __slots__ = ("dim", "cells", "_member_set")
+    __slots__ = ("dim", "cells", "_member_set", "_holds")
 
     def __init__(self, dim: int, cells: Iterable[Iterable[int]] = ()):
         if type(dim) is not int or dim < 1:
@@ -146,16 +146,26 @@ class Partition:
         self.dim = dim
         self.cells = canon
         self._member_set = members
+        self._holds = None
 
     @classmethod
     def _trusted(cls, dim: int, sorted_cells: tuple[Cell, ...],
-                 members: frozenset[Cell] | None = None) -> "Partition":
+                 members: frozenset[Cell] | None = None,
+                 holds: str | None = None) -> "Partition":
         # Internal fast path: caller guarantees canonical order and closure,
         # and that `members`, when given, is the frozenset of the cells.
+        # `holds` records a predicate the producer's construction proves,
+        # "strongly_stable" or "totally_symmetric", so the bijection skips
+        # testing it again on its input.  Only three producers pass it:
+        # the stable and symmetric listings of `enumerate_partitions`,
+        # after the walk's re-validation has passed the node, and the two
+        # maps of `bijection` for their outputs.  The predicates themselves
+        # never read it, nor do equality, hashing or the JSON form.
         part = object.__new__(cls)
         part.dim = dim
         part.cells = sorted_cells
         part._member_set = members
+        part._holds = holds
         return part
 
     @property

@@ -231,6 +231,77 @@ def test_partition_bijection_rejections():
         ts_to_ss_partition(Partition(2, [(0, 0), (0, 1)]))
 
 
+def _checked(dim, cells):
+    return Partition(dim, cells)
+
+
+def _unrecorded(dim, cells):
+    return Partition._trusted(dim, tuple(sorted(cells)))
+
+
+@pytest.mark.parametrize("build", [_checked, _unrecorded])
+def test_bad_inputs_are_refused_however_built(build):
+    with pytest.raises(NotStronglyStable):
+        ss_to_ts_partition(build(2, [(0, 0), (1, 0)]))
+    with pytest.raises(NotStronglyStable):
+        ss_to_ts_partition(build(3, [(0, 0, 0), (0, 1, 0)]))
+    with pytest.raises(NotTotallySymmetric):
+        ts_to_ss_partition(build(2, [(0, 0), (0, 1)]))
+    with pytest.raises(NotTotallySymmetric):
+        ts_to_ss_partition(build(3, [(0, 0, 0), (0, 0, 1), (0, 1, 0)]))
+
+
+# The record of the predicate a producer built a partition to satisfy
+# (`Partition._holds`), which lets each map skip testing its input.
+
+@pytest.mark.parametrize("dim, side", [(3, 4), (4, 3), (2, 6)])
+def test_each_producer_records_what_it_built(dim, side):
+    for p in enumerate_partitions(dim, side, "strongly_stable"):
+        assert p._holds == "strongly_stable" and p.is_strongly_stable()
+        if len(p):
+            image = ss_to_ts_partition(p)
+            assert image._holds == "totally_symmetric" and image.is_totally_symmetric()
+            back = ts_to_ss_partition(image)
+            assert back._holds == "strongly_stable" and back.is_strongly_stable()
+    for t in enumerate_partitions(dim, side, "totally_symmetric"):
+        assert t._holds == "totally_symmetric" and t.is_totally_symmetric()
+        if len(t):
+            preimage = ts_to_ss_partition(t)
+            assert preimage._holds == "strongly_stable" and preimage.is_strongly_stable()
+            again = ss_to_ts_partition(preimage)
+            assert again._holds == "totally_symmetric" and again.is_totally_symmetric()
+
+
+def test_a_recorded_image_is_the_value_its_constructor_builds():
+    for p in enumerate_partitions(3, 4, "strongly_stable"):
+        if len(p):
+            image = ss_to_ts_partition(p)
+            checked = Partition(image.dim, image.cells)
+            assert image == checked and hash(image) == hash(checked)
+            assert ts_to_ss_partition(checked) == ts_to_ss_partition(image) == p
+
+
+def test_round_trips_test_only_what_no_producer_built(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a recorded predicate was tested again")
+
+    stable = Partition.is_strongly_stable
+    monkeypatch.setattr(Partition, "is_strongly_stable", refuse)
+    monkeypatch.setattr(Partition, "is_totally_symmetric", refuse)
+    listed = [p for p in enumerate_partitions(3, 4, "strongly_stable") if len(p)]
+    assert len(listed) == 65
+    for p in listed:
+        assert ts_to_ss_partition(ss_to_ts_partition(p)) == p
+
+    # A constructed input is tested once, by the forward map.
+    calls = []
+    monkeypatch.setattr(Partition, "is_strongly_stable",
+                        lambda self: calls.append(self) or stable(self))
+    built = Partition(3, SS_PARTITION_3D_CELLS)
+    assert ts_to_ss_partition(ss_to_ts_partition(built)) == built
+    assert calls == [built]
+
+
 def test_partition_bijection_preserves_side_and_inverts():
     for dim, top in ((1, 4), (2, 4), (3, 3)):
         for p, _ in stable_classes(dim, top):

@@ -176,6 +176,14 @@ def test_ss2ts_rejects_unstable_input(monkeypatch, capsys):
     assert "strongly stable" in err
 
 
+def test_ts2ss_rejects_asymmetric_input(monkeypatch, capsys):
+    code, out, err = invoke(["ts2ss"], {"dim": 2, "cells": [[0, 0], [0, 1]]},
+                            monkeypatch, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "totally symmetric" in err and "Traceback" not in err
+
+
 def test_lambda_and_omega(monkeypatch, capsys):
     ideal_payload = {"dim": 2, "gens": [[4, 0], [3, 1], [2, 3], [1, 4], [0, 7]]}
     code, out, _ = invoke(["lambda"], ideal_payload, monkeypatch, capsys)

@@ -11,6 +11,7 @@ from borelbox import (
     InvalidCell,
     Partition,
     enumerate_partitions,
+    ideal_to_partition,
     partition_to_ideal,
 )
 
@@ -205,6 +206,36 @@ def test_trusted_partitions_build_their_member_sets_on_demand(predicate):
         assert [c in listed for c in probes] == [c in checked for c in probes]
     members = frozenset(checked.cells)
     assert Partition._trusted(3, checked.cells, members)._members is members
+
+
+# The record of the predicate a producer built a partition to satisfy.
+
+def test_constructed_and_plain_trusted_partitions_carry_no_record():
+    cells = SS_PARTITION_2D_CELLS
+    assert Partition(2, cells)._holds is None
+    assert Partition.from_json_dict({"dim": 2, "cells": [list(c) for c in cells]})._holds is None
+    assert Partition._trusted(2, cells)._holds is None
+    assert Partition._trusted(2, cells, frozenset(cells))._holds is None
+    assert ideal_to_partition(partition_to_ideal(Partition(2, cells)))._holds is None
+    assert all(p._holds is None for p in enumerate_partitions(3, 2, "all"))
+
+
+@pytest.mark.parametrize("holds", ["strongly_stable", "totally_symmetric"])
+def test_a_false_record_does_not_fool_the_predicates(holds):
+    # (0,0), (1,0) has the hook vector (1, 0) and no cell (0, 1).
+    part = Partition._trusted(2, ((0, 0), (1, 0)), None, holds)
+    assert not part.is_strongly_stable()
+    assert not part.is_totally_symmetric()
+
+
+def test_the_record_is_not_part_of_the_value():
+    cells = TS_PARTITION_2D_CELLS
+    plain = Partition(2, cells)
+    for holds in ("strongly_stable", "totally_symmetric"):
+        recorded = Partition._trusted(2, cells, None, holds)
+        assert recorded == plain and hash(recorded) == hash(plain)
+        assert repr(recorded) == repr(plain)
+        assert recorded.to_json_dict() == plain.to_json_dict()
 
 
 cell_lists_2d = st.lists(
