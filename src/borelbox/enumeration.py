@@ -18,11 +18,11 @@ Completed candidates are still re-validated against the definitions
 before being yielded or counted; since the pruning guarantees that every
 candidate passes, one that fails raises.  A walk node is its parent plus
 one cell or orbit, so all it derives from its parent is carried in the
-walk's stack frame (see :func:`_walk`): its frontier, its bitmask, the
-OR of its indices' requirement masks, and one folded value, a listing's
-sorted cells or the stable transfer's g.  The walk yields its own list
-of the node's indices, valid until the next step, so no node costs a
-copy of them.
+walk's stack frame (see :func:`_walk`): its frontier and its set of
+walk indices, both as bitmasks, its bitmask in the layout below, the OR
+of its indices' requirement masks, and one folded value, a listing's
+sorted cells or the stable transfer's g.  Frames share nothing, so
+backtracking restores nothing, and what the walk yields stays valid.
 
 Every index has a requirement mask, the bits of what its piece needs by
 the definition, and a set passes exactly when the OR of its indices'
@@ -49,11 +49,11 @@ independent of the pruning.  Cells are built only for a listing, and
 carried in the stack frame the same way.  A node's cell indices
 increase along the walk, so its one new cell is its largest, and its
 sorted cells are its parent's with that cell appended; an orbit's cells
-are inserted into its parent's, each at the place bisection finds.  A
-symmetric listing expands each orbit once, when it is first used, and
-checks it then for symmetry with the test
-:meth:`Partition.is_totally_symmetric` runs; a union of symmetric orbits
-is symmetric, so no node's cells are checked again.
+are merged into its parent's, by bisection or, for a large orbit, by
+one sort of the two sorted runs.  A symmetric listing expands each orbit
+once, when it is first used, and checks it then for symmetry with the
+test :meth:`Partition.is_totally_symmetric` runs; a union of symmetric
+orbits is symmetric, so no node's cells are checked again.
 
 Strongly stable and totally symmetric counts and generating functions
 do not list the partitions (only the cumulative counts of all partitions
@@ -87,7 +87,7 @@ from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, combinations_with_replacement, compress
+from itertools import accumulate, combinations_with_replacement, compress, product
 from math import comb, isqrt, prod
 from operator import add, or_
 from typing import Callable, Iterator
@@ -104,6 +104,35 @@ def _graded(cells) -> list[Cell]:
     return sorted(cells, key=lambda c: (sum(c), c))
 
 
+def _cells(dim: int, side: int, stable: bool) -> list[Cell]:
+    """The cells of [0, side)^dim in lexicographic order, or when `stable`
+    those with coordinate sum below `side`, each tuple built once.  A
+    simplex cell's successor raises its last coordinate while the sum
+    allows; otherwise it drops the last nonzero coordinate to 0 and raises
+    the one before it, and from (side-1, 0, ..., 0), whose last nonzero
+    coordinate is the first, there is none.  Tracking the sum and the last
+    nonzero position makes a step one copy of the cell."""
+    if not stable or not dim:
+        return list(product(range(side), repeat=dim))
+    if not side:
+        return []
+    zeros = (0,) * dim
+    cell, total, last = zeros, 0, -1
+    order = [cell]
+    while True:
+        if total < side - 1:
+            cell = cell[:-1] + (cell[-1] + 1,)
+            total += 1
+            last = dim - 1
+        elif last > 0:
+            total -= cell[last] - 1
+            cell = cell[:last - 1] + (cell[last - 1] + 1,) + zeros[last:]
+            last -= 1
+        else:
+            return order
+        order.append(cell)
+
+
 def _cell_requirements(dim: int, side: int, stable: bool):
     """Box cells in lexicographic order, with the earlier cells each one
     needs before it may be added: its predecessors c - e_j and, when
@@ -112,20 +141,19 @@ def _cell_requirements(dim: int, side: int, stable: bool):
     strongly stable set in the box has coordinate sum below `side`
     (moving every unit to the last coordinate stays in the set), and its
     predecessors and move images stay in that simplex, so the stable
-    table lists only those C(side+d-1, d) cells.  Cells are built prefix
-    by prefix, each prefix extended by the values its bound leaves, which
-    lists them in lexicographic order."""
-    order = [()]
-    for _ in range(dim):
-        order = [cell + (v,) for cell in order
-                 for v in range(side - sum(cell) if stable else side)]
+    table lists only those C(side+d-1, d) cells (see :func:`_cells`)."""
+    order = _cells(dim, side, stable)
     index = {c: i for i, c in enumerate(order)}
+    # compress(positions, cell) gives the j with c_j > 0 without a Python
+    # step per coordinate.
+    positions, movable = range(dim), range(dim - 1)
     requires = []
     for cell in order:
-        need = [index[cell[:j] + (v - 1,) + cell[j + 1:]] for j, v in enumerate(cell) if v]
+        need = [index[cell[:j] + (cell[j] - 1,) + cell[j + 1:]]
+                for j in compress(positions, cell)]
         if stable:
             need += [index[cell[:j] + (cell[j] - 1, cell[j + 1] + 1) + cell[j + 2:]]
-                     for j in range(dim - 1) if cell[j]]
+                     for j in compress(movable, cell)]
         requires.append(tuple(need))
     return order, requires
 
@@ -147,55 +175,62 @@ def _orbit_requirements(dim: int, side: int):
 
 
 def _walk(requires, bits: list[int], below: list[int], fold,
-          tick: Callable[[], None]) -> Iterator[tuple[list[int], int, int, object]]:
+          tick: Callable[[], None]) -> Iterator[tuple[int, int, int, object]]:
     """Depth-first over admissible index sets, each yielded once as
-    (indices, mask, need, acc); children in increasing order of the added
-    index, so a set's indices increase.  The indices come as the walk's
-    own list, valid until the next step: a consumer reads it at once or
-    copies it.
+    (have, mask, need, acc), `have` the set's walk indices as a bitmask;
+    children in increasing order of the added index, so a set's indices
+    are added in increasing order.  `requires[j]` lists the indices j
+    needs, all below j, as in a linear extension.
 
-    Each index counts its missing requirements, so a node extends only
-    through its frontier (indices above its last with none missing, kept
-    in decreasing order): a copy of the rest of its parent's frontier plus
-    the indices its own index unlocked, sorted only when there are any.  A
-    stack frame holds all a node derives from its parent: its frontier,
-    its mask (the OR of bits[i] over its indices), its need (the OR of
-    below[i], its requirement masks) and its acc, which `fold` =
+    A node extends only through its frontier: the indices above its last
+    whose requirements it holds, as a bitmask.  A stack frame holds all a
+    node derives from its parent, (frontier, have, mask, need, acc): its
+    mask is the OR of bits[i] over its indices, its need the OR of
+    below[i], their requirement masks, and its acc, which `fold` =
     (pieces, join, empty) gives as join(parent's acc, pieces[i]), and as
-    `empty` at the root."""
+    `empty` at the root.  A step pops a frame, takes its lowest frontier
+    bit, i, and pushes the rest back as the sibling frame.  The child's
+    frontier is that rest plus each index that needs i and whose
+    requirement mask, the bits of `requires[j]`, lies inside the child's
+    `have`; so a node unlocks what it completes, and no index keeps a
+    count.  Frames share nothing, so backtracking is the pop, and each
+    yielded tuple stays valid."""
     pieces, join, acc = fold
-    missing = [len(need) for need in requires]
-    dependents: list[list[int]] = [[] for _ in requires]
-    for i, need in enumerate(requires):
-        for k in need:
-            dependents[k].append(i)
-    chosen: list[int] = []
+    # For each index, the (requirement mask, bit) of every index that
+    # needs it; the root's frontier is the indices that need nothing.
+    unlocks: list[list[tuple[int, int]]] = [[] for _ in requires]
+    frontier = 0
+    for j, needed in enumerate(requires):
+        want = 0
+        for k in needed:
+            want |= 1 << k
+        pair = (want, 1 << j)
+        for k in needed:
+            unlocks[k].append(pair)
+        if not want:
+            frontier |= 1 << j
     tick()
-    yield chosen, 0, 0, acc
-    stack = [([i for i in reversed(range(len(missing))) if missing[i] == 0], 0, 0, acc)]
+    yield 0, 0, 0, acc
+    stack = [(frontier, 0, 0, 0, acc)] if frontier else []
+    pop, push = stack.pop, stack.append
     while stack:
-        frontier, mask, need, acc = stack[-1]
-        if not frontier:
-            stack.pop()
-            if chosen:
-                for j in dependents[chosen.pop()]:
-                    missing[j] += 1
-            continue
-        i = frontier.pop()
+        frontier, have, mask, need, acc = pop()
+        low = frontier & -frontier
+        frontier ^= low
+        if frontier:
+            push((frontier, have, mask, need, acc))
+        i = low.bit_length() - 1
         tick()
-        chosen.append(i)
+        have |= low
         mask |= bits[i]
         need |= below[i]
         acc = join(acc, pieces[i])
-        child = frontier[:]
-        for j in dependents[i]:
-            missing[j] -= 1
-            if not missing[j]:
-                child.append(j)
-        if len(child) > len(frontier):
-            child.sort(reverse=True)
-        yield chosen, mask, need, acc
-        stack.append((child, mask, need, acc))
+        yield have, mask, need, acc
+        for want, bit in unlocks[i]:
+            if want & have == want:
+                frontier |= bit
+        if frontier:
+            push((frontier, have, mask, need, acc))
 
 
 def _rejected(cells, failed: str) -> ArithmeticSelfCheck:
@@ -216,12 +251,14 @@ def _cell_layout(order: list[Cell], stable: bool) -> tuple[list[int], list[int]]
     is not in `order` is bit len(order), which no set holds."""
     bit = {cell: 1 << k for k, cell in enumerate(sorted(order, key=sum))}
     outside = 1 << len(order)
+    dim = len(order[0]) if order else 0
+    positions, movable = range(dim), range(dim - 1)
     below = []
     for cell in order:
-        need = [cell[:j] + (v - 1,) + cell[j + 1:] for j, v in enumerate(cell) if v]
+        need = [cell[:j] + (cell[j] - 1,) + cell[j + 1:] for j in compress(positions, cell)]
         if stable:
-            need += [cell[:j] + (v - 1, cell[j + 1] + 1) + cell[j + 2:]
-                     for j, v in enumerate(cell[:-1]) if v]
+            need += [cell[:j] + (cell[j] - 1, cell[j + 1] + 1) + cell[j + 2:]
+                     for j in compress(movable, cell)]
         below.append(reduce(or_, (bit.get(c, outside) for c in need), 0))
     return list(map(bit.__getitem__, order)), below
 
@@ -253,20 +290,24 @@ def _mode(dim: int, side: int, predicate: str):
     and its re-validation: (order, requires, bits, below, fold, finalize).
     `below[i]` is index i's requirement mask, the bits of what its piece
     needs by the predicate's definition (see :func:`_cell_layout` and
-    :func:`_orbit_layout`).  `finalize(idxs, need, mask)` passes a set
+    :func:`_orbit_layout`).  `finalize(have, need, mask)` passes a set
     exactly when `need`, the OR of its indices' requirement masks, lies
     inside its mask: one AND, a verdict on the whole set, which depends
-    on nothing else, so any set may be checked at any time.  It returns
-    the mask, which is all the transfers read, and comes last, where the
-    benchmark's tracer times the re-validation.
+    on nothing else, so any set may be checked at any time.  `have` is
+    the set's walk indices as a bitmask, as :func:`_walk` yields it; it
+    is decoded to indices only when the set fails, to name its cells.
+    `finalize` returns the mask, which is all the transfers read, and
+    comes last, where the benchmark's tracer times the re-validation.
 
     `fold` carries a listed node's sorted cells along the walk (see
     :func:`_walk`).  In the cell tables, whose order is lexicographic, a
     node's indices increase, so its one new cell is its largest and is
-    appended.  An orbit's cells are inserted into its parent's, each by
-    bisection; the orbit is expanded on first use and checked then, once,
-    for symmetry: a union of sets that every coordinate permutation fixes
-    is fixed by them too."""
+    appended.  An orbit, whose cells come sorted, is merged into its
+    parent's cells: cell by cell by bisection while it is small, by one
+    sort of the two sorted runs once len(orbit) * log2(len(cells)) passes
+    len(cells).  The orbit is expanded on first use and checked then,
+    once, for symmetry: a union of sets that every coordinate permutation
+    fixes is fixed by them too."""
     stable = predicate == "strongly_stable"
     if predicate == "totally_symmetric":
         order, requires = _orbit_requirements(dim, side)
@@ -282,8 +323,14 @@ def _mode(dim: int, side: int, predicate: str):
             return orbit
 
         def grow(cells: tuple[Cell, ...], i: int) -> tuple[Cell, ...]:
+            orbit = piece(i)
+            # Both runs are sorted.  Each insort costs a bisection and a
+            # move of the tail; one sort merges the runs in linear time,
+            # which wins once the orbit is large against the cells.
+            if len(orbit) * len(cells).bit_length() > len(cells):
+                return tuple(sorted(cells + orbit))
             merged = list(cells)
-            for cell in piece(i):
+            for cell in orbit:
                 insort(merged, cell)
             return tuple(merged)
         fold = (range(len(order)), grow, ())
@@ -294,8 +341,9 @@ def _mode(dim: int, side: int, predicate: str):
         piece = pieces.__getitem__
         fold = (pieces, add, ())
 
-    def finalize(idxs: list[int], need: int, mask: int) -> int:
+    def finalize(have: int, need: int, mask: int) -> int:
         if need & ~mask:
+            idxs = [i for i in range(have.bit_length()) if have >> i & 1]
             # A stable set that holds its predecessors lacks a move.
             closed = stable and not reduce(
                 or_, map(_cell_layout(order, False)[1].__getitem__, idxs)) & ~mask
@@ -348,8 +396,8 @@ def enumerate_partitions(dim: int, side: int, predicate: str = "all", *,
         _, requires, bits, below, fold, finalize = _mode(dim, side, predicate)
         trusted = Partition._trusted
         holds = None if predicate == "all" else predicate
-        for idxs, mask, need, cells in _walk(requires, bits, below, fold, limiter.tick):
-            finalize(idxs, need, mask)
+        for have, mask, need, cells in _walk(requires, bits, below, fold, limiter.tick):
+            finalize(have, need, mask)
             yield trusted(dim, cells, None, holds)
     return listing()
 
@@ -431,8 +479,8 @@ def _stable_transfer(dim: int, side: int, weight: Callable[[int], object], *,
     bit = dict(zip(order, bits))
     down = bits if dim == 1 else [bit.get((y[0] - 1,) + y[1:], 0) for y in order]
     masks, images = zip(*sorted(
-        (finalize(idxs, need, mask), g)
-        for idxs, mask, need, g in _walk(requires, bits, below, (down, or_, 0), limiter.tick)))
+        (finalize(have, need, mask), g)
+        for have, mask, need, g in _walk(requires, bits, below, (down, or_, 0), limiter.tick)))
     index = {mask: s for s, mask in enumerate(masks)}
     weights = [weight(mask.bit_count()) for mask in masks]
     inner = [index[image] for image in images]
@@ -521,8 +569,8 @@ def _slice_transfer(dim: int, side: int, weight: Callable[[int], object], *,
     order, requires, bits, below, _, finalize = _mode(dim - 1, side, "totally_symmetric")
     # Nothing to carry but the mask and the requirements.
     nothing = ([0] * len(order), or_, 0)
-    masks = sorted(finalize(idxs, need, mask)
-                   for idxs, mask, need, _ in _walk(requires, bits, below, nothing, limiter.tick))
+    masks = sorted(finalize(have, need, mask)
+                   for have, mask, need, _ in _walk(requires, bits, below, nothing, limiter.tick))
     index = {mask: s for s, mask in enumerate(masks)}
     weights = [weight(mask.bit_count()) for mask in masks]
     # Representatives inside [0, c)^(d-1), and the states made of them.

@@ -1,7 +1,7 @@
 import hashlib
 import json
 from functools import reduce
-from itertools import islice, zip_longest
+from itertools import islice, product, zip_longest
 from math import comb
 from operator import or_
 
@@ -368,6 +368,27 @@ _real_requirements = borelbox.enumeration._cell_requirements
 _real_orbit_requirements = borelbox.enumeration._orbit_requirements
 
 
+@pytest.mark.parametrize("stable", [False, True])
+def test_cell_tables_match_an_independent_construction(stable):
+    # The box filtered to coordinate sum below the side when stable,
+    # sorted; each cell's needs are the indices of its predecessors
+    # c - e_j, then of its moves c - e_j + e_(j+1), by j.  Dimension 0 has
+    # its one cell, (), at every side.
+    for side in range(6):
+        assert _real_requirements(0, side, stable) == ([()], [()])
+        for dim in range(1, 6):
+            cells = sorted(c for c in product(range(side), repeat=dim)
+                           if not stable or sum(c) < side)
+            index = {c: i for i, c in enumerate(cells)}
+            requires = []
+            for c in cells:
+                lowered = [index[c[:j] + (c[j] - 1,) + c[j + 1:]] for j in range(dim) if c[j]]
+                moved = [index[c[:j] + (c[j] - 1, c[j + 1] + 1) + c[j + 2:]]
+                         for j in range(dim - 1) if c[j]] if stable else []
+                requires.append(tuple(lowered + moved))
+            assert _real_requirements(dim, side, stable) == (cells, requires), (dim, side)
+
+
 def requirements_without_predecessors(dim, side, stable):
     """The walk's table with every cell's coordinate predecessors dropped
     from its needs: the walk then reaches sets that are not downward
@@ -430,24 +451,41 @@ def g_from_scratch(order, bits, idxs):
     return sum(b for y, b in zip(order, bits) if y in cells and (y[0] + 1,) + y[1:] in cells)
 
 
+def walk_indices(have):
+    """The walk indices a node's `have` bitmask holds, in increasing
+    order, decoded bit by bit."""
+    return [i for i, bit in enumerate(reversed(bin(have)[2:])) if bit == "1"]
+
+
 @pytest.mark.parametrize("predicate", ["all", "strongly_stable", "totally_symmetric"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_walk_carries_each_nodes_mask(monkeypatch, dim, predicate):
-    # Every node's frame carries its mask, the OR of its indices' bits,
-    # and its need, the OR of their requirement masks; its indices
-    # increase, and in the cell tables (lexicographic order) its last
-    # index is its lexicographically largest cell, which a listing
-    # appends to its parent's.  The listing's fold carries the node's
-    # sorted cells, for orbits the sorted union of their cells, and the
-    # stable transfer's, walked here by count_ss(dim + 1, side), carries
-    # g of the node.
+    # Every node's frame carries its walk indices as the bitmask `have`,
+    # its mask, the OR of its indices' bits, and its need, the OR of
+    # their requirement masks.  Depth-first, a node is the last node on
+    # the path with one index fewer plus one index above all of that
+    # node's, so a set's indices are added in increasing order; in the
+    # cell tables (lexicographic order) its last index is its
+    # lexicographically largest cell, which a listing appends to its
+    # parent's.  The listing's fold carries the node's sorted cells, for
+    # orbits the sorted union of their cells, and the stable transfer's,
+    # walked here by count_ss(dim + 1, side), carries g of the node.
     walk = borelbox.enumeration._walk
     for side in range(5):
         order, requires, bits, below, fold, _ = borelbox.enumeration._mode(dim, side, predicate)
-        for idxs, mask, need, cells in walk(requires, bits, below, fold, lambda: None):
+        path = []
+        for have, mask, need, cells in walk(requires, bits, below, fold, lambda: None):
+            idxs = walk_indices(have)
             assert mask == reduce(or_, map(bits.__getitem__, idxs), 0)
             assert need == reduce(or_, map(below.__getitem__, idxs), 0)
-            assert all(map(int.__lt__, idxs, idxs[1:]))
+            if idxs:
+                parent = path[len(idxs) - 1]
+                added = have ^ parent
+                assert have & parent == parent and added.bit_count() == 1 and added > parent
+            else:
+                assert not path
+            del path[len(idxs):]
+            path.append(have)
             if predicate == "totally_symmetric":
                 assert cells == tuple(sorted(bruteforce.naive_symmetrize(
                     map(order.__getitem__, idxs))))
@@ -458,14 +496,68 @@ def test_walk_carries_each_nodes_mask(monkeypatch, dim, predicate):
             nodes = []
 
             def checked_walk(requires, bits, below, fold, tick):
-                for idxs, mask, need, g in walk(requires, bits, below, fold, tick):
-                    assert g == g_from_scratch(order, bits, idxs), idxs
+                for have, mask, need, g in walk(requires, bits, below, fold, tick):
+                    assert g == g_from_scratch(order, bits, walk_indices(have)), have
                     nodes.append(mask)
-                    yield idxs, mask, need, g
+                    yield have, mask, need, g
             monkeypatch.setattr(borelbox.enumeration, "_walk", checked_walk)
             count_ss(dim + 1, side)
             monkeypatch.undo()
             assert len(nodes) == len(set(nodes)) == count_ss(dim, side)
+
+
+@pytest.mark.parametrize("predicate", ["all", "strongly_stable", "totally_symmetric"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_a_walk_at_side_zero_yields_its_root_alone(dim, predicate):
+    # At side 0 the table is empty, and so is the root's frontier: the
+    # walk yields the root alone, after one tick, and the listings and
+    # counts see the empty partition only.
+    walk = borelbox.enumeration._walk
+    _, requires, bits, below, fold, _ = borelbox.enumeration._mode(dim, 0, predicate)
+    assert requires == []
+    ticks = []
+    assert list(walk(requires, bits, below, fold, lambda: ticks.append(1))) == [(0, 0, 0, ())]
+    assert ticks == [1]
+    assert list(enumerate_partitions(dim, 0, predicate)) == [Partition(dim)]
+    assert count_ss(dim, 0) == count_ts(dim, 0) == 1
+    assert cell_gf_ss(dim, 0) == orbit_gf_ts(dim, 0) == QPolynomial((1,))
+
+
+@pytest.mark.parametrize("predicate", ["all", "strongly_stable", "totally_symmetric"])
+def test_a_walk_in_dimension_one_yields_the_prefixes_of_its_chain(predicate):
+    # In dimension 1 the table is a chain and each node's frontier one
+    # index: the walk yields the n + 1 prefixes in order, and the
+    # transfers, which walk dimension 0 (one cell, ()), count n + 1.
+    walk = borelbox.enumeration._walk
+    for side in range(1, 5):
+        _, requires, bits, below, fold, _ = borelbox.enumeration._mode(1, side, predicate)
+        nodes = list(walk(requires, bits, below, fold, lambda: None))
+        assert [have for have, *_ in nodes] == [(1 << k) - 1 for k in range(side + 1)]
+        assert [cells for *_, cells in nodes] == [
+            tuple((v,) for v in range(k)) for k in range(side + 1)]
+        assert count_ss(1, side) == count_ts(1, side) == side + 1
+
+
+@pytest.mark.parametrize("dim, side, predicate", [
+    (3, 3, "all"), (2, 5, "strongly_stable"), (3, 3, "totally_symmetric"), (1, 4, "all")])
+def test_interleaved_walks_of_one_box_yield_what_each_yields_alone(dim, side, predicate):
+    # Two walks over one table, advanced step by step in an uneven
+    # pattern, each yield the nodes a walk alone yields: every frame holds
+    # its own frontier and index set, so no walk's step changes another's
+    # state.  The yielded tuples are kept as they come, so each stays
+    # valid after later steps of either walk.
+    _, requires, bits, below, fold, _ = borelbox.enumeration._mode(dim, side, predicate)
+    walk = borelbox.enumeration._walk
+    alone = list(walk(requires, bits, below, fold, lambda: None))
+    walks = [walk(requires, bits, below, fold, lambda: None) for _ in range(2)]
+    got = [[], []]
+    for step in range(3 * len(alone)):
+        for which in ((0,) if step % 3 else (0, 1, 1)):
+            node = next(walks[which], None)
+            if node is not None:
+                got[which].append(node)
+    assert got == [alone, alone]
+    assert len({node[0] for node in alone}) == len(alone)
 
 
 @pytest.mark.parametrize("dim, side, predicate", [

@@ -10,8 +10,9 @@ orbits (`enumeration._orbit_layout`) the requirements are the
 predecessor orbits, checked against the closure test on their cells.
 `finalize`, handed the OR that the walk carries beside the mask, must
 give the same verdicts on every set of table cells, in any order, and
-name the failed predicate."""
+name the failed predicate and the failed set's cells."""
 
+import json
 import random
 from functools import cache, reduce
 from itertools import combinations, product
@@ -169,14 +170,19 @@ def test_orbit_closure_check_matches_the_oracle_on_every_set_of_orbits(dim, side
     assert verdicts == {True, False}
 
 
+def hand(finalize, bits, below, idxs):
+    """Hand `finalize` the set as the walk does: its walk indices as a
+    bitmask, the OR of its requirement masks and its mask, built from
+    `bits` and `below` as the walk builds them."""
+    return finalize(sum(1 << i for i in idxs), reduce(or_, map(below.__getitem__, idxs), 0),
+                    sum(bits[i] for i in idxs))
+
+
 def finalize_verdict(finalize, bits, below, idxs):
-    """Hand `finalize` the set with its mask and the OR of its
-    requirement masks, built from `bits` and `below` as the walk builds
-    them, and return None when it passes or the predicate its error
+    """None when `finalize` passes the set, else the predicate its error
     names."""
     try:
-        finalize(idxs, reduce(or_, map(below.__getitem__, idxs), 0),
-                 sum(bits[i] for i in idxs))
+        hand(finalize, bits, below, idxs)
     except ArithmeticSelfCheck as failed:
         return str(failed).rsplit(" is not ", 1)[1]
     return None
@@ -219,3 +225,26 @@ def test_finalize_keeps_no_state_between_calls():
         assert finalize_verdict(finalize, bits, below, idxs) == expected, idxs
         verdicts.add(expected)
     assert verdicts == {None, "downward closed", "strongly stable"}
+
+
+@pytest.mark.parametrize("dim, side, predicate", [
+    (2, 3, "all"), (3, 3, "strongly_stable"), (2, 4, "totally_symmetric"),
+    (3, 3, "totally_symmetric")])
+def test_a_rejected_candidate_is_named_by_exactly_its_cells(dim, side, predicate):
+    # `finalize` decodes the walk's index bitmask only to name a failed
+    # set: the message lists exactly the set's cells, sorted, and for
+    # orbits every cell of each orbit.
+    order, _, bits, below, _, finalize = _mode(dim, side, predicate)
+    rejected = 0
+    for size in range(1, len(order) + 1):
+        for idxs in combinations(range(len(order)), size):
+            try:
+                hand(finalize, bits, below, idxs)
+            except ArithmeticSelfCheck as failed:
+                named = json.loads(str(failed).split("candidate ", 1)[1].rsplit(" is not ", 1)[0])
+                cells = [order[i] for i in idxs]
+                if predicate == "totally_symmetric":
+                    cells = bruteforce.naive_symmetrize(cells)
+                assert named == [list(c) for c in sorted(cells)], idxs
+                rejected += 1
+    assert rejected
