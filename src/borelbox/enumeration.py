@@ -144,16 +144,12 @@ def _cell_requirements(dim: int, side: int, stable: bool):
     table lists only those C(side+d-1, d) cells (see :func:`_cells`)."""
     order = _cells(dim, side, stable)
     index = {c: i for i, c in enumerate(order)}
-    # compress(positions, cell) gives the j with c_j > 0 without a Python
-    # step per coordinate.
-    positions, movable = range(dim), range(dim - 1)
     requires = []
     for cell in order:
-        need = [index[cell[:j] + (cell[j] - 1,) + cell[j + 1:]]
-                for j in compress(positions, cell)]
+        need = [index[cell[:j] + (v - 1,) + cell[j + 1:]] for j, v in enumerate(cell) if v]
         if stable:
             need += [index[cell[:j] + (cell[j] - 1, cell[j + 1] + 1) + cell[j + 2:]]
-                     for j in compress(movable, cell)]
+                     for j in range(dim - 1) if cell[j]]
         requires.append(tuple(need))
     return order, requires
 
@@ -251,14 +247,12 @@ def _cell_layout(order: list[Cell], stable: bool) -> tuple[list[int], list[int]]
     is not in `order` is bit len(order), which no set holds."""
     bit = {cell: 1 << k for k, cell in enumerate(sorted(order, key=sum))}
     outside = 1 << len(order)
-    dim = len(order[0]) if order else 0
-    positions, movable = range(dim), range(dim - 1)
     below = []
     for cell in order:
-        need = [cell[:j] + (cell[j] - 1,) + cell[j + 1:] for j in compress(positions, cell)]
+        need = [cell[:j] + (v - 1,) + cell[j + 1:] for j, v in enumerate(cell) if v]
         if stable:
-            need += [cell[:j] + (cell[j] - 1, cell[j + 1] + 1) + cell[j + 2:]
-                     for j in compress(movable, cell)]
+            need += [cell[:j] + (v - 1, cell[j + 1] + 1) + cell[j + 2:]
+                     for j, v in enumerate(cell[:-1]) if v]
         below.append(reduce(or_, (bit.get(c, outside) for c in need), 0))
     return list(map(bit.__getitem__, order)), below
 
