@@ -30,14 +30,15 @@ increasing member back through ψ⁻¹.
 The forward map groups the cells of P by the zero pattern of p[1:],
 which fixes the runs of equal entries of ψ(p), and expands each group by
 one index getter per rearrangement of its pattern.  A pattern's getters
-are built on its first use and kept for the life of the process, the
-least recently used dropped first, while the kept tables hold at most
-`_KEPT_INDICES` = 2^18 indices (d per getter, and d for the pattern):
-every table through d = 6 fits, 31,149 indices in all, but not every
-one of d = 7 (331,051) or d = 8 (4,366,680).  A table past the bound on
-its own is built for its call and not kept.  So a call costs its output,
-plus the tables of the patterns the cache does not hold; threads share
-the cache under one lock.  The inverse walks P itself, in lexicographic
+are built on its first use and kept for the life of the process, in
+arrival order, while the kept tables hold at most `_KEPT_INDICES` = 2^18
+indices (d per getter, and d for the pattern); none is ever dropped.
+Every table through d = 6 fits, 31,149 indices in all, but not every
+one of d = 7 (331,051) or d = 8 (4,366,680): a table that does not fit
+in what the bound leaves is built for its call and not kept.  So a call
+costs its output, plus the tables of the patterns the cache does not
+hold; a lookup takes no lock, and one lock guards the inserts and their
+count.  The inverse walks P itself, in lexicographic
 order from the origin, with at most d membership tests in T per cell of
 P, each hashing a d-tuple, so O(d²·|P|) in the worst case; steps that
 would leave T's box are skipped untested.
@@ -64,7 +65,6 @@ direct map needs neither.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter, le, sub
@@ -255,14 +255,14 @@ def _build_rearrangements(starts: tuple[int, ...]) -> tuple[itemgetter, ...]:
     return tuple(itemgetter(*perm) for perm in perms)
 
 
-# The getter tables kept for the life of the process, by zero pattern,
-# least recently used first, and the indices they hold in all: d for each
-# getter of dimension d, and d for the pattern, so the bound caps their
-# memory at any dimension, empty tables included.  With every table of
-# d = 7 looked up it keeps 36,527 getters, 6.1 MB by tracemalloc.  The
-# lock keeps the order and the count whole when threads share the cache.
+# The getter tables kept for the life of the process, by zero pattern, in
+# arrival order, and the indices they hold in all: d for each getter of
+# dimension d, and d for the pattern, so the bound caps their memory at any
+# dimension, empty tables included.  A table is kept while it fits and
+# never dropped: every table through d = 6 fits, 31,149 indices in all.
+# The lock keeps the count whole when threads insert at once.
 _KEPT_INDICES = 1 << 18
-_tables: OrderedDict[tuple[bool, ...], tuple[itemgetter, ...]] = OrderedDict()
+_tables: dict[tuple[bool, ...], tuple[itemgetter, ...]] = {}
 _kept = 0
 _lock = Lock()
 
@@ -270,23 +270,17 @@ _lock = Lock()
 def _rearrangements(pattern: tuple[bool, ...]) -> tuple[itemgetter, ...]:
     """The getters of a zero pattern (see :func:`_build_rearrangements`),
     from the kept tables or built on a miss.  A built table is kept if it
-    fits the bound, after dropping the least recently used ones as needed;
-    a table larger than the bound serves its call only."""
+    fits in what the bound leaves; otherwise it serves its call only."""
     global _kept
-    with _lock:
-        table = _tables.get(pattern)
-        if table is not None:
-            _tables.move_to_end(pattern)
-            return table
+    table = _tables.get(pattern)
+    if table is None:
         table = _build_rearrangements(_run_starts(pattern))
         size = (len(table) + 1) * (len(pattern) + 1)
-        if size <= _KEPT_INDICES:
-            _kept += size
-            while _kept > _KEPT_INDICES:
-                dropped, getters = _tables.popitem(last=False)
-                _kept -= (len(getters) + 1) * (len(dropped) + 1)
-            _tables[pattern] = table
-        return table
+        with _lock:
+            if pattern not in _tables and _kept + size <= _KEPT_INDICES:
+                _kept += size
+                _tables[pattern] = table
+    return table
 
 
 def ss_to_ts_partition(partition: Partition, *, budget: int | None = None) -> Partition:

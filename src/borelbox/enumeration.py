@@ -18,11 +18,12 @@ Completed candidates are still re-validated against the definitions
 before being yielded or counted; since the pruning guarantees that every
 candidate passes, one that fails raises.  A walk node is its parent plus
 one cell or orbit, so all it derives from its parent is carried in the
-walk's stack frame (see :func:`_walk`): its frontier and its set of
-walk indices, both as bitmasks, its bitmask in the layout below, the OR
-of its indices' requirement masks, and one folded value, a listing's
-sorted cells or the stable transfer's g.  Frames share nothing, so
-backtracking restores nothing, and what the walk yields stays valid.
+walk's stack frame (see :func:`_walk`): its frontier, as a bitmask of
+walk indices, its bitmask in the layout below, which holds exactly its
+indices, each by its own bit, the OR of its indices' requirement masks,
+and one folded value, a listing's sorted cells or the stable transfer's
+g.  Frames share nothing, so backtracking restores nothing, and what the
+walk yields stays valid.
 
 Every index has a requirement mask, the bits of what its piece needs by
 the definition, and a set passes exactly when the OR of its indices'
@@ -94,7 +95,8 @@ from typing import Callable, Iterator
 
 from .errors import (ArithmeticSelfCheck, NonIntegerProduct, ResourceLimit, _Budget,
                      _checked_budget)
-from .partitions import Cell, Partition, _distinct_permutations, _fixed_by_permutations
+from .partitions import (MAX_DIM, Cell, Partition, _distinct_permutations,
+                         _fixed_by_permutations)
 from .qpoly import QPolynomial, _div_one_minus_q_power, _mul_one_minus_q_power
 
 PREDICATES = ("all", "strongly_stable", "totally_symmetric")
@@ -171,62 +173,61 @@ def _orbit_requirements(dim: int, side: int):
 
 
 def _walk(requires, bits: list[int], below: list[int], fold,
-          tick: Callable[[], None]) -> Iterator[tuple[int, int, int, object]]:
+          tick: Callable[[], None]) -> Iterator[tuple[int, int, object]]:
     """Depth-first over admissible index sets, each yielded once as
-    (have, mask, need, acc), `have` the set's walk indices as a bitmask;
-    children in increasing order of the added index, so a set's indices
-    are added in increasing order.  `requires[j]` lists the indices j
-    needs, all below j, as in a linear extension.
+    (mask, need, acc); children in increasing order of the added index,
+    so a set's indices are added in increasing order.  `requires[j]`
+    lists the indices j needs, all below j, as in a linear extension.
 
     A node extends only through its frontier: the indices above its last
     whose requirements it holds, as a bitmask.  A stack frame holds all a
-    node derives from its parent, (frontier, have, mask, need, acc): its
-    mask is the OR of bits[i] over its indices, its need the OR of
-    below[i], their requirement masks, and its acc, which `fold` =
-    (pieces, join, empty) gives as join(parent's acc, pieces[i]), and as
-    `empty` at the root.  A step pops a frame, takes its lowest frontier
-    bit, i, and pushes the rest back as the sibling frame.  The child's
-    frontier is that rest plus each index that needs i and whose
-    requirement mask, the bits of `requires[j]`, lies inside the child's
-    `have`; so a node unlocks what it completes, and no index keeps a
-    count.  Frames share nothing, so backtracking is the pop, and each
-    yielded tuple stays valid."""
+    node derives from its parent, (frontier, mask, need, acc): its mask
+    is the OR of bits[i] over its indices, its need the OR of below[i],
+    their requirement masks, and its acc, which `fold` = (pieces, join,
+    empty) gives as join(parent's acc, pieces[i]), and as `empty` at the
+    root.  A step pops a frame, takes its lowest frontier bit, i, and
+    pushes the rest back as the sibling frame.  The child's frontier is
+    that rest plus each index that needs i and whose unlock mask, the OR
+    of bits[k] over `requires[j]`, lies inside the child's mask; each
+    index has its own bit, so the mask holds exactly the set's indices,
+    a node unlocks what it completes, and no index keeps a count.
+    Frames share nothing, so backtracking is the pop, and each yielded
+    tuple stays valid."""
     pieces, join, acc = fold
-    # For each index, the (requirement mask, bit) of every index that
+    # For each index, the (unlock mask, frontier bit) of every index that
     # needs it; the root's frontier is the indices that need nothing.
     unlocks: list[list[tuple[int, int]]] = [[] for _ in requires]
     frontier = 0
     for j, needed in enumerate(requires):
         want = 0
         for k in needed:
-            want |= 1 << k
+            want |= bits[k]
         pair = (want, 1 << j)
         for k in needed:
             unlocks[k].append(pair)
         if not want:
             frontier |= 1 << j
     tick()
-    yield 0, 0, 0, acc
-    stack = [(frontier, 0, 0, 0, acc)] if frontier else []
+    yield 0, 0, acc
+    stack = [(frontier, 0, 0, acc)] if frontier else []
     pop, push = stack.pop, stack.append
     while stack:
-        frontier, have, mask, need, acc = pop()
+        frontier, mask, need, acc = pop()
         low = frontier & -frontier
         frontier ^= low
         if frontier:
-            push((frontier, have, mask, need, acc))
+            push((frontier, mask, need, acc))
         i = low.bit_length() - 1
         tick()
-        have |= low
         mask |= bits[i]
         need |= below[i]
         acc = join(acc, pieces[i])
-        yield have, mask, need, acc
+        yield mask, need, acc
         for want, bit in unlocks[i]:
-            if want & have == want:
+            if want & mask == want:
                 frontier |= bit
         if frontier:
-            push((frontier, have, mask, need, acc))
+            push((frontier, mask, need, acc))
 
 
 def _rejected(cells, failed: str) -> ArithmeticSelfCheck:
@@ -284,14 +285,14 @@ def _mode(dim: int, side: int, predicate: str):
     and its re-validation: (order, requires, bits, below, fold, finalize).
     `below[i]` is index i's requirement mask, the bits of what its piece
     needs by the predicate's definition (see :func:`_cell_layout` and
-    :func:`_orbit_layout`).  `finalize(have, need, mask)` passes a set
-    exactly when `need`, the OR of its indices' requirement masks, lies
-    inside its mask: one AND, a verdict on the whole set, which depends
-    on nothing else, so any set may be checked at any time.  `have` is
-    the set's walk indices as a bitmask, as :func:`_walk` yields it; it
-    is decoded to indices only when the set fails, to name its cells.
-    `finalize` returns the mask, which is all the transfers read, and
-    comes last, where the benchmark's tracer times the re-validation.
+    :func:`_orbit_layout`).  `finalize(need, mask)` passes a set exactly
+    when `need`, the OR of its indices' requirement masks, lies inside
+    its mask: one AND, a verdict on the whole set, which depends on
+    nothing else, so any set may be checked at any time.  Each index has
+    its own bit, so the mask is decoded to the set's indices only when
+    the set fails, to name its cells.  `finalize` returns the mask,
+    which is all the transfers read, and comes last, where the
+    benchmark's tracer times the re-validation.
 
     `fold` carries a listed node's sorted cells along the walk (see
     :func:`_walk`).  In the cell tables, whose order is lexicographic, a
@@ -335,9 +336,9 @@ def _mode(dim: int, side: int, predicate: str):
         piece = pieces.__getitem__
         fold = (pieces, add, ())
 
-    def finalize(have: int, need: int, mask: int) -> int:
+    def finalize(need: int, mask: int) -> int:
         if need & ~mask:
-            idxs = [i for i in range(have.bit_length()) if have >> i & 1]
+            idxs = [i for i, bit in enumerate(bits) if mask & bit]
             # A stable set that holds its predecessors lacks a move.
             closed = stable and not reduce(
                 or_, map(_cell_layout(order, False)[1].__getitem__, idxs)) & ~mask
@@ -350,6 +351,8 @@ def _mode(dim: int, side: int, predicate: str):
 def _check_box_args(dim: int, side: int, predicate: str) -> None:
     if type(dim) is not int or dim < 1:
         raise ValueError(f"dimension must be a positive integer, got {dim!r}")
+    if dim > MAX_DIM:
+        raise ValueError(f"dimension must be at most {MAX_DIM}, got {dim}")
     if type(side) is not int or side < 0:
         raise ValueError(f"side must be a nonnegative integer, got {side!r}")
     if predicate not in PREDICATES:
@@ -390,8 +393,8 @@ def enumerate_partitions(dim: int, side: int, predicate: str = "all", *,
         _, requires, bits, below, fold, finalize = _mode(dim, side, predicate)
         trusted = Partition._trusted
         holds = None if predicate == "all" else predicate
-        for have, mask, need, cells in _walk(requires, bits, below, fold, limiter.tick):
-            finalize(have, need, mask)
+        for mask, need, cells in _walk(requires, bits, below, fold, limiter.tick):
+            finalize(need, mask)
             yield trusted(dim, cells, None, holds)
     return listing()
 
@@ -473,8 +476,8 @@ def _stable_transfer(dim: int, side: int, weight: Callable[[int], object], *,
     bit = dict(zip(order, bits))
     down = bits if dim == 1 else [bit.get((y[0] - 1,) + y[1:], 0) for y in order]
     masks, images = zip(*sorted(
-        (finalize(have, need, mask), g)
-        for have, mask, need, g in _walk(requires, bits, below, (down, or_, 0), limiter.tick)))
+        (finalize(need, mask), g)
+        for mask, need, g in _walk(requires, bits, below, (down, or_, 0), limiter.tick)))
     index = {mask: s for s, mask in enumerate(masks)}
     weights = [weight(mask.bit_count()) for mask in masks]
     inner = [index[image] for image in images]
@@ -563,8 +566,8 @@ def _slice_transfer(dim: int, side: int, weight: Callable[[int], object], *,
     order, requires, bits, below, _, finalize = _mode(dim - 1, side, "totally_symmetric")
     # Nothing to carry but the mask and the requirements.
     nothing = ([0] * len(order), or_, 0)
-    masks = sorted(finalize(have, need, mask)
-                   for have, mask, need, _ in _walk(requires, bits, below, nothing, limiter.tick))
+    masks = sorted(finalize(need, mask)
+                   for mask, need, _ in _walk(requires, bits, below, nothing, limiter.tick))
     index = {mask: s for s, mask in enumerate(masks)}
     weights = [weight(mask.bit_count()) for mask in masks]
     # Representatives inside [0, c)^(d-1), and the states made of them.
@@ -827,10 +830,11 @@ def hawkes_counts(dim: int, side: int, *,
     """Both sides of the box-transposition identity: the strongly stable
     counts for dimension d and side n, and for dimension n-1 and side d+1,
     each from its own slice transfer (:func:`count_ss`), under its own
-    budget."""
+    budget.  Both boxes are checked before either count."""
     _check_box_args(dim, side, "strongly_stable")
     if side < 2:
         raise ValueError("the identity needs side >= 2")
+    _check_box_args(side - 1, dim + 1, "strongly_stable")
     return (count_ss(dim, side, budget=budget),
             count_ss(side - 1, dim + 1, budget=budget))
 

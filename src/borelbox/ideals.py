@@ -237,18 +237,10 @@ class MonomialIdeal:
             return (0,) * self.dim
         return tuple(map(powers.get, range(self.dim)))
 
-    def _first_without_pure_power(self, powers: dict[int, int] | None) -> int | None:
-        """The first variable (0-based) missing from `powers` (see
-        `_pure_powers`), or None when none is, in O(len(powers)) whatever
-        the dimension: it is among the first len(powers) + 1."""
-        if powers is None:
-            return None
-        first = next(j for j in range(len(powers) + 1) if j not in powers)
-        return first if first < self.dim else None
-
     def is_artinian(self) -> bool:
         """True iff the ideal contains a pure power of every variable."""
-        return self._first_without_pure_power(self._pure_powers()) is None
+        powers = self._pure_powers()
+        return powers is None or len(powers) == self.dim
 
     def artinian_side(self) -> int:
         """Largest pure power degree; raises :class:`NotArtinian` if some
@@ -257,11 +249,14 @@ class MonomialIdeal:
         return self._side(self._pure_powers())
 
     def _side(self, powers: dict[int, int] | None) -> int:
-        # `artinian_side` on the ideal's `_pure_powers()`.
-        j = self._first_without_pure_power(powers)
-        if j is not None:
+        # `artinian_side` on the ideal's `_pure_powers()`.  A missing
+        # variable is among the first len(powers) + 1, whatever the dimension.
+        if powers is None:
+            return 0
+        if len(powers) < self.dim:
+            j = next(j for j in range(len(powers) + 1) if j not in powers)
             raise NotArtinian(f"no pure power of x{j + 1} among the generators")
-        return max(powers.values()) if powers else 0
+        return max(powers.values())
 
     def is_strongly_stable(self) -> bool:
         """Exchange condition: for every member divisible by x_j and every

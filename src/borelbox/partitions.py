@@ -31,8 +31,9 @@ from .errors import (
 
 Cell = tuple[int, ...]
 
-# The largest `dim` a JSON input may give: a larger one is malformed input,
-# refused before anything of that length is built.
+# The largest `dim` a JSON input or a box of the enumeration may give: a
+# larger one is malformed input, refused before anything of that length is
+# built (one cell of a box is a d-tuple).
 MAX_DIM = 4096
 
 

@@ -1,7 +1,6 @@
 import random
 import sys
 import threading
-from collections import OrderedDict
 from itertools import permutations, product
 
 import pytest
@@ -389,7 +388,7 @@ def test_the_inverse_lists_its_cells_in_order():
 def cold_tables(monkeypatch):
     """An empty getter cache for the test; the process's own is restored
     after it."""
-    monkeypatch.setattr(bijection, "_tables", OrderedDict())
+    monkeypatch.setattr(bijection, "_tables", {})
     monkeypatch.setattr(bijection, "_kept", 0)
     return bijection._tables
 
@@ -467,7 +466,7 @@ def test_a_warm_cache_gives_the_images_of_a_cold_one(monkeypatch):
         stable = [p for p in enumerate_partitions(dim, side, "strongly_stable") if len(p)]
         cold = []
         for p in stable:
-            monkeypatch.setattr(bijection, "_tables", OrderedDict())
+            monkeypatch.setattr(bijection, "_tables", {})
             monkeypatch.setattr(bijection, "_kept", 0)
             cold.append(ss_to_ts_partition(p))
         assert [ss_to_ts_partition(p) for p in stable] == cold
@@ -475,16 +474,25 @@ def test_a_warm_cache_gives_the_images_of_a_cold_one(monkeypatch):
 
 def test_the_kept_getters_stay_within_the_bound_at_d_8(cold_tables):
     # The 128 tables of d = 8 hold 545,707 getters, and with their
-    # patterns 4,366,680 indices.
+    # patterns 4,366,680 indices.  Each is kept, in arrival order, while
+    # it fits in what the bound leaves, and never dropped; one that does
+    # not fit is built for its call alone, every time it is looked up.
     every = list(product((False, True), repeat=7))
+    fits, room = [], bijection._KEPT_INDICES
     for pattern in every:
         table = bijection._rearrangements(pattern)
         assert len(table) == _orbit_size(bijection._run_starts(pattern)) - 1
+        assert cold_tables.get(pattern, table) is table
+        size = 8 * (len(table) + 1)
+        if size <= room:
+            fits.append(pattern)
+            room -= size
+    assert list(cold_tables) == fits
     kept = sum(map(len, cold_tables.values()))
     assert bijection._kept == 8 * (kept + len(cold_tables)) <= bijection._KEPT_INDICES
     assert 0 < len(cold_tables) < len(every)
     # The last pattern, eight runs, has 40,319 getters, past the bound on
-    # their own: it is built and not kept.  The one before, seven runs
-    # with 20,159 getters, was kept last.
+    # their own: it is built again for each call and not kept.
     assert every[-1] not in cold_tables
-    assert next(reversed(cold_tables)) == every[-2]
+    table = bijection._rearrangements(every[-1])
+    assert len(table) == 40319 and bijection._rearrangements(every[-1]) is not table

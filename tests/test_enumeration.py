@@ -1,11 +1,12 @@
 import hashlib
 import json
 from functools import reduce
-from itertools import islice, product, zip_longest
+from itertools import combinations, islice, product, zip_longest
 from math import comb
-from operator import or_
+from operator import add, or_
 
 import pytest
+from hypothesis import given, strategies as st
 
 import borelbox.enumeration
 from borelbox import (
@@ -451,20 +452,21 @@ def g_from_scratch(order, bits, idxs):
     return sum(b for y, b in zip(order, bits) if y in cells and (y[0] + 1,) + y[1:] in cells)
 
 
-def walk_indices(have):
-    """The walk indices a node's `have` bitmask holds, in increasing
-    order, decoded bit by bit."""
-    return [i for i, bit in enumerate(reversed(bin(have)[2:])) if bit == "1"]
+def walk_indices(mask, bits):
+    """The walk indices whose bits a node's mask holds, in increasing
+    order: each index has its own bit."""
+    return [i for i, bit in enumerate(bits) if mask & bit]
 
 
 @pytest.mark.parametrize("predicate", ["all", "strongly_stable", "totally_symmetric"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_walk_carries_each_nodes_mask(monkeypatch, dim, predicate):
-    # Every node's frame carries its walk indices as the bitmask `have`,
-    # its mask, the OR of its indices' bits, and its need, the OR of
-    # their requirement masks.  Depth-first, a node is the last node on
-    # the path with one index fewer plus one index above all of that
-    # node's, so a set's indices are added in increasing order; in the
+    # Every node's frame carries its mask, the OR of its indices' bits and
+    # nothing else, and its need, the OR of their requirement masks.  The
+    # mask names the node's indices, and its cells must be theirs.
+    # Depth-first, a node is the last node on the path with one index
+    # fewer plus one index above all of that node's, so a set's indices
+    # are added in increasing order; in the
     # cell tables (lexicographic order) its last index is its
     # lexicographically largest cell, which a listing appends to its
     # parent's.  The listing's fold carries the node's sorted cells, for
@@ -474,18 +476,17 @@ def test_walk_carries_each_nodes_mask(monkeypatch, dim, predicate):
     for side in range(5):
         order, requires, bits, below, fold, _ = borelbox.enumeration._mode(dim, side, predicate)
         path = []
-        for have, mask, need, cells in walk(requires, bits, below, fold, lambda: None):
-            idxs = walk_indices(have)
+        for mask, need, cells in walk(requires, bits, below, fold, lambda: None):
+            idxs = walk_indices(mask, bits)
             assert mask == reduce(or_, map(bits.__getitem__, idxs), 0)
             assert need == reduce(or_, map(below.__getitem__, idxs), 0)
             if idxs:
                 parent = path[len(idxs) - 1]
-                added = have ^ parent
-                assert have & parent == parent and added.bit_count() == 1 and added > parent
+                assert idxs[:-1] == parent and (not parent or idxs[-1] > parent[-1])
             else:
                 assert not path
             del path[len(idxs):]
-            path.append(have)
+            path.append(idxs)
             if predicate == "totally_symmetric":
                 assert cells == tuple(sorted(bruteforce.naive_symmetrize(
                     map(order.__getitem__, idxs))))
@@ -496,10 +497,10 @@ def test_walk_carries_each_nodes_mask(monkeypatch, dim, predicate):
             nodes = []
 
             def checked_walk(requires, bits, below, fold, tick):
-                for have, mask, need, g in walk(requires, bits, below, fold, tick):
-                    assert g == g_from_scratch(order, bits, walk_indices(have)), have
+                for mask, need, g in walk(requires, bits, below, fold, tick):
+                    assert g == g_from_scratch(order, bits, walk_indices(mask, bits)), mask
                     nodes.append(mask)
-                    yield have, mask, need, g
+                    yield mask, need, g
             monkeypatch.setattr(borelbox.enumeration, "_walk", checked_walk)
             count_ss(dim + 1, side)
             monkeypatch.undo()
@@ -516,7 +517,7 @@ def test_a_walk_at_side_zero_yields_its_root_alone(dim, predicate):
     _, requires, bits, below, fold, _ = borelbox.enumeration._mode(dim, 0, predicate)
     assert requires == []
     ticks = []
-    assert list(walk(requires, bits, below, fold, lambda: ticks.append(1))) == [(0, 0, 0, ())]
+    assert list(walk(requires, bits, below, fold, lambda: ticks.append(1))) == [(0, 0, ())]
     assert ticks == [1]
     assert list(enumerate_partitions(dim, 0, predicate)) == [Partition(dim)]
     assert count_ss(dim, 0) == count_ts(dim, 0) == 1
@@ -532,7 +533,7 @@ def test_a_walk_in_dimension_one_yields_the_prefixes_of_its_chain(predicate):
     for side in range(1, 5):
         _, requires, bits, below, fold, _ = borelbox.enumeration._mode(1, side, predicate)
         nodes = list(walk(requires, bits, below, fold, lambda: None))
-        assert [have for have, *_ in nodes] == [(1 << k) - 1 for k in range(side + 1)]
+        assert [mask for mask, *_ in nodes] == [(1 << k) - 1 for k in range(side + 1)]
         assert [cells for *_, cells in nodes] == [
             tuple((v,) for v in range(k)) for k in range(side + 1)]
         assert count_ss(1, side) == count_ts(1, side) == side + 1
@@ -543,7 +544,7 @@ def test_a_walk_in_dimension_one_yields_the_prefixes_of_its_chain(predicate):
 def test_interleaved_walks_of_one_box_yield_what_each_yields_alone(dim, side, predicate):
     # Two walks over one table, advanced step by step in an uneven
     # pattern, each yield the nodes a walk alone yields: every frame holds
-    # its own frontier and index set, so no walk's step changes another's
+    # its own frontier and mask, so no walk's step changes another's
     # state.  The yielded tuples are kept as they come, so each stays
     # valid after later steps of either walk.
     _, requires, bits, below, fold, _ = borelbox.enumeration._mode(dim, side, predicate)
@@ -558,6 +559,45 @@ def test_interleaved_walks_of_one_box_yield_what_each_yields_alone(dim, side, pr
                 got[which].append(node)
     assert got == [alone, alone]
     assert len({node[0] for node in alone}) == len(alone)
+
+
+@st.composite
+def requirement_tables(draw):
+    """Up to 10 indices, each requiring a random set of lower ones."""
+    return [sorted(draw(st.sets(st.integers(0, j - 1)))) if j else []
+            for j in range(draw(st.integers(0, 10)))]
+
+
+@given(requirement_tables(), st.data())
+def test_a_walk_yields_every_order_ideal_once_under_any_bit_layout(requires, data):
+    # Any table and any layout that gives each index its own bit: the
+    # walk yields each set closed under `requires` exactly once, the root
+    # first, each with the OR of its indices' bits and requirement masks,
+    # one tick a node; the layout changes only the masks, not which sets
+    # come or in what order.
+    size = len(requires)
+    ideals = {frozenset(s) for k in range(size + 1) for s in combinations(range(size), k)
+              if all(set(requires[j]) <= set(s) for j in s)}
+    fold = ([(i,) for i in range(size)], add, ())
+
+    def walked(layout):
+        bits = [1 << k for k in layout]
+        below = [reduce(or_, map(bits.__getitem__, needed), 0) for needed in requires]
+        ticks = []
+        nodes = []
+        for mask, need, idxs in borelbox.enumeration._walk(requires, bits, below, fold,
+                                                          lambda: ticks.append(1)):
+            assert mask == reduce(or_, map(bits.__getitem__, idxs), 0)
+            assert need == reduce(or_, map(below.__getitem__, idxs), 0)
+            assert list(idxs) == sorted(idxs)
+            nodes.append(idxs)
+        assert len(ticks) == len(nodes)
+        return nodes
+
+    nodes = walked(range(size))
+    assert nodes[0] == ()
+    assert len(nodes) == len(ideals) and set(map(frozenset, nodes)) == ideals
+    assert walked(data.draw(st.permutations(range(size)))) == nodes
 
 
 @pytest.mark.parametrize("dim, side, predicate", [

@@ -171,11 +171,10 @@ def test_orbit_closure_check_matches_the_oracle_on_every_set_of_orbits(dim, side
 
 
 def hand(finalize, bits, below, idxs):
-    """Hand `finalize` the set as the walk does: its walk indices as a
-    bitmask, the OR of its requirement masks and its mask, built from
-    `bits` and `below` as the walk builds them."""
-    return finalize(sum(1 << i for i in idxs), reduce(or_, map(below.__getitem__, idxs), 0),
-                    sum(bits[i] for i in idxs))
+    """Hand `finalize` the set as the walk does: the OR of its
+    requirement masks and its mask, built from `bits` and `below` as the
+    walk builds them."""
+    return finalize(reduce(or_, map(below.__getitem__, idxs), 0), sum(bits[i] for i in idxs))
 
 
 def finalize_verdict(finalize, bits, below, idxs):
@@ -231,9 +230,9 @@ def test_finalize_keeps_no_state_between_calls():
     (2, 3, "all"), (3, 3, "strongly_stable"), (2, 4, "totally_symmetric"),
     (3, 3, "totally_symmetric")])
 def test_a_rejected_candidate_is_named_by_exactly_its_cells(dim, side, predicate):
-    # `finalize` decodes the walk's index bitmask only to name a failed
-    # set: the message lists exactly the set's cells, sorted, and for
-    # orbits every cell of each orbit.
+    # `finalize` decodes the set's mask, one bit per index, only to name a
+    # failed set: the message lists exactly the set's cells, sorted, and
+    # for orbits every cell of each orbit.
     order, _, bits, below, _, finalize = _mode(dim, side, predicate)
     rejected = 0
     for size in range(1, len(order) + 1):

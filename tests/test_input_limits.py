@@ -15,8 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from borelbox import MonomialIdeal, NotArtinian, Partition
+from borelbox import (MonomialIdeal, NotArtinian, Partition, count_ss, count_ts,
+                      cumulative_counts, enumerate_partitions, hawkes_counts)
 from borelbox.cli import run
+from borelbox.partitions import MAX_DIM
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HUGE = 2884970494800
@@ -32,20 +34,52 @@ HUGE_INPUTS = [
 ]
 
 
+# Boxes of huge dimension and no more than one cell: each cell is a
+# d-tuple, so the dimension is checked before any table is built.
+HUGE_BOXES = [
+    ["count", "--d", str(HUGE), "--n", "0"],
+    ["count", "--d", str(HUGE), "--n", "1", "--list", "--budget", "10"],
+    ["gf", "--d", str(HUGE), "--n", "1", "--budget", "10"],
+    ["hawkes", "--d", "2", "--n", str(HUGE)],
+]
+
+
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
-@pytest.mark.parametrize("command, payload", HUGE_INPUTS)
-def test_a_huge_dimension_is_malformed_input(command, payload):
+def assert_malformed_in_a_small_address_space(argv, text=""):
+    """`python -m borelbox` with `argv` and `text` on standard input, in
+    a child process limited to ADDRESS_SPACE, exits 1 with one error line."""
     proc = subprocess.run(
-        [sys.executable, "-m", "borelbox", command], input=json.dumps(payload),
+        [sys.executable, "-m", "borelbox", *argv], input=text,
         capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
         env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command, payload", HUGE_INPUTS)
+def test_a_huge_dimension_is_malformed_input(command, payload):
+    assert_malformed_in_a_small_address_space([command], json.dumps(payload))
+
+
+@pytest.mark.parametrize("argv", HUGE_BOXES, ids=" ".join)
+def test_a_box_of_huge_dimension_is_malformed_input(argv):
+    assert_malformed_in_a_small_address_space(argv)
+
+
+def test_the_box_functions_refuse_a_dimension_past_the_limit_at_the_call():
+    # The listing refuses at the call, not at its first partition; the
+    # identity checks its transposed box (n - 1, d + 1) before either count.
+    for call in (lambda: enumerate_partitions(MAX_DIM + 1, 1), lambda: count_ss(MAX_DIM + 1, 0),
+                 lambda: count_ts(MAX_DIM + 1, 0), lambda: hawkes_counts(2, MAX_DIM + 2)):
+        with pytest.raises(ValueError, match=f"dimension must be at most {MAX_DIM}, got"):
+            call()
+    assert cumulative_counts(MAX_DIM, 1, "all") == (1, 2)
+    assert count_ss(MAX_DIM, 1) == count_ts(MAX_DIM, 1) == 2
 
 
 def test_a_library_fset_of_huge_dimension_is_refused_at_once():
