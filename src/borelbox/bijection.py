@@ -89,15 +89,6 @@ if TYPE_CHECKING:
     from .ideals import Monomial, MonomialIdeal
 
 
-def __getattr__(name):
-    # The benchmark's tracer tests read the complement maps as attributes
-    # of this module; they load `correspondence` on first use only.
-    if name in ("ideal_to_partition", "partition_to_ideal"):
-        from . import correspondence
-        return getattr(correspondence, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def psi(monomial) -> Monomial:
     """Prefix sums of the exponent vector; the image is weakly increasing."""
     return tuple(accumulate(monomial))
@@ -310,8 +301,7 @@ def ss_to_ts_partition(partition: Partition, *, budget: int | None = None) -> Pa
         raise EmptyInput("the empty partition has no box side to preserve")
     if partition._holds != "strongly_stable" and not partition.is_strongly_stable():
         raise NotStronglyStable("the partition is not strongly stable")
-    limiter = _Budget(budget)
-    limiter.phase = "bijection"
+    limiter = _Budget(budget, "bijection")
     groups: dict[tuple[bool, ...], list[Cell]] = {}
     for cell in partition.cells:
         groups.setdefault(tuple(map(bool, cell[1:])), []).append(tuple(accumulate(cell)))
@@ -351,8 +341,7 @@ def ts_to_ss_partition(partition: Partition, *, budget: int | None = None) -> Pa
         raise EmptyInput("the empty partition has no box side to preserve")
     if partition._holds != "totally_symmetric" and not partition.is_totally_symmetric():
         raise NotTotallySymmetric("the partition is not totally symmetric")
-    limiter = _Budget(budget)
-    limiter.phase = "bijection"
+    limiter = _Budget(budget, "bijection")
     members = partition._members
     dim = partition.dim
     top = partition.cells[-1][0]

@@ -37,7 +37,9 @@ requirement masks lies inside its own mask: one AND per candidate (see
   c - e_j + e_(j+1), which on a closed set is exactly increasing hooks
   (see :meth:`Partition.is_strongly_stable`).  The stable table lists
   only the cells with coordinate sum below the side, so a mask has one
-  bit per cell of that simplex, not of the box.
+  bit per cell of that simplex, not of the box.  Those cells are ψ⁻¹ of
+  the orbit representatives below, taken from the same iterator (see
+  :func:`_cell_requirements`).
 * A set of whole orbits has one bit per orbit representative (see
   :func:`_orbit_layout`).  Such a union is totally symmetric once each
   of its orbits is, so what is checked is downward closure: a
@@ -90,11 +92,10 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, combinations_with_replacement, compress, product
 from math import comb, isqrt, prod
-from operator import add, or_
+from operator import add, or_, sub
 from typing import Callable, Iterator
 
-from .errors import (ArithmeticSelfCheck, NonIntegerProduct, ResourceLimit, _Budget,
-                     _checked_budget)
+from .errors import ArithmeticSelfCheck, NonIntegerProduct, _Budget
 from .partitions import (MAX_DIM, Cell, Partition, _distinct_permutations,
                          _fixed_by_permutations)
 from .qpoly import QPolynomial, _div_one_minus_q_power, _mul_one_minus_q_power
@@ -106,35 +107,6 @@ def _graded(cells) -> list[Cell]:
     return sorted(cells, key=lambda c: (sum(c), c))
 
 
-def _cells(dim: int, side: int, stable: bool) -> list[Cell]:
-    """The cells of [0, side)^dim in lexicographic order, or when `stable`
-    those with coordinate sum below `side`, each tuple built once.  A
-    simplex cell's successor raises its last coordinate while the sum
-    allows; otherwise it drops the last nonzero coordinate to 0 and raises
-    the one before it, and from (side-1, 0, ..., 0), whose last nonzero
-    coordinate is the first, there is none.  Tracking the sum and the last
-    nonzero position makes a step one copy of the cell."""
-    if not stable or not dim:
-        return list(product(range(side), repeat=dim))
-    if not side:
-        return []
-    zeros = (0,) * dim
-    cell, total, last = zeros, 0, -1
-    order = [cell]
-    while True:
-        if total < side - 1:
-            cell = cell[:-1] + (cell[-1] + 1,)
-            total += 1
-            last = dim - 1
-        elif last > 0:
-            total -= cell[last] - 1
-            cell = cell[:last - 1] + (cell[last - 1] + 1,) + zeros[last:]
-            last -= 1
-        else:
-            return order
-        order.append(cell)
-
-
 def _cell_requirements(dim: int, side: int, stable: bool):
     """Box cells in lexicographic order, with the earlier cells each one
     needs before it may be added: its predecessors c - e_j and, when
@@ -143,8 +115,18 @@ def _cell_requirements(dim: int, side: int, stable: bool):
     strongly stable set in the box has coordinate sum below `side`
     (moving every unit to the last coordinate stays in the set), and its
     predecessors and move images stay in that simplex, so the stable
-    table lists only those C(side+d-1, d) cells (see :func:`_cells`)."""
-    order = _cells(dim, side, stable)
+    table lists only those C(side+d-1, d) cells.  They are ψ⁻¹, the
+    consecutive differences, of the weakly increasing tuples below
+    `side`, the orbit representatives of :func:`_orbit_requirements`,
+    from the same iterator: ψ, the prefix sums, maps the cells one to one
+    onto the tuples and keeps lexicographic order, the order in which
+    combinations_with_replacement lists them.  The differences are taken
+    here, not by the bijection code, which validates its input."""
+    if stable:
+        order = [tuple(map(sub, r, (0,) + r[:-1]))
+                 for r in combinations_with_replacement(range(side), dim)]
+    else:
+        order = list(product(range(side), repeat=dim))
     index = {c: i for i, c in enumerate(order)}
     requires = []
     for cell in order:
@@ -772,13 +754,10 @@ def _q_product(exponents: dict[int, int]) -> QPolynomial:
 def _check_side(n: int, budget: int | None, measure: str) -> None:
     """Validate the side of a triple product, and refuse with
     :class:`ResourceLimit` one whose C(n+2, 3) triples exceed the budget;
-    `measure` formats that count for the message."""
+    `measure` names that count, with {} for it, for the message."""
     if type(n) is not int or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    triples = comb(n + 2, 3)
-    if _checked_budget(budget) is not None and triples > budget:
-        raise ResourceLimit(budget, f"a product of {measure.format(triples)} "
-                                    f"exceeds the budget of {budget}")
+    _Budget(budget).refuse(comb(n + 2, 3), f"a product of {measure} exceeds the budget")
 
 
 def stembridge_t3(n: int, *, budget: int | None = None) -> int:
@@ -834,7 +813,9 @@ def hawkes_counts(dim: int, side: int, *,
     _check_box_args(dim, side, "strongly_stable")
     if side < 2:
         raise ValueError("the identity needs side >= 2")
-    _check_box_args(side - 1, dim + 1, "strongly_stable")
+    if side - 1 > MAX_DIM:
+        raise ValueError(f"the transposed box's dimension must be at most {MAX_DIM}, "
+                         f"got n - 1 = {side - 1}")
     return (count_ss(dim, side, budget=budget),
             count_ss(side - 1, dim + 1, budget=budget))
 

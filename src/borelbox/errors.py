@@ -119,23 +119,20 @@ class ResourceLimit(BorelboxError):
         super().__init__(message or f"enumeration exceeded the node budget of {budget}")
 
 
-def _checked_budget(limit: int | None) -> int | None:
-    if limit is not None and (type(limit) is not int or limit < 1):
-        raise ValueError("budget must be a positive integer or None")
-    return limit
-
-
 class _Budget:
     """Node budget shared by every phase of one enumeration, transfer,
-    complement or closure; `phase` names the one running, for the error
-    message."""
+    complement, closure or bijection map; `phase` names the one running,
+    for the error message.  Work whose size is known before it starts, a
+    requirement table or a triple product, is refused whole."""
 
     __slots__ = ("limit", "used", "phase")
 
-    def __init__(self, limit: int | None):
-        self.limit = _checked_budget(limit)
+    def __init__(self, limit: int | None, phase: str = "walk"):
+        if limit is not None and (type(limit) is not int or limit < 1):
+            raise ValueError("budget must be a positive integer or None")
+        self.limit = limit
         self.used = 0
-        self.phase = "walk"
+        self.phase = phase
 
     def charge(self, steps: int) -> None:
         if self.limit is not None:
@@ -150,6 +147,12 @@ class _Budget:
         if self.limit is not None:
             self.charge(1)
 
+    def refuse(self, size: int, what: str) -> None:
+        """Raise when work of `size` steps, not yet begun, would exceed
+        the budget; `what` names it, with {} for the size."""
+        if self.limit is not None and size > self.limit:
+            raise ResourceLimit(self.limit, f"{what.format(size)} of {self.limit}")
+
     def refuse_table(self, dim: int, side: int, predicate: str) -> None:
         """Raise before a requirement table larger than the budget is
         built: side^d cells for all partitions; the C(side+d-1, d) cells
@@ -162,7 +165,4 @@ class _Budget:
             entries = side ** dim
         else:
             entries = comb(max(side + dim - 1, 0), dim)
-        if entries > self.limit:
-            raise ResourceLimit(self.limit, f"the requirement table of {entries} "
-                                            f"entries exceeds the node budget "
-                                            f"of {self.limit}")
+        self.refuse(entries, "the requirement table of {} entries exceeds the node budget")

@@ -211,8 +211,7 @@ class MonomialIdeal:
         them would take more than `budget` cells."""
         if self._outside is None:
             self.artinian_side()
-            limiter = _Budget(budget)
-            limiter.phase = "complement"
+            limiter = _Budget(budget, "complement")
             self._outside = frozenset(_graded_complement(self.dim, self.gens, limiter))
         return self._outside
 
@@ -318,8 +317,7 @@ def borel_closure(monomials: Iterable[Iterable[int]], *,
     monomials reached, the input's included; one more raises
     :class:`ResourceLimit`.
     """
-    limiter = _Budget(budget)
-    limiter.phase = "Borel closure"
+    limiter = _Budget(budget, "Borel closure")
     seeds = list(monomials)
     if not seeds:
         raise EmptyInput("Borel closure needs at least one monomial")

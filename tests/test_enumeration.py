@@ -28,6 +28,7 @@ from borelbox import (
     qtspp,
     stembridge_t3,
 )
+from borelbox.errors import _Budget
 
 import bruteforce
 
@@ -388,6 +389,31 @@ def test_cell_tables_match_an_independent_construction(stable):
                          for j in range(dim - 1) if c[j]] if stable else []
                 requires.append(tuple(lowered + moved))
             assert _real_requirements(dim, side, stable) == (cells, requires), (dim, side)
+
+
+def test_the_stable_table_is_the_simplex_in_lexicographic_order():
+    # The box's cells with coordinate sum below the side, in the order
+    # `product` lists them, as many as the C(side+d-1, d) entries the
+    # budget is charged for the table: a budget of that size passes and
+    # one less refuses it.  Dimension 0 has its one cell, (), at every
+    # side, side 0 included, and side 0 has none in positive dimension.
+    for dim in range(6):
+        for side in range(6):
+            order, _ = _real_requirements(dim, side, True)
+            assert order == [c for c in product(range(side), repeat=dim)
+                             if sum(c) < side or not dim]
+            size = comb(max(side + dim - 1, 0), dim)
+            assert len(order) == size, (dim, side)
+            _Budget(max(size, 1)).refuse_table(dim, side, "strongly_stable")
+            if size > 1:
+                with pytest.raises(ResourceLimit, match=f"table of {size} entries"):
+                    _Budget(size - 1).refuse_table(dim, side, "strongly_stable")
+    # At (1599, 2), the origin, then e_1599, ..., e_1.
+    dim = 1599
+    order, _ = _real_requirements(dim, 2, True)
+    assert order == [(0,) * dim] + [tuple(int(j == i) for j in range(dim))
+                                    for i in reversed(range(dim))]
+    assert len(order) == comb(dim + 1, dim)
 
 
 def requirements_without_predecessors(dim, side, stable):

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from borelbox import (MonomialIdeal, NotArtinian, Partition, count_ss, count_ts,
-                      cumulative_counts, enumerate_partitions, hawkes_counts)
+from borelbox import (MonomialIdeal, NotArtinian, Partition, ResourceLimit, count_ss,
+                      count_ts, cumulative_counts, enumerate_partitions, hawkes_counts)
 from borelbox.cli import run
 from borelbox.partitions import MAX_DIM
 
@@ -80,6 +80,19 @@ def test_the_box_functions_refuse_a_dimension_past_the_limit_at_the_call():
             call()
     assert cumulative_counts(MAX_DIM, 1, "all") == (1, 2)
     assert count_ss(MAX_DIM, 1) == count_ts(MAX_DIM, 1) == 2
+
+
+def test_the_identity_names_its_transposed_box_when_refusing_its_dimension():
+    # The transposed box has dimension n - 1, a number the caller did not
+    # give, so the refusal says where it comes from.
+    for side in (MAX_DIM + 2, HUGE):
+        with pytest.raises(ValueError) as refused:
+            hawkes_counts(2, side)
+        assert str(refused.value) == (f"the transposed box's dimension must be at most "
+                                      f"{MAX_DIM}, got n - 1 = {side - 1}")
+    # At n - 1 = MAX_DIM the box passes, and the budget refuses its table.
+    with pytest.raises(ResourceLimit, match="requirement table"):
+        hawkes_counts(2, MAX_DIM + 1, budget=10)
 
 
 def test_a_library_fset_of_huge_dimension_is_refused_at_once():
