@@ -12,9 +12,12 @@ for a {"gens": [...]} object whose list is passed on, and the public
 function to call.  An option is (kind, default): the kind `int`, a tuple
 of choices or `bool` for a flag, the default `...` if it is required.
 
-A subcommand imports only what it uses: `check-partition` and `render`
-need no more than this module's imports; every other handler imports the
-library functions it calls when it runs, from their `_HOME` modules.
+A subcommand imports only what it uses.  `check-partition` and `render`
+run from this module alone, with `errors` and `partitions`.  The other
+handlers, the help and the emitters live in `_handlers`, which
+`__getattr__` loads on the first use of one of its names; each of those
+handlers imports the library functions it calls when it runs, from their
+`_HOME` modules.
 """
 
 from __future__ import annotations
@@ -25,13 +28,10 @@ import sys
 from collections import Counter
 from types import SimpleNamespace
 
-from . import _HOME
 from .errors import BorelboxError, InputError, UnsupportedDimension
-from .partitions import Partition, _json_fields
+from .partitions import Partition
 
 _MAX_JSON_INT = 2**53 - 1
-
-_PREDICATE_NAMES = {"ss": "strongly_stable", "ts": "totally_symmetric", "all": "all"}
 
 _FORMAT = {"--format": (("json", "pretty"), "json")}
 _CAPPED = {**_FORMAT, "--budget": (int, None)}
@@ -65,12 +65,21 @@ _COMMANDS = {
                {"--style": (("ferrers", "matrix"), ...)}),
 }
 
+# The names `_handlers` holds.  Only these load it: the import system asks
+# this module for `__path__` when `__main__` imports `main` from it.
+_HANDLERS = frozenset("_cmd_check_ideal _cmd_bgens _cmd_convert _cmd_count _cmd_gf "
+                      "_cmd_hawkes _help _public _emit _pretty_partition _emit_partition "
+                      "_CellTexts _emit_listing _PREDICATE_NAMES".split())
 
-def _public(name: str):
-    """The public library object `name`, loaded from its home module by
-    `__import__`, the call an import statement makes (so `-X importtime`
-    lists the load, which it does not for `importlib.import_module`)."""
-    return getattr(__import__(f"{__package__}.{_HOME[name]}", fromlist=(name,)), name)
+
+def __getattr__(name):
+    """A name `_handlers` holds, loaded on first use and kept in this
+    module's globals (PEP 562)."""
+    if name not in _HANDLERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import _handlers
+    value = globals()[name] = getattr(_handlers, name)
+    return value
 
 
 def _jsonify(value):
@@ -139,51 +148,6 @@ def render_partition(partition: Partition, style: str) -> str:
     raise ValueError(f"unknown style {style!r}")
 
 
-def _pretty_partition(partition: Partition) -> str:
-    if partition.dim == 2:
-        return render_partition(partition, "ferrers")
-    if partition.dim == 3:
-        return render_partition(partition, "matrix")
-    return " ".join(str(cell) for cell in partition.cells)
-
-
-def _emit_partition(partition: Partition) -> None:
-    """Print a partition's JSON form as it is: a cell with coordinate m has
-    m cells below it along that axis, so no coordinate reaches 2^53 and
-    none needs `_jsonify`."""
-    print(json.dumps(partition.to_json_dict()))
-
-
-class _CellTexts(dict):
-    """Each cell's JSON text, made on first use."""
-
-    def __missing__(self, cell):
-        text = self[cell] = json.dumps(list(cell))
-        return text
-
-
-def _emit_listing(dim: int, partitions) -> None:
-    """Print each partition as :func:`_emit_partition` does, byte for
-    byte, but joining cached cell texts: a listed partition is its
-    parent's cells plus one cell or orbit, so encoding every cell of every
-    line would cost most of the listing's time."""
-    texts = _CellTexts()
-    head = f'{{"dim": {json.dumps(dim)}, "cells": ['
-    for partition in partitions:
-        print(head + ", ".join(map(texts.__getitem__, partition.cells)) + "]}")
-
-
-def _emit(args, result) -> None:
-    """Print a conversion's result: its JSON form, or under `--format
-    pretty` a partition's drawing or the object's own `pretty()`."""
-    if args.format == "pretty":
-        print(_pretty_partition(result) if isinstance(result, Partition) else result.pretty())
-    elif isinstance(result, Partition):
-        _emit_partition(result)
-    else:
-        _emit_json(result.to_json_dict())
-
-
 def _cmd_check_partition(args) -> None:
     partition = Partition.from_json_dict(_read_payload(args))
     report = {
@@ -203,101 +167,6 @@ def _cmd_check_partition(args) -> None:
         _emit_json(report)
 
 
-def _cmd_check_ideal(args) -> None:
-    from .ideals import MonomialIdeal
-    ideal = MonomialIdeal.from_json_dict(_read_payload(args))
-    degrees = ideal.pure_power_degrees()
-    report = {
-        "dim": ideal.dim,
-        "gens": [list(g) for g in ideal.gens],
-        "artinian": ideal.is_artinian(),
-        "pure_power_degrees": list(degrees),
-        "strongly_stable": ideal.is_strongly_stable(),
-        "symmetric": ideal.is_symmetric(),
-    }
-    if args.format == "pretty":
-        print(ideal.pretty())
-        for key in ("artinian", "pure_power_degrees", "strongly_stable", "symmetric"):
-            print(f"{key}: {report[key]}")
-    else:
-        _emit_json(report)
-
-
-def _cmd_bgens(args) -> None:
-    from .ideals import MonomialIdeal, monomial_str
-    ideal = MonomialIdeal.from_json_dict(_read_payload(args))
-    bgens = ideal.bgens()
-    if args.format == "pretty":
-        print("{" + ", ".join(monomial_str(m) for m in bgens) + "}")
-    else:
-        _emit_json({"bgens": [list(m) for m in bgens]})
-
-
-def _cmd_convert(args) -> None:
-    reads, function = _COMMANDS[args.command][2]
-    data = _read_payload(args)
-    if reads == "gens":
-        (value,) = _json_fields(data, "closure input", gens=list)
-    else:
-        value = _public(reads).from_json_dict(data)
-    budget = {"budget": args.budget} if hasattr(args, "budget") else {}
-    _emit(args, _public(function)(value, **budget))
-
-
-def _cmd_count(args) -> None:
-    if args.list and args.format == "pretty":
-        _usage_error("count: --list prints JSON lines; --format pretty applies to counts")
-    from .enumeration import cumulative_counts, enumerate_partitions
-    if args.list:
-        predicate = _PREDICATE_NAMES[args.predicate]
-        _emit_listing(args.d, enumerate_partitions(args.d, args.n, predicate,
-                                                   budget=args.budget))
-        return
-    payload: dict = {"d": args.d, "n": args.n}
-    for key, name in (("B", "ss"), ("T", "ts")):
-        if args.predicate in ("all", name):
-            payload[key] = list(cumulative_counts(args.d, args.n, _PREDICATE_NAMES[name],
-                                                  budget=args.budget))
-    if args.format == "pretty":
-        for key in ("B", "T"):
-            if key in payload:
-                print(f"{key}: {' '.join(str(v) for v in payload[key])}")
-    else:
-        _emit_json(payload)
-
-
-def _cmd_gf(args) -> None:
-    from .enumeration import cell_gf_ss, orbit_gf_ts, qtspp
-    if args.formula:
-        if args.d not in (None, 3):
-            raise InputError("the boxed product formula is defined for d=3")
-        poly = qtspp(args.n, budget=args.budget)
-        payload = {"d": 3, "n": args.n, "kind": "product",
-                   "coefficients": list(poly.coeffs)}
-    else:
-        if args.d is None:
-            raise InputError("--d is required unless --formula is given")
-        if args.predicate == "ss":
-            poly = cell_gf_ss(args.d, args.n, budget=args.budget)
-            kind = "cell"
-        else:
-            poly = orbit_gf_ts(args.d, args.n, budget=args.budget)
-            kind = "orbit"
-        payload = {"d": args.d, "n": args.n, "kind": kind,
-                   "coefficients": list(poly.coeffs)}
-    if args.format == "pretty":
-        print(" ".join(str(c) for c in payload["coefficients"]))
-    else:
-        _emit_json(payload)
-
-
-def _cmd_hawkes(args) -> None:
-    from .enumeration import hawkes_counts
-    left, right = hawkes_counts(args.d, args.n, budget=args.budget)
-    _emit_json({"d": args.d, "n": args.n, "left": left, "right": right,
-                "equal": left == right})
-
-
 def _cmd_render(args) -> None:
     partition = Partition.from_json_dict(_read_payload(args))
     text = render_partition(partition, args.style)
@@ -310,31 +179,13 @@ def _usage_error(message: str):
     raise SystemExit(2)
 
 
-def _help(command: str | None):
-    """Print the help for `command`, or the list of subcommands when it is None."""
-    if command is None:
-        usage = "<subcommand> [options] [input]"
-        rows = [(name, row[1]) for name, row in _COMMANDS.items()]
-    else:
-        _, text, reads, options = _COMMANDS[command]
-        usage = f"{command} [options]{' [input]' * bool(reads)}\n\n{text}"
-        rows = [("input", "JSON file; '-' or omitted reads standard input")] * bool(reads)
-        for name, (kind, default) in options.items():
-            value = "" if kind is bool else " INT" if kind is int else " {%s}" % ",".join(kind)
-            rows.append((name + value, "required" if default is ... else ""))
-    width = max(len(name) for name, _ in rows)
-    print(f"usage: borelbox {usage}\n", *(f"  {name:<{width}}  {about}".rstrip()
-                                          for name, about in rows), sep="\n")
-    raise SystemExit(0)
-
-
 def _parse_args(argv=None) -> SimpleNamespace:
     """argv read against `_COMMANDS`: options spelled in full, as `--opt value`
     (the value even when it starts with `-`) or `--opt=value`, around one input path."""
     argv = sys.argv[1:] if argv is None else argv
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     if "-h" in argv or "--help" in argv:
-        _help(command)
+        __getattr__("_help")(command)
     if command is None:
         _usage_error(f"unknown subcommand {argv[0]!r}" if argv else "no subcommand given")
     handler, _, reads, options = _COMMANDS[command]
@@ -361,8 +212,10 @@ def _parse_args(argv=None) -> SimpleNamespace:
         _usage_error(f"{command}: needs " + ", ".join(o for o in options if values[o[2:]] is ...))
     if reads:
         values["input"] = paths[0] if paths else "-"
-    # The handler is looked up on each call, so that one wrapped in place runs.
-    return SimpleNamespace(command=command, handler=globals()[handler], **values)
+    # The handler is looked up on each call, so that one wrapped in place
+    # runs; `__getattr__` loads it the first time.
+    return SimpleNamespace(command=command,
+                           handler=globals().get(handler) or __getattr__(handler), **values)
 
 
 def build_parser() -> SimpleNamespace:

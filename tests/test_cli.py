@@ -434,13 +434,14 @@ def test_each_subcommand_imports_only_the_modules_it_uses():
         loaded, _ = library(argv, ["-S"])
         assert not loaded & {"argparse", "gettext", "locale", "typing", "pathlib"}, argv
     # The bijection is a direct map on cells: no ideals, no complements.
+    # The conversion and box handlers live in `_handlers`.
     for argv in (["ss2ts"], ["ts2ss"]):
         _, modules = library(argv)
-        assert modules == {"cli", "errors", "partitions", "bijection"}, argv
+        assert modules == {"cli", "_handlers", "errors", "partitions", "bijection"}, argv
     for argv in (["count", "--d", "2", "--n", "2"], ["gf", "--d", "2", "--n", "2"],
                  ["hawkes", "--d", "3", "--n", "2"]):
         _, modules = library(argv)
-        assert "enumeration" in modules, argv
+        assert {"_handlers", "enumeration"} <= modules, argv
         assert not modules & {"ideals", "correspondence", "bijection"}, argv
     # A public name loaded lazily shows up too.
     assert "borelbox.bijection" in _loaded("import borelbox\nborelbox.ss_to_ts_partition")
@@ -451,6 +452,73 @@ def test_each_subcommand_imports_only_the_modules_it_uses():
     loaded = _loaded("import " + ", ".join(every))
     assert set(every) <= loaded
     assert not loaded & {"concurrent.futures", "fractions"}
+
+
+def test_the_benchmarks_cold_command_loads_only_the_partition_modules(tmp_path):
+    """`python -m borelbox check-partition` on one cell, as the benchmark
+    starts it (no bytecode written): the `-X importtime` log lists no
+    package module but `__main__`, `cli`, `errors` and `partitions`.  A
+    `cli.__getattr__` that loaded `_handlers` for any name would show up
+    here, since `__main__` imports `main` from `cli` and the import system
+    then asks `cli` for `__path__`."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "borelbox",
+                           "check-partition"],
+                          input=json.dumps({"dim": 3, "cells": [[0, 0, 0]]}),
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(src),
+                               "PYTHONDONTWRITEBYTECODE": "1"})
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["cell_count"], report["strongly_stable"],
+            report["totally_symmetric"]) == (1, True, True)
+    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    package = {m for m in names if m.split(".")[0] == "borelbox"} - {"borelbox.__main__"}
+    assert package == {"borelbox", "borelbox.cli", "borelbox.errors", "borelbox.partitions"}
+
+
+def test_every_handler_resolves_on_cli_and_stays_in_its_globals():
+    import borelbox.cli as cli
+
+    handlers = {row[0] for row in cli._COMMANDS.values()}
+    for name in handlers | cli._HANDLERS:
+        value = getattr(cli, name)
+        assert vars(cli)[name] is value, name
+    assert all(callable(getattr(cli, name)) for name in handlers)
+
+
+def test_a_lazily_loaded_handler_wrapped_in_place_is_the_one_run(monkeypatch, capsys):
+    """So is a front-end helper wrapped in place on `cli` that such a
+    handler calls."""
+    import borelbox.cli as cli
+
+    calls = []
+
+    def wrap(name):
+        original = getattr(cli, name)
+
+        def wrapper(arg):
+            calls.append(name)
+            return original(arg)
+        monkeypatch.setattr(cli, name, wrapper)
+
+    wrap("_cmd_count")
+    wrap("_emit_json")
+    code, out, _ = invoke(["count", "--d", "2", "--n", "2"], None, monkeypatch, capsys)
+    assert code == 0 and calls == ["_cmd_count", "_emit_json"]
+    assert json.loads(out) == {"d": 2, "n": 2, "B": [1, 2, 4], "T": [1, 2, 4]}
+
+
+def test_cli_answers_no_other_name_and_does_not_load_its_handlers_for_one():
+    loaded = _loaded("import borelbox.cli as cli\n"
+                     "for name in ('no_such_name', '__path__'):\n"
+                     "    try:\n"
+                     "        getattr(cli, name)\n"
+                     "    except AttributeError:\n"
+                     "        continue\n"
+                     "    raise SystemExit(name)")
+    assert "borelbox.cli" in loaded and "borelbox._handlers" not in loaded
 
 
 def test_back_to_back_runs_share_no_parser_state(monkeypatch, capsys):
