@@ -29,19 +29,19 @@ increasing member back through ψ⁻¹.
 
 The forward map groups the cells of P by the zero pattern of p[1:],
 which fixes the runs of equal entries of ψ(p), and expands each group by
-one index getter per rearrangement of its pattern.  A pattern's getters
-are built on its first use and kept for the life of the process, in
-arrival order, while the kept tables hold at most `_KEPT_INDICES` = 2^18
-indices (d per getter, and d for the pattern); none is ever dropped.
-Every table through d = 6 fits, 31,149 indices in all, but not every
-one of d = 7 (331,051) or d = 8 (4,366,680): a table that does not fit
-in what the bound leaves is built for its call and not kept.  So a call
-costs its output, plus the tables of the patterns the cache does not
-hold; a lookup takes no lock, and one lock guards the inserts and their
-count.  The inverse walks P itself, in lexicographic
-order from the origin, with at most d membership tests in T per cell of
-P, each hashing a d-tuple, so O(d²·|P|) in the worst case; steps that
-would leave T's box are skipped untested.
+one index getter per rearrangement of its pattern.  The getters of a
+pattern through d = 7 are built on its first use and kept for the life
+of the process: the 127 tables hold at most 362,200 indices (d per
+getter, and d for the pattern), 31,149 through d = 6 and 331,051 at
+d = 7.  A table of d = 8 or more is built for its call and not kept; the
+128 of d = 8 alone hold 4,366,680 indices.  So a call costs its output, plus
+the tables of its patterns past d = 7 and of those not yet built.  The
+kept set depends on the dimension only, not on what earlier calls
+brought, so no count and no lock: threads that build a table at once
+store equal tables under one key.  The inverse walks P itself, in
+lexicographic order from the origin, with at most d membership tests in
+T per cell of P, each hashing a d-tuple, so O(d²·|P|) in the worst case;
+steps that would leave T's box are skipped untested.
 
 Each map tests its input's predicate, strongly stable or totally
 symmetric, unless the input carries the record that its producer built
@@ -68,7 +68,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter, le, sub
-from threading import Lock
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -246,31 +245,21 @@ def _build_rearrangements(starts: tuple[int, ...]) -> tuple[itemgetter, ...]:
     return tuple(itemgetter(*perm) for perm in perms)
 
 
-# The getter tables kept for the life of the process, by zero pattern, in
-# arrival order, and the indices they hold in all: d for each getter of
-# dimension d, and d for the pattern, so the bound caps their memory at any
-# dimension, empty tables included.  A table is kept while it fits and
-# never dropped: every table through d = 6 fits, 31,149 indices in all.
-# The lock keeps the count whole when threads insert at once.
-_KEPT_INDICES = 1 << 18
+# The getter tables kept for the life of the process, by zero pattern:
+# those through d = 7, where the pattern has at most 6 entries.
 _tables: dict[tuple[bool, ...], tuple[itemgetter, ...]] = {}
-_kept = 0
-_lock = Lock()
 
 
 def _rearrangements(pattern: tuple[bool, ...]) -> tuple[itemgetter, ...]:
     """The getters of a zero pattern (see :func:`_build_rearrangements`),
-    from the kept tables or built on a miss.  A built table is kept if it
-    fits in what the bound leaves; otherwise it serves its call only."""
-    global _kept
+    from the kept tables or built on a miss.  A built table is kept
+    through d = 7 and serves its call only past it (see the module
+    docstring)."""
     table = _tables.get(pattern)
     if table is None:
         table = _build_rearrangements(_run_starts(pattern))
-        size = (len(table) + 1) * (len(pattern) + 1)
-        with _lock:
-            if pattern not in _tables and _kept + size <= _KEPT_INDICES:
-                _kept += size
-                _tables[pattern] = table
+        if len(pattern) < 7:
+            _tables[pattern] = table
     return table
 
 
@@ -291,8 +280,8 @@ def ss_to_ts_partition(partition: Partition, *, budget: int | None = None) -> Pa
     not test it again.
 
     The cells are grouped by zero pattern, and each group is expanded by
-    its pattern's getters, kept across calls within a fixed bound (see
-    the module docstring).  `budget` bounds the output cells; each group
+    its pattern's getters, kept across calls through d = 7 (see the
+    module docstring).  `budget` bounds the output cells; each group
     is charged its cells times its orbit size before its getters are
     looked up or built, so one more cell raises :class:`ResourceLimit`
     before the group that would exceed it is expanded.

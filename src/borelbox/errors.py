@@ -129,7 +129,7 @@ class _Budget:
 
     def __init__(self, limit: int | None, phase: str = "walk"):
         if limit is not None and (type(limit) is not int or limit < 1):
-            raise ValueError("budget must be a positive integer or None")
+            raise ValueError(f"budget must be a positive integer, got {limit!r}")
         self.limit = limit
         self.used = 0
         self.phase = phase

@@ -389,7 +389,6 @@ def cold_tables(monkeypatch):
     """An empty getter cache for the test; the process's own is restored
     after it."""
     monkeypatch.setattr(bijection, "_tables", {})
-    monkeypatch.setattr(bijection, "_kept", 0)
     return bijection._tables
 
 
@@ -420,10 +419,12 @@ def test_an_over_budget_forward_map_builds_no_getters_for_the_group_past_it(
     assert last not in looked and last not in built
     built.clear()
     assert len(ss_to_ts_partition(star, budget=4096)) == 4096
-    assert built == [last]
+    assert len(built) == 12 and built[-1] == last
+    # Past d = 7 no table is kept: the next call builds each one again.
+    first = built[:]
     built.clear()
     assert len(ss_to_ts_partition(star, budget=4096)) == 4096
-    assert built == []
+    assert built == first and not cold_tables
 
 
 def test_each_kept_table_is_its_patterns_distinct_rearrangements(cold_tables):
@@ -433,32 +434,38 @@ def test_each_kept_table_is_its_patterns_distinct_rearrangements(cold_tables):
             table = bijection._rearrangements(pattern)
             assert cold_tables[pattern] is table
             assert [getter(starts) for getter in table] == sorted(set(permutations(starts)))[1:]
-    assert bijection._kept == sum((len(table) + 1) * (len(pattern) + 1)
-                                  for pattern, table in cold_tables.items())
 
 
-def test_threads_sharing_the_cache_keep_its_count(cold_tables):
-    # Thread switches after every bytecode or so: unlocked, two threads
-    # drifted the count by tens of thousands of indices.
+def test_threads_sharing_the_cache_get_the_images_of_one(cold_tables):
+    # Thread switches after every bytecode or so, while two threads fill a
+    # cold cache three times over: a table built by both at once is stored
+    # under one key either way, and the images are those of one thread
+    # alone.
+    stable = [p for box in ((3, 4), (5, 3), (7, 3))
+              for p in enumerate_partitions(*box, "strongly_stable") if len(p)]
+    alone = [ss_to_ts_partition(p) for p in stable]
+    images = [None, None]
+
+    def convert(slot):
+        images[slot] = [ss_to_ts_partition(p) for p in stable]
+
     saved = sys.getswitchinterval()
-    patterns = list(product((False, True), repeat=6))
-
-    def look_up(seed):
-        rng = random.Random(seed)
-        for _ in range(400):
-            bijection._rearrangements(rng.choice(patterns))
-
-    threads = [threading.Thread(target=look_up, args=(seed,)) for seed in range(2)]
     sys.setswitchinterval(1e-6)
     try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        for _ in range(3):
+            cold_tables.clear()
+            threads = [threading.Thread(target=convert, args=(slot,)) for slot in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert images == [alone, alone]
     finally:
         sys.setswitchinterval(saved)
-    assert bijection._kept == sum((len(table) + 1) * 7 for table in cold_tables.values())
-    assert bijection._kept <= bijection._KEPT_INDICES
+    assert cold_tables
+    for pattern, table in cold_tables.items():
+        starts = bijection._run_starts(pattern)
+        assert [getter(starts) for getter in table] == sorted(set(permutations(starts)))[1:]
 
 
 def test_a_warm_cache_gives_the_images_of_a_cold_one(monkeypatch):
@@ -467,32 +474,26 @@ def test_a_warm_cache_gives_the_images_of_a_cold_one(monkeypatch):
         cold = []
         for p in stable:
             monkeypatch.setattr(bijection, "_tables", {})
-            monkeypatch.setattr(bijection, "_kept", 0)
             cold.append(ss_to_ts_partition(p))
         assert [ss_to_ts_partition(p) for p in stable] == cold
 
 
-def test_the_kept_getters_stay_within_the_bound_at_d_8(cold_tables):
-    # The 128 tables of d = 8 hold 545,707 getters, and with their
-    # patterns 4,366,680 indices.  Each is kept, in arrival order, while
-    # it fits in what the bound leaves, and never dropped; one that does
-    # not fit is built for its call alone, every time it is looked up.
-    every = list(product((False, True), repeat=7))
-    fits, room = [], bijection._KEPT_INDICES
+def test_the_tables_through_d_7_are_kept_and_none_past_it(cold_tables):
+    # The kept set is fixed by the dimension: the 127 patterns through
+    # d = 7, holding 362,200 indices (d per getter, and d for the
+    # pattern), whatever order they arrive in.
+    every = [pattern for dim in range(1, 8) for pattern in product((False, True), repeat=dim - 1)]
+    random.Random(0).shuffle(every)
     for pattern in every:
         table = bijection._rearrangements(pattern)
         assert len(table) == _orbit_size(bijection._run_starts(pattern)) - 1
-        assert cold_tables.get(pattern, table) is table
-        size = 8 * (len(table) + 1)
-        if size <= room:
-            fits.append(pattern)
-            room -= size
-    assert list(cold_tables) == fits
-    kept = sum(map(len, cold_tables.values()))
-    assert bijection._kept == 8 * (kept + len(cold_tables)) <= bijection._KEPT_INDICES
-    assert 0 < len(cold_tables) < len(every)
-    # The last pattern, eight runs, has 40,319 getters, past the bound on
-    # their own: it is built again for each call and not kept.
-    assert every[-1] not in cold_tables
-    table = bijection._rearrangements(every[-1])
-    assert len(table) == 40319 and bijection._rearrangements(every[-1]) is not table
+        assert cold_tables[pattern] is table
+    assert len(cold_tables) == 127
+    assert sum((len(table) + 1) * (len(pattern) + 1)
+               for pattern, table in cold_tables.items()) == 362200
+    # The d = 8 pattern of eight runs has 40,319 getters: it is built
+    # again for each call and never kept.
+    eight = (True,) * 7
+    table = bijection._rearrangements(eight)
+    assert len(table) == 40319 and bijection._rearrangements(eight) is not table
+    assert eight not in cold_tables and len(cold_tables) == 127

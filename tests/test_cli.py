@@ -244,6 +244,13 @@ def test_budget_exit_code(monkeypatch, capsys):
     assert "budget" in err
 
 
+def test_a_refused_budget_names_its_value(monkeypatch, capsys):
+    code, out, err = invoke(["count", "--d", "3", "--n", "2", "--budget", "0"],
+                            None, monkeypatch, capsys)
+    assert code == 1 and out == ""
+    assert err == "error: budget must be a positive integer, got 0\n"
+
+
 @pytest.mark.parametrize("predicate, table", [
     ("ss", "_cell_requirements"),
     ("ts", "_orbit_requirements"),

@@ -82,6 +82,11 @@ def test_stable_budget_covers_walk_and_transfer():
         count_ss(3, 4, budget=0)
 
 
+def test_a_refused_budget_names_its_value():
+    with pytest.raises(ValueError, match="^budget must be a positive integer, got True$"):
+        count_ss(2, 2, budget=True)
+
+
 def test_stable_budget_measures_the_table_by_its_cells():
     # The 29-dimensional slice table holds the C(30, 29) = 30 cells with
     # coordinate sum below 2, and each state is a 30-bit mask.  The run
