@@ -176,9 +176,8 @@ def bgens_via_psi(ideal: MonomialIdeal) -> tuple[Monomial, ...]:
 def _artinian_top(ideal: MonomialIdeal) -> int:
     """Largest pure power degree n, with the explicit check that the pure
     power of the last variable realizes it."""
-    powers = ideal._pure_powers()
-    n = ideal._side(powers)
-    if powers is not None and powers[ideal.dim - 1] != n:
+    n = ideal.artinian_side()
+    if ideal.pure_power_degrees()[-1] != n:
         raise MissingPurePower(
             f"expected the pure power {(0,) * (ideal.dim - 1) + (n,)} among the generators")
     return n

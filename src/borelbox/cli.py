@@ -15,7 +15,7 @@ of choices or `bool` for a flag, the default `...` if it is required.
 A subcommand imports only what it uses.  `check-partition` and `render`
 run from this module alone, with `errors` and `partitions`.  The other
 handlers, the help and the emitters live in `_handlers`, which
-`__getattr__` loads on the first use of one of its names; each of those
+`__getattr__` loads on the first use of a handler or the help; each of those
 handlers imports the library functions it calls when it runs, from their
 `_HOME` modules.
 """
@@ -65,16 +65,14 @@ _COMMANDS = {
                {"--style": (("ferrers", "matrix"), ...)}),
 }
 
-# The names `_handlers` holds.  Only these load it: the import system asks
-# this module for `__path__` when `__main__` imports `main` from it.
-_HANDLERS = frozenset("_cmd_check_ideal _cmd_bgens _cmd_convert _cmd_count _cmd_gf "
-                      "_cmd_hawkes _help _public _emit _pretty_partition _emit_partition "
-                      "_CellTexts _emit_listing _PREDICATE_NAMES".split())
+# The handlers and the help.  Only these load `_handlers`: the import system
+# asks this module for `__path__` when `__main__` imports `main` from it.
+_HANDLERS = frozenset([row[0] for row in _COMMANDS.values()] + ["_help"])
 
 
 def __getattr__(name):
-    """A name `_handlers` holds, loaded on first use and kept in this
-    module's globals (PEP 562)."""
+    """A handler or the help from `_handlers`, loaded on first use and
+    kept in this module's globals (PEP 562)."""
     if name not in _HANDLERS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import _handlers

@@ -14,9 +14,10 @@ streams small:
 * totally symmetric partitions are walked by orbit representative (cells
   with sorted coordinates), adding a whole orbit at a time.
 
-Completed candidates are still re-validated against the definitions
-before being yielded or counted; since the pruning guarantees that every
-candidate passes, one that fails raises.  A walk node is its parent plus
+The walk itself re-validates every node against the definitions
+before it yields it as (mask, acc), so no listing or count can skip the
+check; since the pruning guarantees that every candidate passes, one
+that fails raises.  A walk node is its parent plus
 one cell or orbit, so all it derives from its parent is carried in the
 walk's stack frame (see :func:`_walk`): its frontier, as a bitmask of
 walk indices, its bitmask in the layout below, which holds exactly its
@@ -54,9 +55,10 @@ increase along the walk, so its one new cell is its largest, and its
 sorted cells are its parent's with that cell appended; an orbit's cells
 are merged into its parent's, by bisection or, for a large orbit, by
 one sort of the two sorted runs.  A symmetric listing expands each orbit
-once, when it is first used, and checks it then for symmetry with the
-test :meth:`Partition.is_totally_symmetric` runs; a union of symmetric
-orbits is symmetric, so no node's cells are checked again.
+once, when it is first used (under a budget, after charging its cells),
+and checks it then for symmetry with the test
+:meth:`Partition.is_totally_symmetric` runs; a union of symmetric orbits
+is symmetric, so no node's cells are checked again.
 
 Strongly stable and totally symmetric counts and generating functions
 do not list the partitions (only the cumulative counts of all partitions
@@ -97,7 +99,7 @@ from typing import Callable, Iterator
 
 from .errors import ArithmeticSelfCheck, NonIntegerProduct, _Budget
 from .partitions import (MAX_DIM, Cell, Partition, _distinct_permutations,
-                         _fixed_by_permutations)
+                         _fixed_by_permutations, _orbit_size)
 from .qpoly import QPolynomial, _div_one_minus_q_power, _mul_one_minus_q_power
 
 PREDICATES = ("all", "strongly_stable", "totally_symmetric")
@@ -155,11 +157,14 @@ def _orbit_requirements(dim: int, side: int):
 
 
 def _walk(requires, bits: list[int], below: list[int], fold,
-          tick: Callable[[], None]) -> Iterator[tuple[int, int, object]]:
+          finalize: Callable[[int, int], int],
+          tick: Callable[[], None]) -> Iterator[tuple[int, object]]:
     """Depth-first over admissible index sets, each yielded once as
-    (mask, need, acc); children in increasing order of the added index,
-    so a set's indices are added in increasing order.  `requires[j]`
-    lists the indices j needs, all below j, as in a linear extension.
+    (mask, acc) after finalize(need, mask), the re-validation of
+    :func:`_mode`, has passed it, so no consumer can skip the check;
+    children in increasing order of the added index, so a set's indices
+    are added in increasing order.  `requires[j]` lists the indices j
+    needs, all below j, as in a linear extension.
 
     A node extends only through its frontier: the indices above its last
     whose requirements it holds, as a bitmask.  A stack frame holds all a
@@ -190,7 +195,7 @@ def _walk(requires, bits: list[int], below: list[int], fold,
         if not want:
             frontier |= 1 << j
     tick()
-    yield 0, 0, acc
+    yield finalize(0, 0), acc
     stack = [(frontier, 0, 0, acc)] if frontier else []
     pop, push = stack.pop, stack.append
     while stack:
@@ -204,7 +209,7 @@ def _walk(requires, bits: list[int], below: list[int], fold,
         mask |= bits[i]
         need |= below[i]
         acc = join(acc, pieces[i])
-        yield mask, need, acc
+        yield finalize(need, mask), acc
         for want, bit in unlocks[i]:
             if want & mask == want:
                 frontier |= bit
@@ -262,7 +267,8 @@ def _orbit_layout(order: list[Cell]) -> tuple[list[int], list[int]]:
     return bit, below
 
 
-def _mode(dim: int, side: int, predicate: str):
+def _mode(dim: int, side: int, predicate: str,
+          charge: Callable[[int], None] | None = None):
     """The walk's table, bit layout and listing fold for the predicate,
     and its re-validation: (order, requires, bits, below, fold, finalize).
     `below[i]` is index i's requirement mask, the bits of what its piece
@@ -274,7 +280,7 @@ def _mode(dim: int, side: int, predicate: str):
     its own bit, so the mask is decoded to the set's indices only when
     the set fails, to name its cells.  `finalize` returns the mask,
     which is all the transfers read, and comes last, where the
-    benchmark's tracer times the re-validation.
+    benchmark's tracer times the re-validation of every walked node.
 
     `fold` carries a listed node's sorted cells along the walk (see
     :func:`_walk`).  In the cell tables, whose order is lexicographic, a
@@ -284,7 +290,8 @@ def _mode(dim: int, side: int, predicate: str):
     sort of the two sorted runs once len(orbit) * log2(len(cells)) passes
     len(cells).  The orbit is expanded on first use and checked then,
     once, for symmetry: a union of sets that every coordinate permutation
-    fixes is fixed by them too."""
+    fixes is fixed by them too.  A budgeted listing's `charge` is handed
+    the orbit's cell count first; naming a rejected set charges nothing."""
     stable = predicate == "strongly_stable"
     if predicate == "totally_symmetric":
         order, requires = _orbit_requirements(dim, side)
@@ -300,6 +307,8 @@ def _mode(dim: int, side: int, predicate: str):
             return orbit
 
         def grow(cells: tuple[Cell, ...], i: int) -> tuple[Cell, ...]:
+            if charge is not None and orbits[i] is None:
+                charge(_orbit_size(order[i]))
             orbit = piece(i)
             # Both runs are sorted.  Each insort costs a bisection and a
             # move of the tail; one sort merges the runs in linear time,
@@ -341,24 +350,40 @@ def _check_box_args(dim: int, side: int, predicate: str) -> None:
         raise ValueError(f"predicate must be one of {PREDICATES}, got {predicate!r}")
 
 
+def _box_budget(dim: int, side: int, predicate: str, budget: int | None,
+                table_dim: int) -> _Budget:
+    """Check a box's arguments and start its budget, refusing before it is
+    built a requirement table in dimension `table_dim` (a transfer's is
+    its slices') whose coordinates, d per entry and one in dimension 0,
+    exceed it: side^d cells, or C(side+d-1, d) stable cells or orbits."""
+    _check_box_args(dim, side, predicate)
+    limiter = _Budget(budget)
+    if budget is not None:
+        entries = (side ** table_dim if predicate == "all"
+                   else comb(max(side + table_dim - 1, 0), table_dim))
+        limiter.refuse(entries * max(table_dim, 1),
+                       "the requirement table of {} coordinates exceeds the node budget")
+    return limiter
+
+
 def enumerate_partitions(dim: int, side: int, predicate: str = "all", *,
                          budget: int | None = None) -> Iterator[Partition]:
     """Yield every partition with bounding side at most `side` satisfying
     the predicate, each exactly once, in a deterministic depth-first
     order starting from the empty partition.
 
-    `budget` caps the number of search nodes and of requirement table
-    entries; exceeding it raises :class:`ResourceLimit`, before the table
-    is built when the table is the larger.  Every candidate is
-    re-validated against the predicate's definition on its bitmask, which
-    must hold the OR of its members' requirement masks (see
-    :func:`_mode`): a cell's predecessors, and for a strongly stable one
-    also its adjacent moves, which on a closed set are increasing hooks;
-    an orbit's predecessor orbits.  A totally symmetric one is also
-    checked for symmetry orbit by orbit, each orbit once, when it is
+    `budget` caps the requirement table's coordinates, and the search
+    nodes with a symmetric listing's cells, charged orbit by orbit before
+    each is first expanded; exceeding it raises :class:`ResourceLimit`,
+    before the table is built when the table is the larger.  Every
+    candidate is re-validated against the predicate's definition on its
+    bitmask, which must hold the OR of its members' requirement masks
+    (see :func:`_mode`): a cell's predecessors, and for a strongly stable
+    one also its adjacent moves, which on a closed set are increasing
+    hooks; an orbit's predecessor orbits.  A totally symmetric one is
+    also checked for symmetry orbit by orbit, each orbit once, when it is
     first expanded, by the test :meth:`Partition.is_totally_symmetric`
-    runs.
-    One that fails raises :class:`ArithmeticSelfCheck`, since the pruned
+    runs.  One that fails raises :class:`ArithmeticSelfCheck`, since the pruned
     walk cannot produce it.  So a stable or symmetric partition is yielded
     with the record of its predicate, which spares the maps of
     :mod:`borelbox.bijection` testing it again (see
@@ -367,16 +392,14 @@ def enumerate_partitions(dim: int, side: int, predicate: str = "all", *,
     The arguments, and the table's size against the budget, are checked
     at the call; the walk runs as partitions are drawn.
     """
-    _check_box_args(dim, side, predicate)
-    limiter = _Budget(budget)
-    limiter.refuse_table(dim, side, predicate)
+    limiter = _box_budget(dim, side, predicate, budget, dim)
 
     def listing() -> Iterator[Partition]:
-        _, requires, bits, below, fold, finalize = _mode(dim, side, predicate)
+        _, requires, bits, below, fold, finalize = _mode(
+            dim, side, predicate, None if budget is None else limiter.charge)
         trusted = Partition._trusted
         holds = None if predicate == "all" else predicate
-        for mask, need, cells in _walk(requires, bits, below, fold, limiter.tick):
-            finalize(need, mask)
+        for _, cells in _walk(requires, bits, below, fold, finalize, limiter.tick):
             yield trusted(dim, cells, None, holds)
     return listing()
 
@@ -449,17 +472,14 @@ def _stable_transfer(dim: int, side: int, weight: Callable[[int], object], *,
     The budget is charged one per walk node, one per state of each slice
     and one per (cell, state) step tried.
     """
-    _check_box_args(dim, side, "strongly_stable")
-    limiter = _Budget(budget)
-    limiter.refuse_table(dim - 1, side, "strongly_stable")
+    limiter = _box_budget(dim, side, "strongly_stable", budget, dim - 1)
     order, requires, bits, below, _, finalize = _mode(dim - 1, side, "strongly_stable")
     # Each cell's share of g: the bit of y - e_1, none when y_1 = 0, and in
     # dimension 0, whose one cell () has no first coordinate, its own.
     bit = dict(zip(order, bits))
     down = bits if dim == 1 else [bit.get((y[0] - 1,) + y[1:], 0) for y in order]
     masks, images = zip(*sorted(
-        (finalize(need, mask), g)
-        for mask, need, g in _walk(requires, bits, below, (down, or_, 0), limiter.tick)))
+        _walk(requires, bits, below, (down, or_, 0), finalize, limiter.tick)))
     index = {mask: s for s, mask in enumerate(masks)}
     weights = [weight(mask.bit_count()) for mask in masks]
     inner = [index[image] for image in images]
@@ -542,14 +562,12 @@ def _slice_transfer(dim: int, side: int, weight: Callable[[int], object], *,
     The budget is charged one per walk node, one per state of each slice
     and one per (representative, state) step tried.
     """
-    _check_box_args(dim, side, "totally_symmetric")
-    limiter = _Budget(budget)
-    limiter.refuse_table(dim - 1, side, "totally_symmetric")
+    limiter = _box_budget(dim, side, "totally_symmetric", budget, dim - 1)
     order, requires, bits, below, _, finalize = _mode(dim - 1, side, "totally_symmetric")
     # Nothing to carry but the mask and the requirements.
     nothing = ([0] * len(order), or_, 0)
-    masks = sorted(finalize(need, mask)
-                   for mask, need, _ in _walk(requires, bits, below, nothing, limiter.tick))
+    masks = sorted(mask for mask, _ in _walk(requires, bits, below, nothing, finalize,
+                                             limiter.tick))
     index = {mask: s for s, mask in enumerate(masks)}
     weights = [weight(mask.bit_count()) for mask in masks]
     # Representatives inside [0, c)^(d-1), and the states made of them.

@@ -8,8 +8,6 @@ raises, so that a module that charges work to a budget need not import
 the enumeration.
 """
 
-from math import comb
-
 
 class BorelboxError(Exception):
     """Base class for all library errors."""
@@ -123,7 +121,9 @@ class _Budget:
     """Node budget shared by every phase of one enumeration, transfer,
     complement, closure or bijection map; `phase` names the one running,
     for the error message.  Work whose size is known before it starts, a
-    requirement table or a triple product, is refused whole."""
+    requirement table by its coordinates or a triple product, is refused
+    whole; a symmetric listing is charged its orbits' cells as it expands
+    them."""
 
     __slots__ = ("limit", "used", "phase")
 
@@ -152,17 +152,3 @@ class _Budget:
         the budget; `what` names it, with {} for the size."""
         if self.limit is not None and size > self.limit:
             raise ResourceLimit(self.limit, f"{what.format(size)} of {self.limit}")
-
-    def refuse_table(self, dim: int, side: int, predicate: str) -> None:
-        """Raise before a requirement table larger than the budget is
-        built: side^d cells for all partitions; the C(side+d-1, d) cells
-        with coordinate sum below side for strongly stable ones, whose
-        masks have one bit per table cell; or C(side+d-1, d) orbit
-        representatives.  Dimension 0 has one entry, the empty tuple."""
-        if self.limit is None:
-            return
-        if predicate == "all":
-            entries = side ** dim
-        else:
-            entries = comb(max(side + dim - 1, 0), dim)
-        self.refuse(entries, "the requirement table of {} entries exceeds the node budget")

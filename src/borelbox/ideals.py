@@ -245,13 +245,11 @@ class MonomialIdeal:
         """Largest pure power degree; raises :class:`NotArtinian` if some
         variable has no pure power among the generators, before anything
         of the ideal's dimension is built."""
-        return self._side(self._pure_powers())
-
-    def _side(self, powers: dict[int, int] | None) -> int:
-        # `artinian_side` on the ideal's `_pure_powers()`.  A missing
-        # variable is among the first len(powers) + 1, whatever the dimension.
+        powers = self._pure_powers()
         if powers is None:
             return 0
+        # A missing variable is among the first len(powers) + 1, whatever
+        # the dimension.
         if len(powers) < self.dim:
             j = next(j for j in range(len(powers) + 1) if j not in powers)
             raise NotArtinian(f"no pure power of x{j + 1} among the generators")

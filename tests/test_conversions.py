@@ -17,7 +17,8 @@ from borelbox import (
     partition_to_ideal,
     ss_to_ts_partition,
 )
-from borelbox.cli import _COMMANDS, _pretty_partition, run
+from borelbox._handlers import _pretty_partition
+from borelbox.cli import _COMMANDS, run
 
 # The conversion rows of the subcommand table: (subcommand, input, public
 # function, whether it takes `--budget`).

@@ -28,7 +28,7 @@ from borelbox import (
     qtspp,
     stembridge_t3,
 )
-from borelbox.errors import _Budget
+from borelbox.enumeration import _box_budget
 
 import bruteforce
 
@@ -106,9 +106,13 @@ def test_grown_oracle_matches_powerset_oracle():
 @pytest.mark.parametrize("dim, side", [(3, 3), (2, 4)])
 @pytest.mark.parametrize("predicate", sorted(ORACLE_FILTERS))
 def test_budget_raises_exactly_below_nodes_or_table_entries(dim, side, predicate):
+    # The table is refused by its coordinates, d per entry.  A symmetric
+    # listing is also charged each orbit's cells when it first expands
+    # it, and it expands every orbit of the box: side^d cells.
     nodes = sum(1 for _ in enumerate_partitions(dim, side, predicate))
     entries = side ** dim if predicate == "all" else comb(side + dim - 1, dim)
-    need = max(nodes, entries)
+    cells = side ** dim if predicate == "totally_symmetric" else 0
+    need = max(nodes + cells, entries * dim)
     assert sum(1 for _ in enumerate_partitions(dim, side, predicate,
                                                budget=need)) == nodes
     with pytest.raises(ResourceLimit):
@@ -178,10 +182,11 @@ def test_cumulative_counts_of_all_partitions():
     assert cumulative_counts(3, 2, "all") == (1, 2, 20)
     cumulative, _ = bruteforce.bucket_by_side(list(bruteforce.powerset_partitions(4, 2)), 2)
     assert cumulative_counts(4, 2, "all") == cumulative
-    # The listing walks 20 nodes at (3, 2).
-    assert cumulative_counts(3, 2, "all", budget=20) == (1, 2, 20)
-    with pytest.raises(ResourceLimit):
-        cumulative_counts(3, 2, "all", budget=19)
+    # The listing walks 20 nodes at (3, 2), and its table holds 8 cells
+    # of 3 coordinates.
+    assert cumulative_counts(3, 2, "all", budget=24) == (1, 2, 20)
+    with pytest.raises(ResourceLimit, match="table of 24 coordinates"):
+        cumulative_counts(3, 2, "all", budget=23)
 
 
 def test_closed_forms():
@@ -393,10 +398,12 @@ def test_cell_tables_match_an_independent_construction(stable):
 
 def test_the_stable_table_is_the_simplex_in_lexicographic_order():
     # The box's cells with coordinate sum below the side, in the order
-    # `product` lists them, as many as the C(side+d-1, d) entries the
-    # budget is charged for the table: a budget of that size passes and
-    # one less refuses it.  Dimension 0 has its one cell, (), at every
-    # side, side 0 included, and side 0 has none in positive dimension.
+    # `product` lists them, as many as the C(side+d-1, d) entries whose
+    # d coordinates each (one for dimension 0) the budget is charged for
+    # the slice table of a transfer in dimension d + 1: a budget of that
+    # size passes and one less refuses it.  Dimension 0 has its one cell,
+    # (), at every side, side 0 included, and side 0 has none in positive
+    # dimension.
     for dim in range(6):
         for side in range(6):
             order, _ = _real_requirements(dim, side, True)
@@ -404,10 +411,11 @@ def test_the_stable_table_is_the_simplex_in_lexicographic_order():
                              if sum(c) < side or not dim]
             size = comb(max(side + dim - 1, 0), dim)
             assert len(order) == size, (dim, side)
-            _Budget(max(size, 1)).refuse_table(dim, side, "strongly_stable")
-            if size > 1:
-                with pytest.raises(ResourceLimit, match=f"table of {size} entries"):
-                    _Budget(size - 1).refuse_table(dim, side, "strongly_stable")
+            coordinates = size * max(dim, 1)
+            _box_budget(dim + 1, side, "strongly_stable", max(coordinates, 1), dim)
+            if coordinates > 1:
+                with pytest.raises(ResourceLimit, match=f"table of {coordinates} coordinates"):
+                    _box_budget(dim + 1, side, "strongly_stable", coordinates - 1, dim)
     # At (1599, 2), the origin, then e_1599, ..., e_1.
     dim = 1599
     order, _ = _real_requirements(dim, 2, True)
@@ -488,7 +496,8 @@ def walk_indices(mask, bits):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_walk_carries_each_nodes_mask(monkeypatch, dim, predicate):
     # Every node's frame carries its mask, the OR of its indices' bits and
-    # nothing else, and its need, the OR of their requirement masks.  The
+    # nothing else, and its need, the OR of their requirement masks, which
+    # the walk hands `finalize` once per node, here a recording one.  The
     # mask names the node's indices, and its cells must be theirs.
     # Depth-first, a node is the last node on the path with one index
     # fewer plus one index above all of that node's, so a set's indices
@@ -500,9 +509,17 @@ def test_walk_carries_each_nodes_mask(monkeypatch, dim, predicate):
     # walked here by count_ss(dim + 1, side), carries g of the node.
     walk = borelbox.enumeration._walk
     for side in range(5):
-        order, requires, bits, below, fold, _ = borelbox.enumeration._mode(dim, side, predicate)
+        order, requires, bits, below, fold, finalize = borelbox.enumeration._mode(
+            dim, side, predicate)
+        needs = []
+
+        def recording(need, mask):
+            needs.append(need)
+            return finalize(need, mask)
         path = []
-        for mask, need, cells in walk(requires, bits, below, fold, lambda: None):
+        for mask, cells in walk(requires, bits, below, fold, recording, lambda: None):
+            [need] = needs
+            needs.clear()
             idxs = walk_indices(mask, bits)
             assert mask == reduce(or_, map(bits.__getitem__, idxs), 0)
             assert need == reduce(or_, map(below.__getitem__, idxs), 0)
@@ -522,11 +539,11 @@ def test_walk_carries_each_nodes_mask(monkeypatch, dim, predicate):
         if predicate == "strongly_stable":
             nodes = []
 
-            def checked_walk(requires, bits, below, fold, tick):
-                for mask, need, g in walk(requires, bits, below, fold, tick):
+            def checked_walk(requires, bits, below, fold, finalize, tick):
+                for mask, g in walk(requires, bits, below, fold, finalize, tick):
                     assert g == g_from_scratch(order, bits, walk_indices(mask, bits)), mask
                     nodes.append(mask)
-                    yield mask, need, g
+                    yield mask, g
             monkeypatch.setattr(borelbox.enumeration, "_walk", checked_walk)
             count_ss(dim + 1, side)
             monkeypatch.undo()
@@ -540,10 +557,11 @@ def test_a_walk_at_side_zero_yields_its_root_alone(dim, predicate):
     # walk yields the root alone, after one tick, and the listings and
     # counts see the empty partition only.
     walk = borelbox.enumeration._walk
-    _, requires, bits, below, fold, _ = borelbox.enumeration._mode(dim, 0, predicate)
+    _, requires, bits, below, fold, finalize = borelbox.enumeration._mode(dim, 0, predicate)
     assert requires == []
     ticks = []
-    assert list(walk(requires, bits, below, fold, lambda: ticks.append(1))) == [(0, 0, ())]
+    assert list(walk(requires, bits, below, fold, finalize,
+                     lambda: ticks.append(1))) == [(0, ())]
     assert ticks == [1]
     assert list(enumerate_partitions(dim, 0, predicate)) == [Partition(dim)]
     assert count_ss(dim, 0) == count_ts(dim, 0) == 1
@@ -557,10 +575,10 @@ def test_a_walk_in_dimension_one_yields_the_prefixes_of_its_chain(predicate):
     # transfers, which walk dimension 0 (one cell, ()), count n + 1.
     walk = borelbox.enumeration._walk
     for side in range(1, 5):
-        _, requires, bits, below, fold, _ = borelbox.enumeration._mode(1, side, predicate)
-        nodes = list(walk(requires, bits, below, fold, lambda: None))
-        assert [mask for mask, *_ in nodes] == [(1 << k) - 1 for k in range(side + 1)]
-        assert [cells for *_, cells in nodes] == [
+        _, requires, bits, below, fold, finalize = borelbox.enumeration._mode(1, side, predicate)
+        nodes = list(walk(requires, bits, below, fold, finalize, lambda: None))
+        assert [mask for mask, _ in nodes] == [(1 << k) - 1 for k in range(side + 1)]
+        assert [cells for _, cells in nodes] == [
             tuple((v,) for v in range(k)) for k in range(side + 1)]
         assert count_ss(1, side) == count_ts(1, side) == side + 1
 
@@ -573,10 +591,10 @@ def test_interleaved_walks_of_one_box_yield_what_each_yields_alone(dim, side, pr
     # its own frontier and mask, so no walk's step changes another's
     # state.  The yielded tuples are kept as they come, so each stays
     # valid after later steps of either walk.
-    _, requires, bits, below, fold, _ = borelbox.enumeration._mode(dim, side, predicate)
+    _, requires, bits, below, fold, finalize = borelbox.enumeration._mode(dim, side, predicate)
     walk = borelbox.enumeration._walk
-    alone = list(walk(requires, bits, below, fold, lambda: None))
-    walks = [walk(requires, bits, below, fold, lambda: None) for _ in range(2)]
+    alone = list(walk(requires, bits, below, fold, finalize, lambda: None))
+    walks = [walk(requires, bits, below, fold, finalize, lambda: None) for _ in range(2)]
     got = [[], []]
     for step in range(3 * len(alone)):
         for which in ((0,) if step % 3 else (0, 1, 1)):
@@ -598,9 +616,10 @@ def requirement_tables(draw):
 def test_a_walk_yields_every_order_ideal_once_under_any_bit_layout(requires, data):
     # Any table and any layout that gives each index its own bit: the
     # walk yields each set closed under `requires` exactly once, the root
-    # first, each with the OR of its indices' bits and requirement masks,
-    # one tick a node; the layout changes only the masks, not which sets
-    # come or in what order.
+    # first, each with the OR of its indices' bits, after handing
+    # `finalize` that and the OR of their requirement masks, one tick and
+    # one re-validation a node; the layout changes only the masks, not
+    # which sets come or in what order.
     size = len(requires)
     ideals = {frozenset(s) for k in range(size + 1) for s in combinations(range(size), k)
               if all(set(requires[j]) <= set(s) for j in s)}
@@ -610,14 +629,19 @@ def test_a_walk_yields_every_order_ideal_once_under_any_bit_layout(requires, dat
         bits = [1 << k for k in layout]
         below = [reduce(or_, map(bits.__getitem__, needed), 0) for needed in requires]
         ticks = []
+        needs = []
         nodes = []
-        for mask, need, idxs in borelbox.enumeration._walk(requires, bits, below, fold,
-                                                          lambda: ticks.append(1)):
+
+        def recording(need, mask):
+            needs.append((need, mask))
+            return mask
+        for mask, idxs in borelbox.enumeration._walk(requires, bits, below, fold, recording,
+                                                     lambda: ticks.append(1)):
+            assert needs[-1] == (reduce(or_, map(below.__getitem__, idxs), 0), mask)
             assert mask == reduce(or_, map(bits.__getitem__, idxs), 0)
-            assert need == reduce(or_, map(below.__getitem__, idxs), 0)
             assert list(idxs) == sorted(idxs)
             nodes.append(idxs)
-        assert len(ticks) == len(nodes)
+        assert len(ticks) == len(needs) == len(nodes)
         return nodes
 
     nodes = walked(range(size))

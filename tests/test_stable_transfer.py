@@ -5,6 +5,7 @@ formulas, the symmetric transfer, box transposition, and its budget."""
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from borelbox import (
     ResourceLimit,
     cell_gf_ss,
     count_ss,
+    count_ts,
     enumerate_partitions,
     orbit_gf_ts,
     qtspp,
@@ -89,26 +91,41 @@ def test_a_refused_budget_names_its_value():
 
 def test_stable_budget_measures_the_table_by_its_cells():
     # The 29-dimensional slice table holds the C(30, 29) = 30 cells with
-    # coordinate sum below 2, and each state is a 30-bit mask.  The run
-    # takes 31 walk nodes, 2 + 31 (slice, state) pairs and 2 (cell, state)
-    # steps: 66.
-    assert count_ss(30, 2, budget=100) == 32
-    assert count_ss(30, 2, budget=66) == 32
-    for budget in (60, 65):
-        with pytest.raises(ResourceLimit, match="transfer"):
+    # coordinate sum below 2, 870 coordinates, and each state is a 30-bit
+    # mask.  The run takes 31 walk nodes, 2 + 31 (slice, state) pairs and
+    # 2 (cell, state) steps: 66, inside the table's 870.
+    assert count_ss(30, 2, budget=870) == 32
+    for budget in (66, 869):
+        with pytest.raises(ResourceLimit, match="table of 870 coordinates"):
             count_ss(30, 2, budget=budget)
+
+
+@pytest.mark.parametrize("count", [count_ss, count_ts])
+def test_a_wide_slice_table_is_refused_by_its_coordinates(monkeypatch, count):
+    # At (3000, 2) the slice table has 3,000 entries of 2,999 coordinates
+    # each, about 9M, and a budget of 10,000 refuses it unbuilt.
+    def unbuilt(*args):
+        raise AssertionError("the requirement table was built")
+
+    monkeypatch.setattr(borelbox.enumeration, "_cell_requirements", unbuilt)
+    monkeypatch.setattr(borelbox.enumeration, "_orbit_requirements", unbuilt)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit, match="table of 8997000 coordinates"):
+        count(3000, 2, budget=10_000)
+    assert time.perf_counter() - start < 1
 
 
 def test_stable_budget_message_names_the_phase(monkeypatch):
     def unbuilt(*args):
         raise AssertionError("the requirement table was built")
 
-    # The C(6, 2) = 15 table entries pass, then the 26th of the 32 slice
-    # states is refused.
+    # The C(6, 2) = 15 table entries, 30 coordinates, pass, then the 31st
+    # of the 32 slice states is refused.  At (3, 4) the table's 20
+    # coordinates pass and the walk's 16 states too.
     with pytest.raises(ResourceLimit, match="walk"):
-        count_ss(3, 5, budget=25)
+        count_ss(3, 5, budget=30)
     with pytest.raises(ResourceLimit, match="transfer"):
-        cell_gf_ss(3, 4, budget=16)
+        cell_gf_ss(3, 4, budget=20)
     monkeypatch.setattr(borelbox.enumeration, "_cell_requirements", unbuilt)
     with pytest.raises(ResourceLimit, match="table"):
         count_ss(3, 60, budget=1)

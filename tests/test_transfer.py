@@ -5,7 +5,9 @@ formulas, box transposition, and its budget."""
 import os
 import subprocess
 import sys
+import time
 from itertools import combinations_with_replacement, permutations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -80,10 +82,12 @@ def test_budget_message_names_the_phase(monkeypatch):
     def unbuilt(*args):
         raise AssertionError("the requirement table was built")
 
+    # The tables' 30 and 18 coordinates pass, then the walks' 32 and 20
+    # nodes do not.
     with pytest.raises(ResourceLimit, match="walk"):
-        count_ts(3, 4, budget=10)
+        count_ts(3, 5, budget=30)
     with pytest.raises(ResourceLimit, match="walk"):
-        list(enumerate_partitions(2, 3, "all", budget=9))
+        list(enumerate_partitions(2, 3, "all", budget=18))
     with pytest.raises(ResourceLimit, match="transfer"):
         count_ts(3, 4, budget=100)
     monkeypatch.setattr(borelbox.enumeration, "_orbit_requirements", unbuilt)
@@ -102,8 +106,43 @@ def test_budget_charges_state_cells_before_expanding_them(monkeypatch, dim):
         raise AssertionError(f"the orbit of {rep} was expanded")
 
     monkeypatch.setattr(borelbox.enumeration, "_distinct_permutations", unexpanded)
+    # The budget passes the table's C(d + 1, 2) entries of d - 1
+    # coordinates, and 500 more stop the walk.
     with pytest.raises(ResourceLimit, match="walk"):
-        count_ts(dim, 3, budget=500)
+        count_ts(dim, 3, budget=comb(dim + 1, 2) * (dim - 1) + 500)
+
+
+def test_a_symmetric_listing_is_charged_each_orbits_cells_before_expanding_it(monkeypatch):
+    # At (22, 2) the orbit with k ones holds C(22, k) cells, 2^22 in all.
+    # The table's 23 entries of 22 coordinates pass a budget of 1,000, and
+    # the listing is charged 4 nodes and 1 + 22 + 231 cells; the 5th node
+    # and its orbit's 1,540 cells are refused before the orbit is expanded.
+    expanded = []
+    real = borelbox.enumeration._distinct_permutations
+
+    def counted(rep):
+        assert _orbit_size(rep) < 1540, f"the orbit of {rep} was expanded past the budget"
+        cells = list(real(rep))
+        expanded.append(len(cells))
+        return cells
+
+    monkeypatch.setattr(borelbox.enumeration, "_distinct_permutations", counted)
+    listed = []
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit, match="walk"):
+        for partition in enumerate_partitions(22, 2, "totally_symmetric", budget=1000):
+            listed.append(len(partition))
+    assert time.perf_counter() - start < 1
+    assert expanded == [1, 22, 231]
+    assert listed == [0, 1, 23, 254]
+
+
+def test_an_unbudgeted_listing_computes_no_orbit_sizes(monkeypatch):
+    def unsized(rep):
+        raise AssertionError(f"the size of the orbit of {rep} was computed")
+
+    monkeypatch.setattr(borelbox.enumeration, "_orbit_size", unsized)
+    assert len(list(enumerate_partitions(3, 3, "totally_symmetric"))) == count_ts(3, 3) == 16
 
 
 def test_transfers_build_no_cells(monkeypatch):
