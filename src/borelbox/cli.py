@@ -1,8 +1,9 @@
 """Command line front end: JSON in, JSON or pretty text out.
 
-Exit codes: 0 success, 1 malformed input, 2 violated precondition
-(standard output closed before the output was written included) or
-usage error, 3 resource budget exceeded.
+Exit codes: 0 success, 1 malformed input (a number too large for any
+list included), 2 violated precondition (standard output closed before
+the output was written included) or usage error, 3 resource budget
+exceeded or memory exhausted.
 
 `_COMMANDS` is the one table of subcommands: a row gives the handler's
 name, the help line, the input and the options.  The input is None when
@@ -225,9 +226,13 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.handler(args)
-    except (BorelboxError, ValueError) as exc:
+    except (BorelboxError, ValueError, OverflowError) as exc:
+        # An OverflowError is a number past what a list or range can hold.
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, BorelboxError) else 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -355,14 +355,23 @@ def _box_budget(dim: int, side: int, predicate: str, budget: int | None,
     """Check a box's arguments and start its budget, refusing before it is
     built a requirement table in dimension `table_dim` (a transfer's is
     its slices') whose coordinates, d per entry and one in dimension 0,
-    exceed it: side^d cells, or C(side+d-1, d) stable cells or orbits."""
+    exceed it: side^d cells, or C(side+d-1, d) stable cells or orbits.
+    A table of at least 2^low entries, low read off the bit lengths, is
+    never sized exactly when that bound already refuses it (see
+    `_Budget.refuse`); C(m, k) >= (m // k)^k, k the smaller of d and
+    side - 1."""
     _check_box_args(dim, side, predicate)
     limiter = _Budget(budget)
     if budget is not None:
-        entries = (side ** table_dim if predicate == "all"
-                   else comb(max(side + table_dim - 1, 0), table_dim))
-        limiter.refuse(entries * max(table_dim, 1),
-                       "the requirement table of {} coordinates exceeds the node budget")
+        if predicate == "all":
+            low = (side.bit_length() - 1) * table_dim
+            entries = lambda: side ** table_dim
+        else:
+            m, k = max(side + table_dim - 1, 0), min(table_dim, side - 1)
+            low = ((m // k).bit_length() - 1) * k if k > 0 else 0
+            entries = lambda: comb(m, table_dim)
+        limiter.refuse(lambda: entries() * max(table_dim, 1),
+                       "the requirement table of {} coordinates exceeds the node budget", low)
     return limiter
 
 

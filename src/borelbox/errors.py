@@ -8,6 +8,8 @@ raises, so that a module that charges work to a budget need not import
 the enumeration.
 """
 
+from collections.abc import Callable
+
 
 class BorelboxError(Exception):
     """Base class for all library errors."""
@@ -117,6 +119,20 @@ class ResourceLimit(BorelboxError):
         super().__init__(message or f"enumeration exceeded the node budget of {budget}")
 
 
+# Every power of two from 2^14300 on has more than the 4300 digits that
+# Python prints of an int by default (see sys.set_int_max_str_digits).
+_UNPRINTABLE_BITS = 14_300
+
+
+def _size_text(size: int) -> str:
+    """`size` in decimal, or the power of two at or below it when it has
+    more digits than Python prints."""
+    try:
+        return str(size)
+    except ValueError:
+        return f"at least 2^{size.bit_length() - 1}"
+
+
 class _Budget:
     """Node budget shared by every phase of one enumeration, transfer,
     complement, closure or bijection map; `phase` names the one running,
@@ -147,8 +163,19 @@ class _Budget:
         if self.limit is not None:
             self.charge(1)
 
-    def refuse(self, size: int, what: str) -> None:
+    def refuse(self, size: int | Callable[[], int], what: str, low: int = 0) -> None:
         """Raise when work of `size` steps, not yet begun, would exceed
-        the budget; `what` names it, with {} for the size."""
-        if self.limit is not None and size > self.limit:
-            raise ResourceLimit(self.limit, f"{what.format(size)} of {self.limit}")
+        the budget; `what` names it, with {} for the size.  `size` may be
+        a function that computes it, and `low` an exponent with
+        2^low <= size: when that bound alone puts the size past the
+        budget and past what can be printed, the size is never computed."""
+        if self.limit is None:
+            return
+        if low < max(self.limit.bit_length(), _UNPRINTABLE_BITS):
+            size = size() if callable(size) else size
+            if size <= self.limit:
+                return
+            text = _size_text(size)
+        else:
+            text = f"at least 2^{low}"
+        raise ResourceLimit(self.limit, f"{what.format(text)} of {self.limit}")

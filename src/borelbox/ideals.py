@@ -10,7 +10,6 @@ minimal Borel generators of a strongly stable ideal live here too.
 
 from __future__ import annotations
 
-from collections import Counter
 from operator import le
 from typing import Iterable, Iterator
 
@@ -59,39 +58,6 @@ def minimalize(monomials: Iterable[Monomial]) -> tuple[Monomial, ...]:
         if not any(all(map(le, g, mono)) for g in lower):
             kept.append(mono)
     return tuple(sorted(kept))
-
-
-def _fully_reached(dim: int, cells: Iterable[Monomial]) -> list[Monomial]:
-    """The vectors u = c + e_j, c among the distinct `cells`, whose every
-    lower neighbour u - e_j with u_j > 0 is among them: each such
-    neighbour reaches u once, so u is reached as often as it has positive
-    coordinates."""
-    reached = Counter(c[:j] + (c[j] + 1,) + c[j + 1:] for c in cells for j in range(dim))
-    return [u for u, times in reached.items() if times == dim - u.count(0)]
-
-
-def _graded_complement(dim: int, gens: Iterable[Monomial],
-                       limiter: _Budget) -> set[Monomial]:
-    """Exponent vectors outside the ideal generated by `gens`, grown one
-    degree at a time; the ideal must be Artinian, or the growth never ends.
-
-    The ideal contains c exactly when c is a generator or some c - e_j
-    lies in it, so c lies outside exactly when it is not a generator and
-    every c - e_j with c_j > 0 lies outside.  Those are cells of the
-    degree below (see `_fully_reached`).  That needs only a set of the
-    generators: O(cells * d^2).  Each degree's cells are charged to
-    `limiter` as they are grown.
-    """
-    gens = set(gens)
-    origin = (0,) * dim
-    level = set() if origin in gens else {origin}
-    limiter.charge(len(level))
-    outside = set(level)
-    while level:
-        level = {u for u in _fully_reached(dim, level) if u not in gens}
-        limiter.charge(len(level))
-        outside |= level
-    return outside
 
 
 def symmetrize(monomials: Iterable[Monomial]) -> tuple[Monomial, ...]:
@@ -147,10 +113,10 @@ class MonomialIdeal:
     ideal of a partition, a symmetrized antichain) go through the private
     `_trusted` instead, which skips both steps.
 
-    An Artinian ideal keeps the set of exponent vectors outside it in the
-    private slot `_outside` once `ideal_to_partition` has grown it or
-    `partition_to_ideal` has seeded it, and answers membership from it;
-    while the slot is `None`, membership scans the generators.
+    An ideal built by `partition_to_ideal` keeps that partition's cells,
+    the exponent vectors outside it, in the private slot `_outside`, and
+    answers membership from them; that is the only writer of the slot.
+    Every other ideal leaves it `None` and scans its generators.
     """
 
     __slots__ = ("dim", "gens", "_outside")
@@ -191,8 +157,8 @@ class MonomialIdeal:
     def contains(self, monomial) -> bool:
         """Membership: some generator divides the monomial.
 
-        The argument is validated.  An ideal whose complement is known
-        answers by a lookup in it; any other scans its generators.
+        The argument is validated.  An ideal built from a partition
+        answers by a lookup in its cells; any other scans its generators.
         """
         return self._has(_as_vector(self.dim, monomial, "monomial"))
 
@@ -204,25 +170,15 @@ class MonomialIdeal:
             return any(all(map(le, g, mono)) for g in self.gens)
         return mono not in self._outside
 
-    def _complement(self, budget: int | None = None) -> frozenset[Monomial]:
-        """Exponent vectors outside the ideal, grown once by degree (see
-        `_graded_complement`) and kept.  Raises :class:`NotArtinian` when
-        they are infinitely many, and :class:`ResourceLimit` when growing
-        them would take more than `budget` cells."""
-        if self._outside is None:
-            self.artinian_side()
-            limiter = _Budget(budget, "complement")
-            self._outside = frozenset(_graded_complement(self.dim, self.gens, limiter))
-        return self._outside
-
-    def _pure_powers(self) -> dict[int, int] | None:
+    def _pure_powers(self) -> dict[int, int]:
         """Each variable's (0-based) pure power degree among the generators,
-        for the variables that have one, in one scan; None for the unit ideal."""
+        for the variables that have one, in one scan.  The unit ideal's
+        only generator is x^0, a pure power of degree 0 of every variable."""
         powers = {}
         for g in self.gens:
             support = [j for j, e in enumerate(g) if e]
             if not support:
-                return None
+                return dict.fromkeys(range(self.dim), 0)
             if len(support) == 1:
                 powers[support[0]] = g[support[0]]
         return powers
@@ -231,23 +187,17 @@ class MonomialIdeal:
         """Per variable, the degree of its pure power among the generators,
         or None when there is none.  The unit ideal reports degree 0 for
         every variable."""
-        powers = self._pure_powers()
-        if powers is None:
-            return (0,) * self.dim
-        return tuple(map(powers.get, range(self.dim)))
+        return tuple(map(self._pure_powers().get, range(self.dim)))
 
     def is_artinian(self) -> bool:
         """True iff the ideal contains a pure power of every variable."""
-        powers = self._pure_powers()
-        return powers is None or len(powers) == self.dim
+        return len(self._pure_powers()) == self.dim
 
     def artinian_side(self) -> int:
         """Largest pure power degree; raises :class:`NotArtinian` if some
         variable has no pure power among the generators, before anything
         of the ideal's dimension is built."""
         powers = self._pure_powers()
-        if powers is None:
-            return 0
         # A missing variable is among the first len(powers) + 1, whatever
         # the dimension.
         if len(powers) < self.dim:

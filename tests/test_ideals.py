@@ -116,6 +116,14 @@ def test_unit_and_zero_ideals():
     assert zero.is_strongly_stable()
 
 
+@pytest.mark.parametrize("dim", [1, 3, 4096])
+def test_the_unit_ideal_has_every_pure_power_in_degree_zero(dim):
+    unit = MonomialIdeal(dim, [(0,) * dim])
+    assert unit.pure_power_degrees() == (0,) * dim
+    assert unit.is_artinian()
+    assert unit.artinian_side() == 0
+
+
 def test_strongly_stable_examples():
     assert MonomialIdeal(2, SS_IDEAL_2D_GENS).is_strongly_stable()
     assert MonomialIdeal(3, [(1, 0, 0)]).is_strongly_stable()

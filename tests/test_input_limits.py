@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 from borelbox import (MonomialIdeal, NotArtinian, Partition, ResourceLimit, count_ss,
-                      count_ts, cumulative_counts, enumerate_partitions, hawkes_counts)
+                      count_ts, cumulative_counts, enumerate_partitions, hawkes_counts, qtspp,
+                      stembridge_t3)
 from borelbox.cli import run
 from borelbox.partitions import MAX_DIM
 
@@ -48,27 +49,79 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
-def assert_malformed_in_a_small_address_space(argv, text=""):
+def assert_one_error_in_a_small_address_space(argv, text="", code=1):
     """`python -m borelbox` with `argv` and `text` on standard input, in
-    a child process limited to ADDRESS_SPACE, exits 1 with one error line."""
+    a child process limited to ADDRESS_SPACE, exits `code` (1, malformed
+    input, unless given) with one error line."""
     proc = subprocess.run(
         [sys.executable, "-m", "borelbox", *argv], input=text,
         capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
         env={**os.environ, "PYTHONPATH": str(SRC)})
-    assert proc.returncode == 1, proc.stderr
+    assert proc.returncode == code, proc.stderr
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
 
 
+def _nines(digits):
+    return "9" * digits
+
+
+# Budgets refusing tables and products whose sizes have more digits than
+# Python prints.  The five tables are refused on a bound, never sized.
+UNPRINTABLE_REFUSALS = [
+    ["count", "--d", "2", "--n", _nines(2200), "--list", "--budget", "5"],
+    ["count", "--d", "3", "--n", _nines(2200), "--predicate", "ss", "--budget", "5"],
+    ["gf", "--formula", "--n", _nines(1500), "--budget", "5"],
+    ["count", "--d", "4096", "--n", "100", "--list", "--budget", _nines(100)],
+    ["count", "--d", "4096", "--n", _nines(2000), "--list", "--budget", _nines(2100)],
+    ["count", "--d", "4096", "--n", "1" + "0" * 3999, "--list", "--budget", "5"],
+]
+
+# Sides past what a list or range can index, exit 1, and one whose
+# triples no memory holds, exit 3.
+UNLISTABLE_SIDES = [
+    (["count", "--d", "2", "--n", "100000000000000000000", "--list"], 1),
+    (["count", "--d", "1", "--n", "100000000000000000000"], 1),
+    (["gf", "--d", "2", "--n", "100000000000000000000"], 1),
+    (["gf", "--formula", "--n", "100000000000000000000"], 1),
+    (["gf", "--formula", "--n", "1000000000000000"], 3),
+]
+
+
+@pytest.mark.parametrize("argv", UNPRINTABLE_REFUSALS, ids=lambda argv: argv[0])
+def test_a_budget_refuses_a_size_too_large_to_print_at_once(argv):
+    start = time.perf_counter()
+    assert_one_error_in_a_small_address_space(argv, code=3)
+    assert time.perf_counter() - start < 3
+
+
+@pytest.mark.parametrize("argv, code", UNLISTABLE_SIDES)
+def test_a_side_no_list_can_hold_is_one_error_line(argv, code):
+    assert_one_error_in_a_small_address_space(argv, code=code)
+
+
+def test_a_refused_size_too_large_to_print_is_named_by_a_power_of_two():
+    with pytest.raises(ResourceLimit, match=r"^the requirement table of at least 2\^14614 "
+                                            r"coordinates exceeds the node budget of 5$"):
+        count_ss(3, int(_nines(2200)), budget=5)
+    with pytest.raises(ResourceLimit, match=r"^a product of degree at least 2\^14946 "
+                                            r"exceeds the budget of 5$"):
+        qtspp(int(_nines(1500)), budget=5)
+    # A size that prints is printed whole.
+    with pytest.raises(ResourceLimit, match=r"^a product of 1140 factors exceeds "
+                                            r"the budget of 999$"):
+        stembridge_t3(18, budget=999)
+
+
 @pytest.mark.parametrize("command, payload", HUGE_INPUTS)
 def test_a_huge_dimension_is_malformed_input(command, payload):
-    assert_malformed_in_a_small_address_space([command], json.dumps(payload))
+    assert_one_error_in_a_small_address_space([command], json.dumps(payload))
 
 
 @pytest.mark.parametrize("argv", HUGE_BOXES, ids=" ".join)
 def test_a_box_of_huge_dimension_is_malformed_input(argv):
-    assert_malformed_in_a_small_address_space(argv)
+    assert_one_error_in_a_small_address_space(argv)
 
 
 def test_the_box_functions_refuse_a_dimension_past_the_limit_at_the_call():

@@ -16,6 +16,8 @@ from borelbox import (
     Partition,
     ResourceLimit,
     borel_closure,
+    correspondence,
+    enumerate_partitions,
     ideal_to_partition,
     lambda_map,
     minimalize,
@@ -68,7 +70,8 @@ def test_artinian_contains_matches_the_generator_scan(ideal):
     side = max(max(g) for g in ideal.gens) + 2
     oracle = bruteforce.naive_ideal_members(ideal.gens, ideal.dim, side)
     assert members_in_box(ideal, side) == oracle
-    # Once the complement is grown, membership reads it.
+    # Growing the complement stores nothing on the ideal, so membership
+    # still scans the generators.
     ideal_to_partition(ideal)
     assert members_in_box(ideal, side) == oracle
 
@@ -88,8 +91,16 @@ def test_ideal_to_partition_matches_the_box_complement(ideal):
     partition = ideal_to_partition(ideal)
     assert partition == Partition(ideal.dim, complement)
     assert partition._members == frozenset(partition.cells) == complement
-    # The partition and the ideal share one hash set of the complement.
-    assert partition._members is ideal._outside
+    # The grown complement is kept by the partition alone.
+    assert ideal._outside is None
+
+
+def test_a_round_trip_reuses_the_partition_and_grows_nothing(monkeypatch):
+    partitions = list(enumerate_partitions(3, 3, "strongly_stable"))
+    ideals = [partition_to_ideal(p) for p in partitions]
+    monkeypatch.setattr(correspondence, "_fully_reached", None)   # any growth fails
+    for partition, ideal in zip(partitions, ideals):
+        assert ideal_to_partition(ideal)._members is partition._members
 
 
 @settings(max_examples=150, deadline=None)
