@@ -48,13 +48,13 @@ class _CellTexts(dict):
 
 def _emit_listing(dim: int, partitions) -> None:
     """Print each partition as :func:`_emit_partition` does, byte for
-    byte, but joining cached cell texts: a listed partition is its
-    parent's cells plus one cell or orbit, so encoding every cell of every
-    line would cost most of the listing's time."""
+    byte: the empty partition's line, cached cell texts joined inside its
+    brackets.  A listed partition is its parent's cells plus one cell or
+    orbit, so encoding each cell of each line would take most of the time."""
     texts = _CellTexts()
-    head = f'{{"dim": {json.dumps(dim)}, "cells": ['
+    head, tail = json.dumps(Partition(dim).to_json_dict()).split("[]")
     for partition in partitions:
-        print(head + ", ".join(map(texts.__getitem__, partition.cells)) + "]}")
+        print(f"{head}[{', '.join(map(texts.__getitem__, partition.cells))}]{tail}")
 
 
 def _emit(args, result) -> None:
@@ -73,8 +73,7 @@ def _cmd_check_ideal(args) -> None:
     ideal = MonomialIdeal.from_json_dict(cli._read_payload(args))
     degrees = ideal.pure_power_degrees()
     report = {
-        "dim": ideal.dim,
-        "gens": [list(g) for g in ideal.gens],
+        **ideal.to_json_dict(),
         "artinian": ideal.is_artinian(),
         "pure_power_degrees": list(degrees),
         "strongly_stable": ideal.is_strongly_stable(),

@@ -301,7 +301,7 @@ def ss_to_ts_partition(partition: Partition, *, budget: int | None = None) -> Pa
         for getter in _rearrangements(pattern):
             cells += map(getter, reps)
     cells.sort()
-    return Partition._trusted(partition.dim, tuple(cells), None, "totally_symmetric")
+    return Partition._trusted(partition.dim, tuple(cells), "totally_symmetric")
 
 
 def ts_to_ss_partition(partition: Partition, *, budget: int | None = None) -> Partition:
@@ -349,4 +349,4 @@ def ts_to_ss_partition(partition: Partition, *, budget: int | None = None) -> Pa
                     sums = padded
                     break
         else:
-            return Partition._trusted(dim, tuple(cells), None, "strongly_stable")
+            return Partition._trusted(dim, tuple(cells), "strongly_stable")

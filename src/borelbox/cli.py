@@ -150,8 +150,7 @@ def render_partition(partition: Partition, style: str) -> str:
 def _cmd_check_partition(args) -> None:
     partition = Partition.from_json_dict(_read_payload(args))
     report = {
-        "dim": partition.dim,
-        "cells": [list(c) for c in partition.cells],
+        **partition.to_json_dict(),
         "bounding_side": partition.bounding_side(),
         "cell_count": len(partition),
         "orbit_count": partition.orbit_count(),

@@ -5,8 +5,8 @@ itself; their exponent vectors form a partition.  Conversely the
 monomials whose exponents avoid a partition form an Artinian ideal.  The
 two maps are mutually inverse, and they match strongly stable ideals with
 strongly stable partitions and symmetric ideals with totally symmetric
-partitions.  An ideal's `_outside` slot is set only by
-`partition_to_ideal`; a complement grown here is stored on no ideal.
+partitions.  Only `partition_to_ideal` sets an ideal's `_complement`, to
+the partition it came from; a complement grown here is stored on no ideal.
 """
 
 from __future__ import annotations
@@ -32,31 +32,31 @@ def ideal_to_partition(ideal: MonomialIdeal, *, budget: int | None = None) -> Pa
     """Partition of all exponent vectors outside the ideal.
 
     Requires an Artinian ideal so the complement is finite.  An ideal
-    built by `partition_to_ideal` gives back that partition's cells.  Any
-    other's complement is grown one degree at a time from a hash set of
-    the generators: c lies outside exactly when it is not a generator and
-    every c - e_j with c_j > 0 lies outside, cells of the degree below
-    (see `_fully_reached`), in O(cells * d^2).  It is downward closed by
-    construction, so the partition is built from it without validating
-    the cells again.  `budget` bounds the cells grown; one more raises
-    :class:`ResourceLimit`.
+    built by `partition_to_ideal` gives back that partition itself, with
+    its record (`Partition._holds`).  Any other's complement is grown one
+    degree at a time from a hash set of the generators: c lies outside
+    exactly when it is not a generator and every c - e_j with c_j > 0
+    lies outside, cells of the degree below (see `_fully_reached`), in
+    O(cells * d^2).  It is downward closed by construction, so the
+    partition is built from its sorted cells without validating them
+    again, and builds its member set only if asked.  `budget` bounds the
+    cells grown; one more raises :class:`ResourceLimit`.
     """
+    if ideal._complement is not None:
+        return ideal._complement
+    ideal.artinian_side()
     dim = ideal.dim
-    outside = ideal._outside
-    if outside is None:
-        ideal.artinian_side()
-        limiter = _Budget(budget, "complement")
-        gens = set(ideal.gens)
-        origin = (0,) * dim
-        level = set() if origin in gens else {origin}
+    limiter = _Budget(budget, "complement")
+    gens = set(ideal.gens)
+    origin = (0,) * dim
+    level = set() if origin in gens else {origin}
+    limiter.charge(len(level))
+    grown = set(level)
+    while level:
+        level = {u for u in _fully_reached(dim, level) if u not in gens}
         limiter.charge(len(level))
-        grown = set(level)
-        while level:
-            level = {u for u in _fully_reached(dim, level) if u not in gens}
-            limiter.charge(len(level))
-            grown |= level
-        outside = frozenset(grown)
-    return Partition._trusted(dim, tuple(sorted(outside)), outside)
+        grown |= level
+    return Partition._trusted(dim, tuple(sorted(grown)))
 
 
 def partition_to_ideal(partition: Partition) -> MonomialIdeal:
@@ -69,11 +69,11 @@ def partition_to_ideal(partition: Partition) -> MonomialIdeal:
     The empty partition maps to the unit ideal.  No generator divides
     another, since everything strictly below a generator is a cell, so
     the ideal is built without minimalizing them again.  The partition is
-    the ideal's complement, so the ideal keeps its cells for membership
-    queries and for `ideal_to_partition`.
+    the ideal's complement, so the ideal keeps it, for membership queries
+    and for `ideal_to_partition` to hand back.
     """
     dim = partition.dim
     members = partition._members
     gens = [alpha for alpha in _fully_reached(dim, partition.cells)
             if alpha not in members] or [(0,) * dim]
-    return MonomialIdeal._trusted(dim, tuple(sorted(gens)), members)
+    return MonomialIdeal._trusted(dim, tuple(sorted(gens)), partition)

@@ -88,6 +88,7 @@ module.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
@@ -97,7 +98,7 @@ from math import comb, isqrt, prod
 from operator import add, or_, sub
 from typing import Callable, Iterator
 
-from .errors import ArithmeticSelfCheck, NonIntegerProduct, _Budget
+from .errors import ArithmeticSelfCheck, NonIntegerProduct, _Budget, _size_text
 from .partitions import (MAX_DIM, Cell, Partition, _distinct_permutations,
                          _fixed_by_permutations, _orbit_size)
 from .qpoly import QPolynomial, _div_one_minus_q_power, _mul_one_minus_q_power
@@ -359,7 +360,8 @@ def _box_budget(dim: int, side: int, predicate: str, budget: int | None,
     A table of at least 2^low entries, low read off the bit lengths, is
     never sized exactly when that bound already refuses it (see
     `_Budget.refuse`); C(m, k) >= (m // k)^k, k the smaller of d and
-    side - 1."""
+    side - 1.  Then a side past `sys.maxsize`, which no list or range
+    can index, is refused as malformed input, in its own words."""
     _check_box_args(dim, side, predicate)
     limiter = _Budget(budget)
     if budget is not None:
@@ -372,6 +374,9 @@ def _box_budget(dim: int, side: int, predicate: str, budget: int | None,
             entries = lambda: comb(m, table_dim)
         limiter.refuse(lambda: entries() * max(table_dim, 1),
                        "the requirement table of {} coordinates exceeds the node budget", low)
+    if side > sys.maxsize:
+        raise ValueError(f"side must be at most {sys.maxsize} to index a list, "
+                         f"got {_size_text(side)}")
     return limiter
 
 
@@ -409,7 +414,7 @@ def enumerate_partitions(dim: int, side: int, predicate: str = "all", *,
         trusted = Partition._trusted
         holds = None if predicate == "all" else predicate
         for _, cells in _walk(requires, bits, below, fold, finalize, limiter.tick):
-            yield trusted(dim, cells, None, holds)
+            yield trusted(dim, cells, holds)
     return listing()
 
 
@@ -781,10 +786,14 @@ def _q_product(exponents: dict[int, int]) -> QPolynomial:
 def _check_side(n: int, budget: int | None, measure: str) -> None:
     """Validate the side of a triple product, and refuse with
     :class:`ResourceLimit` one whose C(n+2, 3) triples exceed the budget;
-    `measure` names that count, with {} for it, for the message."""
+    `measure` names that count, with {} for it, for the message.  Then
+    refuse an n whose factor table of 3n + 4 entries no list can index."""
     if type(n) is not int or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     _Budget(budget).refuse(comb(n + 2, 3), f"a product of {measure} exceeds the budget")
+    if 3 * n + 4 > sys.maxsize:
+        raise ValueError(f"n must be at most {(sys.maxsize - 4) // 3} for a factor table "
+                         f"of 3n + 4 entries, got {_size_text(n)}")
 
 
 def stembridge_t3(n: int, *, budget: int | None = None) -> int:

@@ -155,7 +155,7 @@ class _Budget:
             self.used += steps
             if self.used > self.limit:
                 raise ResourceLimit(self.limit, f"the {self.phase} exceeded "
-                                                f"the node budget of {self.limit}")
+                                                f"the node budget of {_size_text(self.limit)}")
 
     def tick(self) -> None:
         """Charge one walk node.  Other steps go through `charge`, so the
@@ -178,4 +178,4 @@ class _Budget:
             text = _size_text(size)
         else:
             text = f"at least 2^{low}"
-        raise ResourceLimit(self.limit, f"{what.format(text)} of {self.limit}")
+        raise ResourceLimit(self.limit, f"{what.format(text)} of {_size_text(self.limit)}")

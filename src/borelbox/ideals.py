@@ -10,6 +10,8 @@ minimal Borel generators of a strongly stable ideal live here too.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate
 from operator import le
 from typing import Iterable, Iterator
 
@@ -22,7 +24,8 @@ from .errors import (
     NotStronglyStable,
     _Budget,
 )
-from .partitions import _as_vector, _distinct_permutations, _fixed_by_permutations, _json_fields
+from .partitions import (Partition, _as_vector, _distinct_permutations,
+                         _fixed_by_permutations, _json_fields)
 
 Monomial = tuple[int, ...]
 
@@ -113,31 +116,31 @@ class MonomialIdeal:
     ideal of a partition, a symmetrized antichain) go through the private
     `_trusted` instead, which skips both steps.
 
-    An ideal built by `partition_to_ideal` keeps that partition's cells,
-    the exponent vectors outside it, in the private slot `_outside`, and
-    answers membership from them; that is the only writer of the slot.
-    Every other ideal leaves it `None` and scans its generators.
+    An ideal built by `partition_to_ideal`, the only writer of the private
+    slot `_complement`, keeps that partition there, answers membership
+    from its cells and hands it back to `ideal_to_partition`.  Every other
+    ideal leaves it `None` and scans its generators.
     """
 
-    __slots__ = ("dim", "gens", "_outside")
+    __slots__ = ("dim", "gens", "_complement")
 
     def __init__(self, dim: int, gens: Iterable[Iterable[int]] = ()):
         if type(dim) is not int or dim < 1:
             raise InvalidCell(f"dimension must be a positive integer, got {dim!r}")
         self.dim = dim
         self.gens = minimalize(_as_vector(dim, g, "monomial") for g in gens)
-        self._outside = None
+        self._complement = None
 
     @classmethod
     def _trusted(cls, dim: int, gens: tuple[Monomial, ...],
-                 outside: frozenset[Monomial] | None = None) -> "MonomialIdeal":
+                 complement: Partition | None = None) -> "MonomialIdeal":
         # Internal fast path: caller guarantees `gens` are valid exponent
         # tuples of length `dim`, an antichain, sorted lexicographically,
-        # and that `outside`, when given, is the ideal's complement.
+        # and that `complement`, when given, is the ideal's complement.
         ideal = object.__new__(cls)
         ideal.dim = dim
         ideal.gens = gens
-        ideal._outside = outside
+        ideal._complement = complement
         return ideal
 
     def __eq__(self, other) -> bool:
@@ -166,9 +169,9 @@ class MonomialIdeal:
 
     def _has(self, mono: Monomial) -> bool:
         # Trusted lookup: `mono` is an exponent tuple of this dimension.
-        if self._outside is None:
+        if self._complement is None:
             return any(all(map(le, g, mono)) for g in self.gens)
-        return mono not in self._outside
+        return mono not in self._complement._members
 
     def _pure_powers(self) -> dict[int, int]:
         """Each variable's (0-based) pure power degree among the generators,
@@ -259,11 +262,18 @@ def borel_closure(monomials: Iterable[Iterable[int]], *,
     Saturates the set under single adjacent exchanges (one unit moved from
     x_j to x_{j-1}); adjacent exchanges compose to every exchange with
     i < j, and the ideal generated by the saturated set is closed under
-    all Borel moves.  The result is returned in minimal canonical form;
-    the seeds are validated, and exchanges keep exponents nonnegative, so
-    it is built without validating them again.  `budget` bounds the
-    monomials reached, the input's included; one more raises
-    :class:`ResourceLimit`.
+    all Borel moves.  The seeds are validated, and exchanges keep
+    exponents nonnegative, so the result is built without validating them
+    again.  `budget` bounds the monomials reached, the input's included;
+    one more raises :class:`ResourceLimit`.
+
+    The minimal generators are picked without comparing reached monomials
+    with each other: a reached m is one exactly when no seed b of lower
+    degree has ψ(b) <= ψ(m), ψ the prefix sums.  A monomial u is in the
+    ideal exactly when ψ(u) >= ψ(b) for some seed b (Francisco, Mermin
+    and Schweig), and then so is the divisor of u made of its first |b|
+    units.  So a proper divisor of m in the ideal gives such a seed, of
+    degree below |m|, and such a seed gives a proper divisor of m in it.
     """
     limiter = _Budget(budget, "Borel closure")
     seeds = list(monomials)
@@ -277,6 +287,16 @@ def borel_closure(monomials: Iterable[Iterable[int]], *,
         raise InvalidCell(f"dimension must be a positive integer, got {dim!r}")
     reachable = {_as_vector(dim, m, "monomial") for m in seeds}
     limiter.charge(len(reachable))
+    seed_psi = sorted((sum(b), tuple(accumulate(b))) for b in reachable)
+    degrees = [degree for degree, _ in seed_psi]
+
+    def minimal(m: Monomial) -> bool:
+        lower = seed_psi[:bisect_left(degrees, sum(m))]   # seeds of lower degree
+        if not lower:
+            return True
+        psi = tuple(accumulate(m))
+        return not any(all(map(le, b, psi)) for _, b in lower)
+
     stack = list(reachable)
     while stack:
         mono = stack.pop()
@@ -287,4 +307,4 @@ def borel_closure(monomials: Iterable[Iterable[int]], *,
                     limiter.charge(1)
                     reachable.add(moved)
                     stack.append(moved)
-    return MonomialIdeal._trusted(dim, minimalize(reachable))
+    return MonomialIdeal._trusted(dim, tuple(sorted(filter(minimal, reachable))))

@@ -151,10 +151,9 @@ class Partition:
 
     @classmethod
     def _trusted(cls, dim: int, sorted_cells: tuple[Cell, ...],
-                 members: frozenset[Cell] | None = None,
                  holds: str | None = None) -> "Partition":
-        # Internal fast path: caller guarantees canonical order and closure,
-        # and that `members`, when given, is the frozenset of the cells.
+        # Internal fast path: caller guarantees canonical order and closure.
+        # No caller hands in a member set: `_members` builds it on first use.
         # `holds` records a predicate the producer's construction proves,
         # "strongly_stable" or "totally_symmetric", so the bijection skips
         # testing it again on its input.  Only three producers pass it:
@@ -165,7 +164,7 @@ class Partition:
         part = object.__new__(cls)
         part.dim = dim
         part.cells = sorted_cells
-        part._member_set = members
+        part._member_set = None
         part._holds = holds
         return part
 

@@ -228,6 +228,31 @@ def test_borel_closure_idempotent_on_random_seeds(seed):
     assert borel_closure(closed.gens) == closed
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_borel_closure_keeps_exactly_the_minimal_saturated_monomials(seed):
+    # Generators are picked against the seeds of lower degree, not by
+    # comparing reached monomials; the oracle minimalizes the saturated
+    # set.  Seed sets mix degrees, and some hold the zero vector, a
+    # multiple of a seed or a Borel move of one.
+    rng = random.Random(seed)
+    for _ in range(150):
+        dim = rng.randint(1, 5)
+        seeds = [tuple(rng.randint(0, 3) for _ in range(dim))
+                 for _ in range(rng.randint(1, 4))]
+        extra = rng.choice(seeds)
+        seeds.append(rng.choice([(0,) * dim, tuple(e + 1 for e in extra),
+                                 rng.choice(sorted(bruteforce.naive_borel_closure([extra])))]))
+        expected = minimalize(bruteforce.naive_borel_closure(seeds))
+        assert borel_closure(seeds).gens == expected, seeds
+
+
+def test_borel_closure_of_seeds_far_apart_in_degree():
+    seeds = [(0, 0, 0, 40), (0, 0, 30, 0), (5, 5, 5, 5)]
+    closed = borel_closure(seeds)
+    assert len(closed.gens) == 3146
+    assert closed.gens == minimalize(bruteforce.naive_borel_closure(seeds))
+
+
 def _stable_ideal_universe():
     """Strongly stable ideals (Artinian or not) with generators confined to
     a small box: every antichain in the box whose ideal is strongly

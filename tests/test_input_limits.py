@@ -19,6 +19,7 @@ from borelbox import (MonomialIdeal, NotArtinian, Partition, ResourceLimit, coun
                       count_ts, cumulative_counts, enumerate_partitions, hawkes_counts, qtspp,
                       stembridge_t3)
 from borelbox.cli import run
+from borelbox.errors import _Budget
 from borelbox.partitions import MAX_DIM
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -52,7 +53,7 @@ def _limit_address_space():
 def assert_one_error_in_a_small_address_space(argv, text="", code=1):
     """`python -m borelbox` with `argv` and `text` on standard input, in
     a child process limited to ADDRESS_SPACE, exits `code` (1, malformed
-    input, unless given) with one error line."""
+    input, unless given) with one error line, which it returns."""
     proc = subprocess.run(
         [sys.executable, "-m", "borelbox", *argv], input=text,
         capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
@@ -61,6 +62,7 @@ def assert_one_error_in_a_small_address_space(argv, text="", code=1):
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+    return proc.stderr
 
 
 def _nines(digits):
@@ -98,7 +100,24 @@ def test_a_budget_refuses_a_size_too_large_to_print_at_once(argv):
 
 @pytest.mark.parametrize("argv, code", UNLISTABLE_SIDES)
 def test_a_side_no_list_can_hold_is_one_error_line(argv, code):
-    assert_one_error_in_a_small_address_space(argv, code=code)
+    err = assert_one_error_in_a_small_address_space(argv, code=code)
+    if code == 1:
+        # Refused in the argument's words: the product's n, a box's side.
+        word = "n" if "--formula" in argv else "side"
+        value = argv[argv.index("--n") + 1]
+        assert err.startswith(f"error: {word} must be at most "), err
+        assert err.rstrip().endswith(f", got {value}"), err
+
+
+def test_a_budget_too_long_to_print_still_refuses():
+    budget = 10**4400
+    with pytest.raises(ResourceLimit, match=r"^the requirement table of at least 2\^16609 "
+                                            r"coordinates exceeds the node budget of "
+                                            r"at least 2\^14616$"):
+        count_ss(2, 10**5000, budget=budget)
+    with pytest.raises(ResourceLimit, match=r"^the walk exceeded the node budget of "
+                                            r"at least 2\^14616$"):
+        _Budget(budget).charge(budget + 1)
 
 
 def test_a_refused_size_too_large_to_print_is_named_by_a_power_of_two():

@@ -92,7 +92,7 @@ def test_ideal_to_partition_matches_the_box_complement(ideal):
     assert partition == Partition(ideal.dim, complement)
     assert partition._members == frozenset(partition.cells) == complement
     # The grown complement is kept by the partition alone.
-    assert ideal._outside is None
+    assert ideal._complement is None
 
 
 def test_a_round_trip_reuses_the_partition_and_grows_nothing(monkeypatch):
@@ -100,7 +100,8 @@ def test_a_round_trip_reuses_the_partition_and_grows_nothing(monkeypatch):
     ideals = [partition_to_ideal(p) for p in partitions]
     monkeypatch.setattr(correspondence, "_fully_reached", None)   # any growth fails
     for partition, ideal in zip(partitions, ideals):
-        assert ideal_to_partition(ideal)._members is partition._members
+        returned = ideal_to_partition(ideal)
+        assert returned is partition and returned._holds == "strongly_stable"
 
 
 @settings(max_examples=150, deadline=None)
@@ -208,6 +209,6 @@ def test_complement_budget_stops_a_huge_power_early():
     ideal = MonomialIdeal(1, [(100_000_000,)])
     with pytest.raises(ResourceLimit, match="budget of 1000"):
         ideal_to_partition(ideal, budget=1000)
-    assert ideal._outside is None
+    assert ideal._complement is None
     with pytest.raises(ValueError):
         ideal_to_partition(ideal, budget=0)

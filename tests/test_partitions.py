@@ -204,8 +204,6 @@ def test_trusted_partitions_build_their_member_sets_on_demand(predicate):
         assert fresh(cells).orbit_count() == checked.orbit_count()
         assert listed == checked and hash(listed) == hash(checked)
         assert [c in listed for c in probes] == [c in checked for c in probes]
-    members = frozenset(checked.cells)
-    assert Partition._trusted(3, checked.cells, members)._members is members
 
 
 # The record of the predicate a producer built a partition to satisfy.
@@ -215,7 +213,6 @@ def test_constructed_and_plain_trusted_partitions_carry_no_record():
     assert Partition(2, cells)._holds is None
     assert Partition.from_json_dict({"dim": 2, "cells": [list(c) for c in cells]})._holds is None
     assert Partition._trusted(2, cells)._holds is None
-    assert Partition._trusted(2, cells, frozenset(cells))._holds is None
     assert ideal_to_partition(partition_to_ideal(Partition(2, cells)))._holds is None
     assert all(p._holds is None for p in enumerate_partitions(3, 2, "all"))
 
@@ -223,7 +220,7 @@ def test_constructed_and_plain_trusted_partitions_carry_no_record():
 @pytest.mark.parametrize("holds", ["strongly_stable", "totally_symmetric"])
 def test_a_false_record_does_not_fool_the_predicates(holds):
     # (0,0), (1,0) has the hook vector (1, 0) and no cell (0, 1).
-    part = Partition._trusted(2, ((0, 0), (1, 0)), None, holds)
+    part = Partition._trusted(2, ((0, 0), (1, 0)), holds)
     assert not part.is_strongly_stable()
     assert not part.is_totally_symmetric()
 
@@ -232,7 +229,7 @@ def test_the_record_is_not_part_of_the_value():
     cells = TS_PARTITION_2D_CELLS
     plain = Partition(2, cells)
     for holds in ("strongly_stable", "totally_symmetric"):
-        recorded = Partition._trusted(2, cells, None, holds)
+        recorded = Partition._trusted(2, cells, holds)
         assert recorded == plain and hash(recorded) == hash(plain)
         assert repr(recorded) == repr(plain)
         assert recorded.to_json_dict() == plain.to_json_dict()
